@@ -91,6 +91,11 @@ cmake --build build-asan -j --target check_all test_check test_io test_tune \
 # registered backend — the AVX-512 arm included where the host allows it —
 # with ASan watching the widest loads/stores and tails.
 ./build-asan/src/check/check_all --only=caps --seed=0xca95f1fe --iters=150
+# The double-precision affine arms (addWeighted, scaleAdd, every scaled
+# convertTo pair) with hostile coefficients: ASan watches the f64 widening
+# loads and the whole-vector/scalar-tail hand-off at ragged row lengths.
+./build-asan/src/check/check_all --only=arrayops --seed=0xaff1ae64 --iters=300
+./build-asan/src/check/check_all --only=convertTo --seed=0xc0f64a5e --iters=300
 ctest --test-dir build-asan -L check --output-on-failure -j"$(nproc)"
 
 echo

@@ -4,6 +4,7 @@
 // the case seed so a reproducer line regenerates them exactly.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "check/check.hpp"
 #include "core/array_ops.hpp"
@@ -26,6 +27,21 @@ constexpr std::uint64_t kSrcA = 1, kSrcB = 2;
 
 int channelsFor(const CaseSpec& c) { return (c.variant & 4) ? 3 : 1; }
 
+// Affine coefficient (alpha/beta/gamma of the scaled kernels). Cases with
+// variant bit 8 set draw half their coefficients from a hostile pool: NaN,
+// +/-Inf, magnitudes at and past the s32 rails, and the integer blend
+// weights 1, -1, 0 (morphgrad's hi - lo). The rest are finite [lo, hi).
+double coef(const CaseSpec& c, Rng& r, double lo, double hi) {
+  static const std::vector<double> hostile = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      2147483648.0, -2147483649.0, 2147483646.5, 4294967296.0, -1e300,
+      1.0, -1.0, 0.0, 0.5};
+  if ((c.variant & 8) && r.chance(50)) return r.pick(hostile);
+  return r.real(lo, hi);
+}
+
 // ---- convertTo -------------------------------------------------------------
 
 Mat runConvert(const CaseSpec& c, KernelPath p, Depth sd, Depth dd, bool scaled) {
@@ -33,8 +49,8 @@ Mat runConvert(const CaseSpec& c, KernelPath p, Depth sd, Depth dd, bool scaled)
   double alpha = 1.0, beta = 0.0;
   if (scaled) {
     Rng r(c.seed ^ 0xa1fa6e7a11ull);
-    alpha = r.real(-4.0, 4.0);
-    beta = r.real(-300.0, 300.0);
+    alpha = coef(c, r, -4.0, 4.0);
+    beta = coef(c, r, -300.0, 300.0);
   }
   Mat dst;
   core::convertTo(src, dst, dd, alpha, beta, p);
@@ -121,7 +137,8 @@ Mat runScaleAdd(const CaseSpec& c, KernelPath p) {
   Mat a = genMat(c, kSrcA, PixelType(depths[c.variant % 3], channelsFor(c)));
   Rng r(c.seed ^ 0x5ca1eaddull);
   Mat dst;
-  core::scaleAdd(a, r.real(-4.0, 4.0), r.real(-300.0, 300.0), dst, p);
+  const double alpha = coef(c, r, -4.0, 4.0);
+  core::scaleAdd(a, alpha, coef(c, r, -300.0, 300.0), dst, p);
   return dst;
 }
 
@@ -132,8 +149,9 @@ Mat runAddWeighted(const CaseSpec& c, KernelPath p) {
   Mat b = genMat(c, kSrcB, type);
   Rng r(c.seed ^ 0xaddbeefedull);
   Mat dst;
-  core::addWeighted(a, r.real(-2.0, 2.0), b, r.real(-2.0, 2.0),
-                    r.real(-100.0, 100.0), dst, p);
+  const double alpha = coef(c, r, -2.0, 2.0);
+  const double beta = coef(c, r, -2.0, 2.0);
+  core::addWeighted(a, alpha, b, beta, coef(c, r, -100.0, 100.0), dst, p);
   return dst;
 }
 
@@ -609,8 +627,9 @@ Mat runCapsPipeline(const CaseSpec& c, KernelPath p) {
 const std::vector<KernelCheck>& kernelRegistry() {
   static const std::vector<KernelCheck> registry = [] {
     std::vector<KernelCheck> reg;
-    // convertTo: every HAND pair, both directions, plus scaled (scalar-only
-    // dispatch) and a no-HAND pair so autovec-vs-novec gets coverage too.
+    // convertTo: every HAND pair, both directions, a no-HAND pair so
+    // autovec-vs-novec gets coverage too, and every pair of the scaled
+    // (f64) hand arm: U8/S16/F32 to U8/S16/F32.
     addConvert(reg, "convertTo.32f16s", Depth::F32, Depth::S16, false);
     addConvert(reg, "convertTo.32f8u", Depth::F32, Depth::U8, false);
     addConvert(reg, "convertTo.8u32f", Depth::U8, Depth::F32, false);
@@ -619,8 +638,15 @@ const std::vector<KernelCheck>& kernelRegistry() {
     addConvert(reg, "convertTo.16s8u", Depth::S16, Depth::U8, false);
     addConvert(reg, "convertTo.32f32s", Depth::F32, Depth::S32, false);
     addConvert(reg, "convertTo.64f16u", Depth::F64, Depth::U16, false);
-    addConvert(reg, "convertTo.scaled.32f8u", Depth::F32, Depth::U8, true);
+    addConvert(reg, "convertTo.scaled.8u8u", Depth::U8, Depth::U8, true);
     addConvert(reg, "convertTo.scaled.8u16s", Depth::U8, Depth::S16, true);
+    addConvert(reg, "convertTo.scaled.8u32f", Depth::U8, Depth::F32, true);
+    addConvert(reg, "convertTo.scaled.16s8u", Depth::S16, Depth::U8, true);
+    addConvert(reg, "convertTo.scaled.16s16s", Depth::S16, Depth::S16, true);
+    addConvert(reg, "convertTo.scaled.16s32f", Depth::S16, Depth::F32, true);
+    addConvert(reg, "convertTo.scaled.32f8u", Depth::F32, Depth::U8, true);
+    addConvert(reg, "convertTo.scaled.32f16s", Depth::F32, Depth::S16, true);
+    addConvert(reg, "convertTo.scaled.32f32f", Depth::F32, Depth::F32, true);
     // threshold: all five types; depth (u8/s16/f32) rides on the variant.
     addThreshold(reg, "threshold.binary", imgproc::ThresholdType::Binary);
     addThreshold(reg, "threshold.binary-inv", imgproc::ThresholdType::BinaryInv);

@@ -87,6 +87,63 @@ void binaryOp(BinOp op, const Mat& a, const Mat& b, Mat& dst, KernelPath path,
 
 }  // namespace
 
+namespace detail {
+
+namespace {
+
+const void* advance(const void* p, std::size_t bytes) {
+  return static_cast<const std::uint8_t*>(p) + bytes;
+}
+void* advance(void* p, std::size_t bytes) {
+  return static_cast<std::uint8_t*>(p) + bytes;
+}
+
+// Hand arm over the leading whole vectors, scalar arm over the rest (all of
+// the row when the hand arm does not serve the depth).
+template <std::size_t (*Hand)(Depth, const void*, void*, std::size_t, double,
+                              double)>
+void scaleWith(Depth d, const void* a, void* dst, std::size_t n, double alpha,
+               double beta) {
+  const std::size_t done = Hand(d, a, dst, n, alpha, beta);
+  const std::size_t off = done * depthSize(d);
+  aops_autovec::scaleRange(d, advance(a, off), advance(dst, off), n - done,
+                           alpha, beta);
+}
+
+template <std::size_t (*Hand)(Depth, const void*, const void*, void*,
+                              std::size_t, double, double, double)>
+void weightedWith(Depth d, const void* a, const void* b, void* dst,
+                  std::size_t n, double alpha, double beta, double gamma) {
+  const std::size_t done = Hand(d, a, b, dst, n, alpha, beta, gamma);
+  const std::size_t off = done * depthSize(d);
+  aops_autovec::weightedRange(d, advance(a, off), advance(b, off),
+                              advance(dst, off), n - done, alpha, beta, gamma);
+}
+
+}  // namespace
+
+ScaleFn scaleFnFor(KernelPath path) {
+  switch (resolvePath(path)) {
+    case KernelPath::Avx512: return &scaleWith<&aops_avx512::scaleRange>;
+    case KernelPath::Avx2: return &scaleWith<&aops_avx2::scaleRange>;
+    case KernelPath::Sse2: return &scaleWith<&aops_sse2::scaleRange>;
+    case KernelPath::ScalarNoVec: return &aops_novec::scaleRange;
+    default: return &aops_autovec::scaleRange;  // Auto; Neon has no f64 arm
+  }
+}
+
+WeightedFn weightedFnFor(KernelPath path) {
+  switch (resolvePath(path)) {
+    case KernelPath::Avx512: return &weightedWith<&aops_avx512::weightedRange>;
+    case KernelPath::Avx2: return &weightedWith<&aops_avx2::weightedRange>;
+    case KernelPath::Sse2: return &weightedWith<&aops_sse2::weightedRange>;
+    case KernelPath::ScalarNoVec: return &aops_novec::weightedRange;
+    default: return &aops_autovec::weightedRange;  // Auto; Neon has no f64 arm
+  }
+}
+
+}  // namespace detail
+
 void add(const Mat& a, const Mat& b, Mat& dst, KernelPath path) {
   binaryOp(BinOp::Add, a, b, dst, path, "add");
 }
@@ -151,8 +208,7 @@ void scaleAdd(const Mat& a, double alpha, double beta, Mat& dst,
   Mat out = std::move(dst);
   out.create(a.rows(), a.cols(), a.type());
   const std::size_t n = static_cast<std::size_t>(a.cols()) * a.channels();
-  auto run = p == KernelPath::ScalarNoVec ? &detail::aops_novec::scaleRange
-                                          : &detail::aops_autovec::scaleRange;
+  const auto run = detail::scaleFnFor(p);
   const bool flat = a.isContinuous() && out.isContinuous();
   forEachBand(a.rows(), n * depthSize(a.depth()), [&](runtime::Range band) {
     if (flat) {
@@ -180,8 +236,7 @@ void addWeighted(const Mat& a, double alpha, const Mat& b, double beta,
                 : std::move(dst);
   out.create(a.rows(), a.cols(), a.type());
   const std::size_t n = static_cast<std::size_t>(a.cols()) * a.channels();
-  auto run = p == KernelPath::ScalarNoVec ? &detail::aops_novec::weightedRange
-                                          : &detail::aops_autovec::weightedRange;
+  const auto run = detail::weightedFnFor(p);
   const bool flat = a.isContinuous() && b.isContinuous() && out.isContinuous();
   forEachBand(a.rows(), 2 * n * depthSize(a.depth()), [&](runtime::Range band) {
     if (flat) {

@@ -22,6 +22,17 @@ bool sumRange(Depth d, const void* a, std::size_t n, double& out) {
   return aops_vker::sumRange<B>(d, a, n, out);
 }
 
+std::size_t scaleRange(Depth d, const void* a, void* dst, std::size_t n,
+                       double alpha, double beta) {
+  return aops_vker::scaleRange<B>(d, a, dst, n, alpha, beta);
+}
+
+std::size_t weightedRange(Depth d, const void* a, const void* b, void* dst,
+                          std::size_t n, double alpha, double beta,
+                          double gamma) {
+  return aops_vker::weightedRange<B>(d, a, b, dst, n, alpha, beta, gamma);
+}
+
 }  // namespace simdcv::core::detail::aops_avx2
 
 #else  // TU built without -mavx2: report no hand kernel, caller degrades.
@@ -31,6 +42,14 @@ bool binRange(BinOp, Depth, const void*, const void*, void*, std::size_t) {
   return false;
 }
 bool sumRange(Depth, const void*, std::size_t, double&) { return false; }
+std::size_t scaleRange(Depth, const void*, void*, std::size_t, double,
+                       double) {
+  return 0;
+}
+std::size_t weightedRange(Depth, const void*, const void*, void*, std::size_t,
+                          double, double, double) {
+  return 0;
+}
 }  // namespace simdcv::core::detail::aops_avx2
 
 #endif

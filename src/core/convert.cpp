@@ -148,9 +148,21 @@ void cvtRow(Depth sd, Depth dd, const void* src, void* dst, std::size_t n,
   }
   if (path == KernelPath::ScalarNoVec) {
     novec::cvtRangeScaled(sd, dd, src, dst, n, alpha, beta);
-  } else {
-    autovec::cvtRangeScaled(sd, dd, src, dst, n, alpha, beta);
+    return;
   }
+  // Hand arm (x86) for the leading whole vectors, scalar arm for the rest;
+  // Auto and Neon (no f64 lanes) run the scalar arm for all of it.
+  std::size_t done = 0;
+  if (path == KernelPath::Avx512)
+    done = cvtScaledAvx512(sd, dd, src, dst, n, alpha, beta);
+  else if (path == KernelPath::Avx2)
+    done = cvtScaledAvx2(sd, dd, src, dst, n, alpha, beta);
+  else if (path == KernelPath::Sse2)
+    done = cvtScaledSse2(sd, dd, src, dst, n, alpha, beta);
+  autovec::cvtRangeScaled(
+      sd, dd, static_cast<const std::uint8_t*>(src) + done * depthSize(sd),
+      static_cast<std::uint8_t*>(dst) + done * depthSize(dd), n - done, alpha,
+      beta);
 }
 
 }  // namespace detail

@@ -8,6 +8,7 @@
 // Sole -mavx2 TU of this family; callers reach it only after a runtime
 // CPUID check (KernelPath::Avx2 resolves to Sse2 on older hardware).
 #include "core/convert.hpp"
+#include "core/convert_detail.hpp"
 
 #if defined(__AVX2__)
 
@@ -40,6 +41,13 @@ void cvt16s8u(const std::int16_t* src, std::uint8_t* dst, std::size_t n) {
 
 }  // namespace simdcv::core::avx2
 
+namespace simdcv::core::detail {
+std::size_t cvtScaledAvx2(Depth sd, Depth dd, const void* src, void* dst,
+                          std::size_t n, double alpha, double beta) {
+  return vker::cvtRangeScaled<avx2::B>(sd, dd, src, dst, n, alpha, beta);
+}
+}  // namespace simdcv::core::detail
+
 #else  // TU built without -mavx2: keep the symbols, delegate to SSE2.
 
 namespace simdcv::core::avx2 {
@@ -62,5 +70,12 @@ void cvt16s8u(const std::int16_t* src, std::uint8_t* dst, std::size_t n) {
   sse2::cvt16s8u(src, dst, n);
 }
 }  // namespace simdcv::core::avx2
+
+namespace simdcv::core::detail {
+std::size_t cvtScaledAvx2(Depth sd, Depth dd, const void* src, void* dst,
+                          std::size_t n, double alpha, double beta) {
+  return cvtScaledSse2(sd, dd, src, dst, n, alpha, beta);
+}
+}  // namespace simdcv::core::detail
 
 #endif

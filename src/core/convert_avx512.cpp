@@ -8,6 +8,7 @@
 // uniform across avx512 TUs). Callers reach these kernels only after the
 // simdcv::caps runtime check (CPUID + XGETBV zmm state).
 #include "core/convert.hpp"
+#include "core/convert_detail.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__)
 
@@ -40,6 +41,13 @@ void cvt16s8u(const std::int16_t* src, std::uint8_t* dst, std::size_t n) {
 
 }  // namespace simdcv::core::avx512
 
+namespace simdcv::core::detail {
+std::size_t cvtScaledAvx512(Depth sd, Depth dd, const void* src, void* dst,
+                            std::size_t n, double alpha, double beta) {
+  return vker::cvtRangeScaled<avx512::B>(sd, dd, src, dst, n, alpha, beta);
+}
+}  // namespace simdcv::core::detail
+
 #else  // toolchain lacks AVX-512: keep the symbols, delegate to AVX2.
 
 namespace simdcv::core::avx512 {
@@ -62,5 +70,12 @@ void cvt16s8u(const std::int16_t* src, std::uint8_t* dst, std::size_t n) {
   avx2::cvt16s8u(src, dst, n);
 }
 }  // namespace simdcv::core::avx512
+
+namespace simdcv::core::detail {
+std::size_t cvtScaledAvx512(Depth sd, Depth dd, const void* src, void* dst,
+                            std::size_t n, double alpha, double beta) {
+  return cvtScaledAvx2(sd, dd, src, dst, n, alpha, beta);
+}
+}  // namespace simdcv::core::detail
 
 #endif

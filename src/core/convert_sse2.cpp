@@ -5,6 +5,7 @@
 // III-A (two 4-float loads, two cvtps->epi32, one packs, one store per
 // eight pixels).
 #include "core/convert.hpp"
+#include "core/convert_detail.hpp"
 
 #if defined(__SSE2__)
 
@@ -37,6 +38,13 @@ void cvt16s8u(const std::int16_t* src, std::uint8_t* dst, std::size_t n) {
 
 }  // namespace simdcv::core::sse2
 
+namespace simdcv::core::detail {
+std::size_t cvtScaledSse2(Depth sd, Depth dd, const void* src, void* dst,
+                          std::size_t n, double alpha, double beta) {
+  return vker::cvtRangeScaled<sse2::B>(sd, dd, src, dst, n, alpha, beta);
+}
+}  // namespace simdcv::core::detail
+
 #else  // !__SSE2__: keep the symbols, delegate to the scalar path.
 
 namespace simdcv::core::sse2 {
@@ -59,5 +67,12 @@ void cvt16s8u(const std::int16_t* src, std::uint8_t* dst, std::size_t n) {
   autovec::cvtRange(Depth::S16, Depth::U8, src, dst, n);
 }
 }  // namespace simdcv::core::sse2
+
+namespace simdcv::core::detail {
+std::size_t cvtScaledSse2(Depth, Depth, const void*, void*, std::size_t, double,
+                          double) {
+  return 0;
+}
+}  // namespace simdcv::core::detail
 
 #endif

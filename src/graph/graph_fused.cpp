@@ -61,8 +61,6 @@ using ThreshF32Fn = void (*)(const float*, float*, std::size_t, float, float,
                              ThresholdType);
 using ThreshS16Fn = void (*)(const std::int16_t*, std::int16_t*, std::size_t,
                              std::int16_t, std::int16_t, ThresholdType);
-using WeightedFn = void (*)(Depth, const void*, const void*, void*,
-                            std::size_t, double, double, double);
 
 ThreshF32Fn threshF32For(KernelPath p) {
   switch (p) {
@@ -189,7 +187,7 @@ struct RunCtx {
   imgproc::detail::ThreshU8Fn fn8;
   ThreshF32Fn fnF32;
   ThreshS16Fn fnS16;
-  WeightedFn wfn;
+  core::detail::WeightedFn wfn;
   std::vector<GroupInfo> groups;
   std::vector<int> groupOf;                   // node -> dense group (-1)
   std::vector<ThreshPrep> thr;                // node-indexed
@@ -643,9 +641,7 @@ void runFusedImpl(const Graph& g, const Mat& src, Mat& dst, KernelPath path,
              threshF32For(p),
              p == KernelPath::ScalarNoVec ? &imgproc::novec::threshS16
                                           : &imgproc::autovec::threshS16,
-             p == KernelPath::ScalarNoVec
-                 ? &core::detail::aops_novec::weightedRange
-                 : &core::detail::aops_autovec::weightedRange,
+             core::detail::weightedFnFor(p),
              {},
              std::vector<int>(g.nodes_.size(), -1),
              std::vector<ThreshPrep>(g.nodes_.size()),

@@ -111,10 +111,13 @@ class ThreadPool {
     started_ = false;
   }
 
-  PoolStats stats() const {
+  PoolStats stats() {
     PoolStats s;
     s.tasks_executed = tasks_executed_.load(std::memory_order_relaxed);
     s.steals = steals_.load(std::memory_order_relaxed);
+    // parks/unparks change under park_mu_; reading them under it too keeps
+    // the pair consistent (unparks <= parks).
+    std::lock_guard<std::mutex> lk(park_mu_);
     s.parks = parks_.load(std::memory_order_relaxed);
     s.unparks = unparks_.load(std::memory_order_relaxed);
     return s;
@@ -123,7 +126,10 @@ class ThreadPool {
   void resetStats() {
     tasks_executed_.store(0, std::memory_order_relaxed);
     steals_.store(0, std::memory_order_relaxed);
-    parks_.store(0, std::memory_order_relaxed);
+    // A worker asleep now will count an unpark after the reset; count its
+    // park after the reset too, so unparks never exceed parks.
+    std::lock_guard<std::mutex> lk(park_mu_);
+    parks_.store(parked_, std::memory_order_relaxed);
     unparks_.store(0, std::memory_order_relaxed);
   }
 
@@ -201,12 +207,15 @@ class ThreadPool {
         seen = epoch_;
       }
       if (tryGetTask(self, task)) {
+        // Count before running: the task's last act may release a waiter
+        // (parallel_for's latch) that then reads poolStats(). Sequenced
+        // before that release, the increment is visible to the waiter.
+        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
         {
           SIMDCV_TRACE_SCOPE("pool.task");
           task();
         }
         task = nullptr;
-        tasks_executed_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       std::unique_lock<std::mutex> lk(park_mu_);
@@ -214,7 +223,9 @@ class ThreadPool {
       if (epoch_ == seen) {
         const std::uint64_t park_t0 = prof::enabled() ? prof::nowNs() : 0;
         parks_.fetch_add(1, std::memory_order_relaxed);
+        ++parked_;
         park_cv_.wait(lk, [&] { return stop_ || epoch_ != seen; });
+        --parked_;
         unparks_.fetch_add(1, std::memory_order_relaxed);
         if (park_t0 != 0)
           prof::detail::commitSpan("pool.park", prof::kNoPath, 0, park_t0,
@@ -231,10 +242,11 @@ class ThreadPool {
   std::vector<std::thread> threads_;
   std::atomic<std::size_t> next_worker_{0};
 
-  std::mutex park_mu_;  // guards injector_, epoch_, stop_
+  std::mutex park_mu_;  // guards injector_, epoch_, stop_, parked_
   std::condition_variable park_cv_;
   std::deque<std::function<void()>> injector_;
   std::uint64_t epoch_ = 0;
+  std::uint64_t parked_ = 0;  // workers currently waiting on park_cv_
   bool stop_ = false;
 
   std::atomic<std::uint64_t> tasks_executed_{0};

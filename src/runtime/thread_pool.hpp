@@ -27,7 +27,9 @@ namespace simdcv::runtime {
 
 /// Monotonic counters describing pool activity since start (or the last
 /// resetPoolStats). Cheap relaxed atomics; intended for observability, not
-/// for synchronization.
+/// for synchronization. A task is counted before it runs, so a caller that
+/// parallel_for has released sees all of its region's tasks; unparks never
+/// exceed parks, even across a reset.
 struct PoolStats {
   std::uint64_t tasks_executed = 0;  ///< tasks run by pool workers
   std::uint64_t steals = 0;          ///< tasks taken from another worker's deque

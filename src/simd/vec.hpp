@@ -37,6 +37,12 @@ struct Avx512 {};
 ///   s32        cvtF32toS32Sat (NaN->0, +overflow->INT_MAX fixups baked in)
 ///              cvtS32toF32
 ///   widen      loadU8AsS32 loadS16AsS32 loadU8AsS16 (zero/sign extend)
+///   f64        vf64, f64_lanes (= bits/64), vf64x2 {lo, hi} = f32_lanes
+///              doubles in element order; setF64 addF64 mulF64 minF64
+///              maxF64; loadU8AsF64 loadS16AsF64 loadF32AsF64 (exact
+///              widens); cvtF64toS32Sat (round-half-even, NaN->0, clamped
+///              to the s32 rails before converting — saturate_cast<int32_t>
+///              of a double); cvtF64toF32 (static_cast<float> rounding)
 ///   s16/u16    loadS16 storeS16 setS16 zeroS16 addS16 addSatS16 subSatS16
 ///              mulLoS16 minS16 maxS16 shrLogU16<imm>
 ///   u8         loadU8 storeU8 setU8 addSatU8 subSatU8 minU8 maxU8 cmpGtU8

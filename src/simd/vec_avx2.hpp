@@ -68,6 +68,40 @@ struct VecTraits<backend::Avx2> {
   }
   static vf32 cvtS32toF32(vs32 v) { return _mm256_cvtepi32_ps(v); }
 
+  // ---- f64 -----------------------------------------------------------------
+  // Same contract as the SSE2 trait. Each vf64 holds one 128-bit half of a
+  // vf32/vs32, so the widen and narrow steps below are plain half
+  // extracts and inserts: no in-lane interleave to undo.
+  using vf64 = __m256d;
+  struct vf64x2 {
+    vf64 lo, hi;
+  };
+  static constexpr int f64_lanes = 4;
+
+  static vf64 setF64(double v) { return _mm256_set1_pd(v); }
+  static vf64 addF64(vf64 a, vf64 b) { return _mm256_add_pd(a, b); }
+  static vf64 mulF64(vf64 a, vf64 b) { return _mm256_mul_pd(a, b); }
+  static vf64 minF64(vf64 a, vf64 b) { return _mm256_min_pd(a, b); }
+  static vf64 maxF64(vf64 a, vf64 b) { return _mm256_max_pd(a, b); }
+
+  static vf64x2 loadU8AsF64(const std::uint8_t* p) {
+    return s32ToF64(loadU8AsS32(p));
+  }
+  static vf64x2 loadS16AsF64(const std::int16_t* p) {
+    return s32ToF64(loadS16AsS32(p));
+  }
+  static vf64x2 loadF32AsF64(const float* p) {
+    return {_mm256_cvtps_pd(_mm_loadu_ps(p)),
+            _mm256_cvtps_pd(_mm_loadu_ps(p + 4))};
+  }
+  static vs32 cvtF64toS32Sat(vf64x2 v) {
+    return _mm256_set_m128i(_mm256_cvtpd_epi32(clampF64(v.hi)),
+                            _mm256_cvtpd_epi32(clampF64(v.lo)));
+  }
+  static vf32 cvtF64toF32(vf64x2 v) {
+    return _mm256_set_m128(_mm256_cvtpd_ps(v.hi), _mm256_cvtpd_ps(v.lo));
+  }
+
   // ---- widening loads ------------------------------------------------------
   static vs32 loadU8AsS32(const std::uint8_t* p) {
     return _mm256_cvtepu8_epi32(
@@ -154,6 +188,16 @@ struct VecTraits<backend::Avx2> {
     return static_cast<std::uint64_t>(_mm_cvtsi128_si64(s)) +
            static_cast<std::uint64_t>(
                _mm_cvtsi128_si64(_mm_srli_si128(s, 8)));
+  }
+
+ private:
+  static vf64x2 s32ToF64(vs32 v) {
+    return {_mm256_cvtepi32_pd(_mm256_castsi256_si128(v)),
+            _mm256_cvtepi32_pd(_mm256_extracti128_si256(v, 1))};
+  }
+  static vf64 clampF64(vf64 v) {
+    const vf64 no_nan = _mm256_and_pd(v, _mm256_cmp_pd(v, v, _CMP_ORD_Q));
+    return minF64(maxF64(no_nan, setF64(-2147483648.0)), setF64(2147483647.0));
   }
 };
 

@@ -73,6 +73,42 @@ struct VecTraits<backend::Avx512> {
   }
   static vf32 cvtS32toF32(vs32 v) { return _mm512_cvtepi32_ps(v); }
 
+  // ---- f64 -----------------------------------------------------------------
+  // Same contract as the SSE2 trait; each vf64 holds one 256-bit half of a
+  // vf32/vs32. NaN lanes are zeroed through a k-mask; the rails are the
+  // same max/min clamp as on the narrower backends.
+  using vf64 = __m512d;
+  struct vf64x2 {
+    vf64 lo, hi;
+  };
+  static constexpr int f64_lanes = 8;
+
+  static vf64 setF64(double v) { return _mm512_set1_pd(v); }
+  static vf64 addF64(vf64 a, vf64 b) { return _mm512_add_pd(a, b); }
+  static vf64 mulF64(vf64 a, vf64 b) { return _mm512_mul_pd(a, b); }
+  static vf64 minF64(vf64 a, vf64 b) { return _mm512_min_pd(a, b); }
+  static vf64 maxF64(vf64 a, vf64 b) { return _mm512_max_pd(a, b); }
+
+  static vf64x2 loadU8AsF64(const std::uint8_t* p) {
+    return s32ToF64(loadU8AsS32(p));
+  }
+  static vf64x2 loadS16AsF64(const std::int16_t* p) {
+    return s32ToF64(loadS16AsS32(p));
+  }
+  static vf64x2 loadF32AsF64(const float* p) {
+    return {_mm512_cvtps_pd(_mm256_loadu_ps(p)),
+            _mm512_cvtps_pd(_mm256_loadu_ps(p + 8))};
+  }
+  static vs32 cvtF64toS32Sat(vf64x2 v) {
+    return _mm512_inserti64x4(
+        _mm512_castsi256_si512(_mm512_cvtpd_epi32(clampF64(v.lo))),
+        _mm512_cvtpd_epi32(clampF64(v.hi)), 1);
+  }
+  static vf32 cvtF64toF32(vf64x2 v) {
+    return _mm512_insertf32x8(_mm512_castps256_ps512(_mm512_cvtpd_ps(v.lo)),
+                              _mm512_cvtpd_ps(v.hi), 1);
+  }
+
   // ---- widening loads ------------------------------------------------------
   static vs32 loadU8AsS32(const std::uint8_t* p) {
     return _mm512_cvtepu8_epi32(
@@ -156,6 +192,17 @@ struct VecTraits<backend::Avx512> {
   static std::uint64_t sadSumU8(vu8 v) {
     const __m512i sad = _mm512_sad_epu8(v, _mm512_setzero_si512());
     return static_cast<std::uint64_t>(_mm512_reduce_add_epi64(sad));
+  }
+
+ private:
+  static vf64x2 s32ToF64(vs32 v) {
+    return {_mm512_cvtepi32_pd(_mm512_castsi512_si256(v)),
+            _mm512_cvtepi32_pd(_mm512_extracti64x4_epi64(v, 1))};
+  }
+  static vf64 clampF64(vf64 v) {
+    const vf64 no_nan =
+        _mm512_maskz_mov_pd(_mm512_cmp_pd_mask(v, v, _CMP_ORD_Q), v);
+    return minF64(maxF64(no_nan, setF64(-2147483648.0)), setF64(2147483647.0));
   }
 };
 

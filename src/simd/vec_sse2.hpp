@@ -64,6 +64,54 @@ struct VecTraits<backend::Sse2> {
   }
   static vf32 cvtS32toF32(vs32 v) { return _mm_cvtepi32_ps(v); }
 
+  // ---- f64 -----------------------------------------------------------------
+  using vf64 = __m128d;
+  /// f32_lanes doubles in element order: lo = elements [0, f64_lanes).
+  struct vf64x2 {
+    vf64 lo, hi;
+  };
+  static constexpr int f64_lanes = 2;
+
+  static vf64 setF64(double v) { return _mm_set1_pd(v); }
+  static vf64 addF64(vf64 a, vf64 b) { return _mm_add_pd(a, b); }
+  static vf64 mulF64(vf64 a, vf64 b) { return _mm_mul_pd(a, b); }
+  static vf64 minF64(vf64 a, vf64 b) { return _mm_min_pd(a, b); }
+  static vf64 maxF64(vf64 a, vf64 b) { return _mm_max_pd(a, b); }
+
+  /// f32_lanes u8 / s16 / f32 -> f64 (every value is exact in f64).
+  static vf64x2 loadU8AsF64(const std::uint8_t* p) {
+    return spliceF64(loadU8AsS32(p), 4503599627370496.0);  // 2^52
+  }
+  static vf64x2 loadS16AsF64(const std::int16_t* p) {
+    return spliceF64(_mm_xor_si128(loadS16AsS32(p), _mm_set1_epi32(INT32_MIN)),
+                     4503601774854144.0);  // 2^52 + 2^31
+  }
+  static vf64x2 loadF32AsF64(const float* p) {
+    const __m128 v = _mm_loadu_ps(p);
+    return {_mm_cvtps_pd(v), _mm_cvtps_pd(_mm_movehl_ps(v, v))};
+  }
+
+  /// Round-half-even f64 -> s32 with saturate_cast<int32_t>(double)'s
+  /// contract: NaN lanes are zeroed and the rest clamped to
+  /// [-2^31, 2^31 - 1] before rounding (the rails are integers, so they
+  /// round to themselves).
+  static vs32 cvtF64toS32Sat(vf64x2 v) {
+    // x + 1.5*2^52 rounds the clamped x to an integer under the current
+    // (nearest-even) mode, as cvtpd2dq would, and leaves it two's-complement
+    // in the low dword; one shufps gathers the four dwords. This keeps the
+    // conversion off the shuffle port that cvtpd2dq shares with the packs.
+    const __m128d magic = _mm_set1_pd(6755399441055744.0);
+    return _mm_castps_si128(_mm_shuffle_ps(
+        _mm_castpd_ps(_mm_add_pd(clampF64(v.lo), magic)),
+        _mm_castpd_ps(_mm_add_pd(clampF64(v.hi), magic)),
+        _MM_SHUFFLE(2, 0, 2, 0)));
+  }
+  /// f64 -> f32 under the current (nearest-even) rounding, like
+  /// static_cast<float>(double): overflow gives ±Inf, NaN stays NaN.
+  static vf32 cvtF64toF32(vf64x2 v) {
+    return _mm_movelh_ps(_mm_cvtpd_ps(v.lo), _mm_cvtpd_ps(v.hi));
+  }
+
   // ---- widening loads ------------------------------------------------------
   /// f32_lanes u8 -> s32 lanes (zero-extended).
   static vs32 loadU8AsS32(const std::uint8_t* p) {
@@ -147,6 +195,21 @@ struct VecTraits<backend::Sse2> {
     return static_cast<std::uint64_t>(_mm_cvtsi128_si64(sad)) +
            static_cast<std::uint64_t>(
                _mm_cvtsi128_si64(_mm_srli_si128(sad, 8)));
+  }
+
+ private:
+  // Exact u32 -> f64 without cvtdq2pd: splice each value under the exponent
+  // of 2^52 (the double 2^52 + u) and subtract `base`. Signed values are
+  // first biased to unsigned by flipping the sign bit (base 2^52 + 2^31).
+  static vf64x2 spliceF64(vs32 u, double base) {
+    const __m128i e = _mm_set1_epi32(0x43300000);
+    const __m128d b = _mm_set1_pd(base);
+    return {_mm_sub_pd(_mm_castsi128_pd(_mm_unpacklo_epi32(u, e)), b),
+            _mm_sub_pd(_mm_castsi128_pd(_mm_unpackhi_epi32(u, e)), b)};
+  }
+  static vf64 clampF64(vf64 v) {
+    const vf64 no_nan = _mm_and_pd(v, _mm_cmpord_pd(v, v));
+    return minF64(maxF64(no_nan, setF64(-2147483648.0)), setF64(2147483647.0));
   }
 };
 

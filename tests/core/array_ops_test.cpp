@@ -41,6 +41,11 @@ struct OpCase {
   Depth depth;
 };
 
+// Print a case by its name. gtest's default dump shows the raw bytes, which
+// hold code and string addresses that change on every run, so the test names
+// that ctest registers would never be the same twice.
+void PrintTo(const OpCase& tc, std::ostream* os) { *os << tc.name; }
+
 class ArrayOpPathTest : public ::testing::TestWithParam<OpCase> {};
 
 TEST_P(ArrayOpPathTest, AllPathsBitExact) {
