@@ -7,8 +7,7 @@
 //
 // Chains:
 //   edge       makeEdgeGraph: sobelX/sobelY (s16) -> magnitude -> threshold
-//              (the graph re-expression of the edgeDetect preset; its ratio
-//              should track ablation_fusion's)
+//              (the chain imgproc::edgeDetect runs)
 //   blur-sobel makeBlurSobelThresholdGraph: gauss5 -> sobel3 (s16) ->
 //              threshold (a chain no hand-fused kernel covers)
 //   photo      makePhotoGraph: cvt f32 -> blur5 -> tone pointwise -> blur7

@@ -115,31 +115,6 @@ Measurement measureKernel(platform::BenchKernel kernel, KernelPath path,
   return m;
 }
 
-Measurement measureEdgeVariant(bool fused, KernelPath path, Size size,
-                               const Protocol& proto) {
-  const auto images = makeImageSet(size, Depth::U8);
-  std::vector<Mat> dsts(images.size());
-  auto fn = [&, path, fused](int i) {
-    const auto idx = static_cast<std::size_t>(i);
-    if (fused)
-      imgproc::edgeDetectFused(images[idx], dsts[idx], 100.0, 3,
-                               imgproc::BorderType::Reflect101, path);
-    else
-      imgproc::edgeDetectUnfused(images[idx], dsts[idx], 100.0, 3,
-                                 imgproc::BorderType::Reflect101, path);
-  };
-  runtime::warmupPool();
-  for (std::size_t i = 0; i < images.size(); ++i) fn(static_cast<int>(i));
-  const bool traced = beginTraceWindow();
-  Measurement m;
-  m.stats = summarize(runProtocol(proto, fn));
-  m.path = path;
-  m.kernel = platform::BenchKernel::EdgeDetect;
-  m.size = size;
-  endTraceWindow(traced, fused ? "edgeDetectFused" : "edgeDetectUnfused");
-  return m;
-}
-
 int benchVerboseLevel() {
   const char* v = std::getenv("SIMDCV_BENCH_VERBOSE");
   if (v == nullptr || *v == '\0') return 0;

@@ -23,20 +23,13 @@ struct Measurement {
 Measurement measureKernel(platform::BenchKernel kernel, KernelPath path,
                           Size size, const Protocol& proto);
 
-/// Host measurement of the edge pipeline in a specific form: the fused
-/// single-pass engine or the unfused 4-pass reference. The fusion-ablation
-/// hook (ablation_fusion, fig6's fused-vs-unfused series); both forms are
-/// bit-exact, so this isolates the cache-blocking effect alone.
-Measurement measureEdgeVariant(bool fused, KernelPath path, Size size,
-                               const Protocol& proto);
-
 /// Verbosity from SIMDCV_BENCH_VERBOSE (0 when unset/unparsable):
 ///   1  measureKernel prints the runtime thread count and pool activity
 ///      (tasks/steals/parks/unparks) per measurement;
 ///   2  additionally force-enables prof tracing around each measurement and
-///      prints the per-kernel x per-path span summary — for the fused edge
-///      pipeline that includes the per-stage breakdown (edge.fused.rowConv /
-///      colConv / cvt / magnitude / threshold).
+///      prints the per-kernel x per-path span summary — for edgeDetect that
+///      includes the graph executor's per-stage breakdown
+///      (graph.fused.<stage> rows).
 int benchVerboseLevel();
 
 /// The KernelPaths benchmarked on the host, in print order. NEON runs

@@ -1,36 +1,8 @@
-// Figure 6 reproduction: Edge Detection relative speed-up factor, plus the
-// fusion-ablation series (fused single-pass engine vs the unfused 4-pass
-// reference, bit-exact by construction) on the autovectorized path and the
-// best available HAND path.
+// Figure 6 reproduction: Edge Detection relative speed-up factor.
 #include "fig_speedup_common.hpp"
 
-namespace {
-
-using namespace simdcv::bench;
-using simdcv::KernelPath;
-
-ExtraSeriesFn fusedVsUnfusedSeries(KernelPath path) {
-  return [path](const Protocol& proto,
-                const std::vector<Resolution>& resolutions) {
-    SpeedupSeries series{std::string("host fused/unfused ") + pathLabel(path),
-                         {}};
-    for (const auto& r : resolutions) {
-      const auto unfused = measureEdgeVariant(false, path, r.size, proto);
-      const auto fused = measureEdgeVariant(true, path, r.size, proto);
-      series.speedups.push_back(unfused.stats.mean / fused.stats.mean);
-    }
-    return series;
-  };
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const KernelPath hand = simdcv::pathAvailable(KernelPath::Sse2)
-                              ? KernelPath::Sse2
-                              : KernelPath::Neon;
-  return runSpeedupFigure(
+  return simdcv::bench::runSpeedupFigure(
       "Figure 6: Edge Detection relative speed-up", "fig6_edge_speedup",
-      simdcv::platform::BenchKernel::EdgeDetect, argc, argv,
-      {fusedVsUnfusedSeries(KernelPath::Auto), fusedVsUnfusedSeries(hand)});
+      simdcv::platform::BenchKernel::EdgeDetect, argc, argv);
 }

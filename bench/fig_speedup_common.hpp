@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdio>
-#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -21,16 +20,9 @@ struct SpeedupSeries {
   std::vector<double> speedups;
 };
 
-/// Hook for figure-specific host-measured rows (e.g. fig6's fused-vs-unfused
-/// ablation series): called once per series with the protocol and the four
-/// paper resolutions.
-using ExtraSeriesFn =
-    std::function<SpeedupSeries(const Protocol&, const std::vector<Resolution>&)>;
-
 inline int runSpeedupFigure(const char* figureName, const char* csvSlug,
                             platform::BenchKernel kernel, int argc,
-                            char** argv,
-                            const std::vector<ExtraSeriesFn>& extraSeries = {}) {
+                            char** argv) {
   printHostBanner(figureName);
   const auto proto = Protocol::fromArgs(argc, argv);
   const auto& resolutions = paperResolutions();
@@ -63,7 +55,6 @@ inline int runSpeedupFigure(const char* figureName, const char* csvSlug,
     }
     host.push_back(std::move(series));
   }
-  for (const auto& fn : extraSeries) host.push_back(fn(proto, resolutions));
 
   Table t(header);
   std::vector<std::vector<std::string>> csv;
@@ -77,8 +68,8 @@ inline int runSpeedupFigure(const char* figureName, const char* csvSlug,
 
   // Machine-readable speedup artifact for the perf-regression gate
   // (scripts/bench_gate.sh): one row per (series, resolution). Speedups are
-  // within-process ratios, so clock drift mostly cancels — the same property
-  // that makes the fusion suite gateable.
+  // within-process ratios, so clock drift mostly cancels, which is what
+  // makes them gateable.
   {
     const auto hostInfo = platform::queryHost();
     const std::string jsonPath = std::string("BENCH_") + csvSlug + ".json";
@@ -129,7 +120,7 @@ inline int runSpeedupFigure(const char* figureName, const char* csvSlug,
   writeCsv(std::string(csvSlug) + ".csv", header, all);
 
   // SIMDCV_TRACE=1 (or setEnabled): dump the whole run's span aggregate —
-  // including the fused pipeline's per-stage rows for fig6 — and the raw
+  // including the graph executor's per-stage rows for fig6 — and the raw
   // events as a chrome://tracing file next to the CSV.
   if (prof::enabled()) {
     std::printf("\n-- prof span summary (SIMDCV_TRACE=1) --\n");

@@ -1,6 +1,7 @@
 // gate_compare — CLI front end of the perf-regression gate.
 //
-//   gate_compare --baseline BENCH_fusion.json --candidate build/BENCH_fusion.json \
+//   gate_compare --baseline BENCH_fig6_edge_speedup.json
+//                --candidate build/BENCH_fig6_edge_speedup.json
 //                [--metrics speedup,images_per_sec] [--tolerance 0.15]
 //
 // Exit code is the Outcome enum: 0 ok, 1 regression (every offending metric

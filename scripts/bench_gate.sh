@@ -4,17 +4,16 @@
 # per-metric tolerances. Exits nonzero on a sustained regression.
 #
 # Policy (DESIGN.md section 12):
-#   - Ratio-ish metrics only by default — fusion gates `speedup`
-#     (unfused/fused within one process, so clock drift mostly cancels) and
+#   - Ratio-ish metrics only by default — the figure suites gate `speedup`
+#     (HAND/AUTO within one process, so clock drift mostly cancels) and
 #     serve gates `images_per_sec`. Absolute *_s / *_ms metrics are far too
 #     noisy on shared 1-CPU CI hosts to gate at useful tolerances.
 #   - Tolerances are calibrated from measured run-to-run smoke noise on the
-#     reference CI host (fusion up to ~1.4x on single rows, serve similar on
-#     the scanner preset), not from wishful thinking: fusion 25%, serve 40%.
-#     fig6 gates the full speedup-series artifact (HAND/AUTO, HAND/scalar and
-#     fused/unfused rows); its small-image smoke rows swing up to ~2x run to
-#     run (measured over 4 runs, worst row 640x480 neon(emu)), so its
-#     tolerance is 60% against a median-of-4-runs baseline.
+#     reference CI host, not from wishful thinking: serve 40% (its scanner
+#     preset swings up to ~1.4x). fig6 gates the full speedup-series artifact
+#     (HAND/AUTO and HAND/scalar rows); its small-image smoke rows swing up
+#     to ~2x run to run (measured over 4 runs, worst row 640x480 neon(emu)),
+#     so its tolerance is 60% against a median-of-4-runs baseline.
 #   - fig2-fig5 gate their HAND/AUTO + HAND/scalar speedup series at the
 #     fig6 tolerance (60%): measured worst below-median swing over 4 smoke
 #     runs is 33-42% (always a small-image "HAND vs scalar-novec" row), and
@@ -37,24 +36,22 @@
 #     fingerprint). Default is skip-with-warning so forks are not gated by
 #     our hardware; SIMDCV_GATE_STRICT=1 turns that into a failure.
 #
-# Overrides: SIMDCV_GATE_TOL_FUSION, SIMDCV_GATE_TOL_SERVE,
-# SIMDCV_GATE_TOL_FIG6, SIMDCV_GATE_TOL_FIGS (fig2-5), SIMDCV_GATE_TOL_B6,
-# SIMDCV_GATE_ATTEMPTS, SIMDCV_GATE_BASELINES (dir), SIMDCV_GATE_STRICT,
-# BUILD_DIR.
+# Overrides: SIMDCV_GATE_TOL_SERVE, SIMDCV_GATE_TOL_FIG6, SIMDCV_GATE_TOL_FIGS
+# (fig2-5), SIMDCV_GATE_TOL_B6, SIMDCV_GATE_ATTEMPTS, SIMDCV_GATE_BASELINES
+# (dir), SIMDCV_GATE_STRICT, BUILD_DIR.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build}"
 BASELINE_DIR="${SIMDCV_GATE_BASELINES:-bench/baselines}"
 ATTEMPTS="${SIMDCV_GATE_ATTEMPTS:-3}"
-TOL_FUSION="${SIMDCV_GATE_TOL_FUSION:-0.25}"
 TOL_SERVE="${SIMDCV_GATE_TOL_SERVE:-0.40}"
 TOL_FIG6="${SIMDCV_GATE_TOL_FIG6:-0.60}"
 TOL_FIGS="${SIMDCV_GATE_TOL_FIGS:-0.60}"
 TOL_B6="${SIMDCV_GATE_TOL_B6:-0.60}"
 STRICT="${SIMDCV_GATE_STRICT:-0}"
 
-cmake --build "$BUILD_DIR" -j --target gate_compare ablation_fusion ext_serve \
+cmake --build "$BUILD_DIR" -j --target gate_compare ext_serve \
   fig2_cvt_speedup fig3_threshold_speedup fig4_gaussian_speedup \
   fig5_sobel_speedup fig6_edge_speedup fig_b6_morphology
 
@@ -98,9 +95,6 @@ gate_suite() {
   return 1
 }
 
-gate_suite fusion ablation_fusion BENCH_fusion.json \
-  "$BASELINE_DIR/BENCH_fusion_smoke.json" speedup "$TOL_FUSION"
-echo
 gate_suite serve ext_serve BENCH_serve.json \
   "$BASELINE_DIR/BENCH_serve_smoke.json" images_per_sec "$TOL_SERVE"
 echo

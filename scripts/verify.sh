@@ -70,9 +70,12 @@ cmake --build build-asan -j --target check_all test_check test_io test_tune \
 # one-line reproducer (see DESIGN.md, "simdcv::check").
 ./build-asan/src/check/check_all --seed=0x51dc5eed --iters=200
 ./build-asan/src/check/check_all --seed=0xa5a11ced --iters=100
-# The edge family again, deeper: the fused/unfused differential pair is the
-# bit-exactness contract of the fused pipeline (see DESIGN.md, "Fusion").
+# The edge family again, deeper: edge.detect and tuned.edge-detect run
+# edgeDetect through the edge graph, and graph.edge diffs its fused schedule
+# against the staged one, which is edgeDetectUnfused stage for stage (see
+# DESIGN.md section 13).
 ./build-asan/src/check/check_all --only=edge --seed=0xed6ef05e --iters=400
+./build-asan/src/check/check_all --only=graph.edge --seed=0xed6ef05e --iters=400
 # The graph engine's fused-vs-staged contract across chains, band partitions
 # and tuned dispatch (see DESIGN.md, "Pipeline graphs"), with ASan watching
 # the per-band ring buffers and seam re-priming.
@@ -153,10 +156,8 @@ echo
 echo "== bench smoke (SIMDCV_BENCH_SMOKE=1: 2 images x 1 cycle) =="
 # Run from inside build/ so the smoke CSV/JSON artifacts do not clobber the
 # committed full-protocol results at the repo root.
-cmake --build build -j --target fig6_edge_speedup ablation_fusion \
-  ablation_graph
+cmake --build build -j --target fig6_edge_speedup ablation_graph
 (cd build && SIMDCV_BENCH_SMOKE=1 ./bench/fig6_edge_speedup)
-(cd build && SIMDCV_BENCH_SMOKE=1 ./bench/ablation_fusion)
 # Graph fused-vs-staged over three chains; the smoke JSON must carry rows
 # for every declared chain.
 (cd build && SIMDCV_BENCH_SMOKE=1 ./bench/ablation_graph)
@@ -185,16 +186,16 @@ scripts/bench_gate.sh
 echo
 echo "== bench gate: synthetic regression must fail with the metric named =="
 # Deterministic negative control: clamp every speedup in a copy of the
-# fusion baseline to a floor far below tolerance and gate the copy against
+# fig6 baseline to a floor far below tolerance and gate the copy against
 # the original. The gate must exit 1 (Regression) and name `speedup` —
 # proving the guardrail trips on a real regression, not only on happy paths.
 sed -E 's/"speedup": [0-9.eE+-]+/"speedup": 0.01/g' \
-  bench/baselines/BENCH_fusion_smoke.json > build/BENCH_fusion_degraded.json
-grep -q '"speedup": 0.01' build/BENCH_fusion_degraded.json
+  bench/baselines/BENCH_fig6_smoke.json > build/BENCH_fig6_degraded.json
+grep -q '"speedup": 0.01' build/BENCH_fig6_degraded.json
 rc=0
 ./build/bench/gate_compare \
-  --baseline bench/baselines/BENCH_fusion_smoke.json \
-  --candidate build/BENCH_fusion_degraded.json \
+  --baseline bench/baselines/BENCH_fig6_smoke.json \
+  --candidate build/BENCH_fig6_degraded.json \
   --metrics speedup --tolerance 0.25 2> build/gate_synth.err || rc=$?
 test "$rc" -eq 1 || { echo "expected exit 1 (regression), got $rc"; exit 1; }
 grep -q 'REGRESSION' build/gate_synth.err

@@ -1,6 +1,6 @@
 // Perf-regression gate: compare a fresh benchmark run against a committed
-// baseline JSON (BENCH_fusion.json / BENCH_serve.json) and fail loudly when a
-// metric regressed beyond tolerance.
+// baseline JSON (BENCH_fig6_edge_speedup.json / BENCH_serve.json) and fail
+// loudly when a metric regressed beyond tolerance.
 //
 // The bench writers emit {"bench": ..., "results": [ {row}, {row}, ... ]}
 // where each row mixes identity fields (resolution, path, pipeline, mode,

@@ -217,39 +217,6 @@ Mat runEdgeDetect(const CaseSpec& c, KernelPath p) {
   return dst;
 }
 
-// Cross-path check of the fused engine itself (all paths must agree on the
-// fused pipeline, banded by parallel_for). Rng draws go through named locals:
-// argument evaluation order is unspecified, and a reproducer line must
-// regenerate the same parameters.
-Mat runEdgeFused(const CaseSpec& c, KernelPath p) {
-  Mat src = genMat(c, kSrcA, U8C1);
-  Rng r(c.seed ^ 0xf05edull);
-  const double thresh = r.real(-10.0, 300.0);  // overshoot: degenerate fills
-  const int ksize = r.chance(70) ? 3 : 5;
-  const imgproc::BorderType border = borderFor(r);
-  Mat dst;
-  imgproc::edgeDetectFused(src, dst, thresh, ksize, border, p);
-  return dst;
-}
-
-// The fused-vs-unfused differential pair: the oracle's reference leg is
-// always (ScalarNoVec, 1 thread), so routing ScalarNoVec to the unfused
-// 4-pass pipeline makes every fused path on every thread count get compared
-// bit-exactly against the unfused scalar reference.
-Mat runEdgeFusedVsUnfused(const CaseSpec& c, KernelPath p) {
-  Mat src = genMat(c, kSrcA, U8C1);
-  Rng r(c.seed ^ 0xf05edull);  // same salt as runEdgeFused: same parameters
-  const double thresh = r.real(-10.0, 300.0);
-  const int ksize = r.chance(70) ? 3 : 5;
-  const imgproc::BorderType border = borderFor(r);
-  Mat dst;
-  if (p == KernelPath::ScalarNoVec)
-    imgproc::edgeDetectUnfused(src, dst, thresh, ksize, border, p);
-  else
-    imgproc::edgeDetectFused(src, dst, thresh, ksize, border, p);
-  return dst;
-}
-
 // Tuned dispatch must be bit-exact with fixed-path dispatch: every tuning
 // axis (path selection, fuse choice, band grain) only reschedules work whose
 // candidates all compute the same function. The ScalarNoVec leg runs with
@@ -305,7 +272,8 @@ Mat runThresholdTuned(const CaseSpec& c, KernelPath p) {
 // bit-exact with the staged whole-image schedule. The oracle's reference leg
 // is always (ScalarNoVec, 1 thread), so routing ScalarNoVec to runStaged
 // compares every fused path on every thread count against the staged scalar
-// reference — the same structure as edge.fused-vs-unfused.
+// reference. The staged edge graph is edgeDetectUnfused stage for stage, so
+// graph.edge is also the fused-vs-unfused contract of edgeDetect.
 
 graph::Graph genEdgeGraph(const CaseSpec& c) {
   Rng r(c.seed ^ 0x9ed6ef05edull);
@@ -436,9 +404,9 @@ Mat runGraphMorphFx(const CaseSpec& c, KernelPath p) {
 }
 
 // Band-parallel morphology vs the serial scalar reference, with the tuner's
-// grain axis live on the non-reference legs (morphRect is the sixth kernel
-// on the measured-grain axis, after convertTo/threshold/sepFilter2D/
-// gradientMagnitude/edge.fused).
+// grain axis live on the non-reference legs (morphRect shares the
+// measured-grain axis with convertTo/threshold/sepFilter2D/
+// gradientMagnitude and the graph executor).
 Mat runMorphRectTuned(const CaseSpec& c, KernelPath p) {
   Mat src = genMat(c, kSrcA, U8C1);
   Rng r(c.seed ^ 0x3030e47ull);
@@ -684,8 +652,6 @@ const std::vector<KernelCheck>& kernelRegistry() {
     // backend-registry smoke case; see simd/caps.hpp).
     reg.push_back({"caps.pipeline", &runCapsPipeline, Tolerance::Exact()});
     reg.push_back({"edge.detect", &runEdgeDetect, Tolerance::Exact()});
-    reg.push_back({"edge.fused", &runEdgeFused, Tolerance::Exact()});
-    reg.push_back({"edge.fused-vs-unfused", &runEdgeFusedVsUnfused, Tolerance::Exact()});
     // pipeline graphs: fused streaming schedule vs the staged scalar oracle.
     reg.push_back({"graph.edge", &runGraphEdge, Tolerance::Exact()});
     reg.push_back({"graph.blur-sobel-thr", &runGraphBlurSobelThreshold, Tolerance::Exact()});

@@ -14,8 +14,6 @@
 #include "imgproc/fixedpoint.hpp"
 #include "imgproc/kernels.hpp"
 #include "imgproc/morphology.hpp"
-#include "platform/env.hpp"
-#include "platform/platform.hpp"
 #include "prof/prof.hpp"
 #include "tune/tune.hpp"
 
@@ -327,7 +325,7 @@ void Graph::sink(NodeId node) {
   // Conv-load sharing groups: convolutions over the same input with the same
   // geometry/border and one shared sole consumer advance in lockstep, so the
   // leader can load+pad each virtual source row once and row-convolve it for
-  // every member (the one-load-two-rowConvs structure of edgeDetectFused).
+  // every member (one load, N rowConvs: sobelX/sobelY in the edge chain).
   struct GroupKey {
     NodeId in0;
     std::size_t kw, kh;
@@ -449,28 +447,12 @@ std::size_t Graph::stagedBytes(int width, int rows) const {
   return total;
 }
 
-bool Graph::fuseProfitable(int width, int rows, KernelPath path) const {
+bool Graph::fuseProfitable(int width, int rows) const {
   SIMDCV_REQUIRE(finalized(), "graph: call sink() first");
-  if (!fusible_) return false;
-  // Experiment override, mirroring SIMDCV_EDGE_FUSE: =1 always fused, =0
-  // always staged, anything else falls through to the model.
-  static const int forced =
-      static_cast<int>(platform::envInt("SIMDCV_GRAPH_FUSE", -1, 0, 1));
-  if (forced >= 0) return forced == 1;
-  // A sink==source graph is a copy; a single-stage graph has no intermediates
-  // to save — the staged schedule is the plain kernel call either way.
-  if (stagedBytes(width, rows) == 0) return false;
-  // Same model as imgproc::detail::fuseProfitable, generalized from the edge
-  // chain's fixed 5 bytes/px to this graph's declared intermediates: fusion
-  // pays off unless the staged passes re-read those intermediates cache-hot,
-  // which on the fast AVX2/AVX-512 kernels means "they fit in L2".
-  const KernelPath r = resolvePath(path);
-  if (r != KernelPath::Avx2 && r != KernelPath::Avx512) return true;
-  static const platform::HostInfo host = platform::queryHost();
-  const std::size_t l2 = host.l2_kb > 0
-                             ? static_cast<std::size_t>(host.l2_kb) * 1024
-                             : 512u * 1024u;
-  return stagedBytes(width, rows) > l2;
+  // Fused whenever there are intermediates to keep out of memory. A
+  // sink==source graph is a copy and a single-stage graph has nothing to
+  // save: the staged schedule is the plain kernel call either way.
+  return fusible_ && stagedBytes(width, rows) > 0;
 }
 
 // ---- execution --------------------------------------------------------------
@@ -564,14 +546,14 @@ void Graph::run(const Mat& src, Mat& dst, KernelPath path) const {
     return;
   }
   // Fused and staged schedules are bit-exact, so this is pure scheduling.
-  // Under SIMDCV_TUNE the model only seeds the trial: the path (for Default
+  // Under SIMDCV_TUNE the rule only seeds the trial: the path (for Default
   // requests) and the fuse choice are measured per graph signature and
-  // size-class, exactly like edgeDetect's fuse axis.
+  // size-class.
   const std::uint64_t bytes = ioBytes(src);
   if (tune::enabled()) {
     tune::PathScope ps(signature_.c_str(), path, bytes);
     const KernelPath p = ps.path();
-    const int fallback = fuseProfitable(src.cols(), src.rows(), p) ? 1 : 0;
+    const int fallback = fuseProfitable(src.cols(), src.rows()) ? 1 : 0;
     tune::ChoiceScope fuse(signature_.c_str(), "fuse", p, bytes, 2, fallback);
     if (fuse.choice() == 1)
       detail::runFusedImpl(*this, src, dst, p, 0);
@@ -579,7 +561,7 @@ void Graph::run(const Mat& src, Mat& dst, KernelPath path) const {
       runStaged(src, dst, p);
     return;
   }
-  if (fuseProfitable(src.cols(), src.rows(), path))
+  if (fuseProfitable(src.cols(), src.rows()))
     detail::runFusedImpl(*this, src, dst, path, 0);
   else
     runStaged(src, dst, path);

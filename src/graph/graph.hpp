@@ -9,11 +9,11 @@
 //           as calling sepFilter2D / convertTo / threshold / ... by hand —
 //           this is the reference oracle;
 //   fused   the whole graph streams through ksize-row ring buffers in row
-//           bands, generalizing the edgeDetectFused engine: each stage's
-//           output rows live in an O(radius)-row ring in the stage's declared
-//           depth (the exact bytes its staged intermediate Mat would hold),
-//           so whole-image intermediates are never materialized and the
-//           per-band working set stays cache-resident.
+//           bands: each stage's output rows live in an O(radius)-row ring in
+//           the stage's declared depth (the exact bytes its staged
+//           intermediate Mat would hold), so whole-image intermediates are
+//           never materialized and the per-band working set stays
+//           cache-resident.
 //
 // Because every fused stage applies the identical per-path kernel to the
 // identical bytes as its staged counterpart (filter_detail / edge_detail /
@@ -21,10 +21,10 @@
 // with staged output for every KernelPath, thread count, and band partition —
 // the contract the `graph.*` entries in simdcv::check enforce.
 //
-// run() generalizes the per-size fuse decision of edgeDetect: a staged-bytes
-// model (sum of intermediate-Mat footprints) against the host L2, a
-// SIMDCV_GRAPH_FUSE={0,1} override, and — under SIMDCV_TUNE=1 — a measured
-// tune:: fuse axis keyed by the graph's signature string.
+// run() fuses every fusible graph that has intermediates to save (see
+// fuseProfitable); under SIMDCV_TUNE=1 that rule seeds a measured tune:: fuse
+// axis keyed by the graph's signature string. imgproc::edgeDetect is
+// makeEdgeGraph run through here (edge_detect.cpp).
 #pragma once
 
 #include <cstddef>
@@ -191,14 +191,12 @@ class Graph {
 
   /// Bytes of intermediate Mats the staged schedule materializes at this
   /// geometry (the final stage's output is dst in both schedules and is not
-  /// counted) — the footprint the fuse decision weighs against L2.
+  /// counted) — the traffic the fused schedule keeps out of memory.
   std::size_t stagedBytes(int width, int rows) const;
 
-  /// The per-size scheduling decision run() uses when tuning is off: false
-  /// for non-fusible graphs; SIMDCV_GRAPH_FUSE={0,1} forces; otherwise fused
-  /// except on AVX2 when stagedBytes fits in L2 (generalizing
-  /// imgproc::detail::fuseProfitable's model).
-  bool fuseProfitable(int width, int rows, KernelPath path) const;
+  /// The scheduling decision run() uses when tuning is off, the same on
+  /// every path: fused when fusible() and stagedBytes(width, rows) > 0.
+  bool fuseProfitable(int width, int rows) const;
 
   int numNodes() const noexcept { return static_cast<int>(nodes_.size()); }
   NodeId sinkId() const noexcept { return sink_; }
@@ -243,7 +241,7 @@ class Graph {
 namespace detail {
 
 /// Run the fused schedule serially over fixed-height row bands (>= 1) — the
-/// band-seam test hook, mirroring edgeDetectFusedBanded.
+/// band-seam test hook.
 inline void runFusedBanded(const Graph& g, const Mat& src, Mat& dst,
                            KernelPath path, int bandRows) {
   runFusedImpl(g, src, dst, path, bandRows);
@@ -257,7 +255,7 @@ inline void runFusedBanded(const Graph& g, const Mat& src, Mat& dst,
 // to the direct-call chain it mirrors.
 
 /// edgeDetect as a graph: sobelX/sobelY (S16) -> magnitude -> binary
-/// threshold. Staged == edgeDetectUnfused; fused mirrors edgeDetectFused.
+/// threshold. Staged == edgeDetectUnfused; imgproc::edgeDetect runs it.
 Graph makeEdgeGraph(Depth srcDepth, double thresh, int ksize,
                     imgproc::BorderType border);
 

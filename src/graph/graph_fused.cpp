@@ -1,6 +1,5 @@
-// The fused streaming executor: runs an arbitrary fusible Graph through the
-// cache-blocked, ksize-row ring-buffer machinery that edgeDetectFused
-// hard-codes for its one fixed chain.
+// The fused streaming executor: runs an arbitrary fusible Graph through
+// cache-blocked, ksize-row ring buffers in row bands.
 //
 // Scheduling model (demand-driven, monotone):
 //   * Every non-source node keeps a ring of its most recent output rows in its
@@ -204,7 +203,7 @@ struct RunCtx {
 };
 
 // Per-band executor. All scratch comes from this thread's ScratchArena via
-// one ScratchFrame, exactly like an edgeDetectFused band.
+// one ScratchFrame, so repeated runs at one width never touch the heap.
 struct BandExec {
   const RunCtx& c;
   core::ScratchFrame frame;
@@ -726,8 +725,8 @@ void runFusedImpl(const Graph& g, const Mat& src, Mat& dst, KernelPath path,
     // Band grain: the separable engine's fork rule with this graph's summed
     // per-row op cost, a seam-amortization floor of 16x the seam depth (each
     // band re-primes 2*sourceRadius source rows), raised to 32x when the
-    // band scratch overflows half the L2 — edge_fused's fusedBandGrain with
-    // the chain-specific constants generalized to the declared graph.
+    // band scratch overflows half the L2, where a seam re-prime misses cache
+    // and taller bands buy fewer seams.
     const int seam = 2 * g.sourceRadius_ + 1;
     int grain =
         std::max(runtime::parallelThreshold(

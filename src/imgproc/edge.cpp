@@ -1,4 +1,5 @@
-// Edge detection pipeline and SIMD magnitude kernels.
+// The 4-pass reference edge pipeline and the SIMD magnitude kernels.
+// edgeDetect itself runs the edge graph (src/graph/edge_detect.cpp).
 //
 // All magnitude paths implement saturate_u8(|gx|_sat + |gy|_sat); because the
 // final range is [0,255], saturating-s16 and exact-int arithmetic agree on
@@ -100,66 +101,16 @@ void gradientMagnitude(const Mat& gx, const Mat& gy, Mat& dst,
   dst = std::move(out);
 }
 
-namespace {
-
-// Per-thread whole-image intermediates of the unfused reference pipeline.
-// Mat::create keeps storage when the geometry is unchanged, so repeated
-// calls at one size never touch the allocator (asserted by the tests via
-// matAllocationCount).
-struct EdgeScratch {
-  Mat gx, gy, mag;
-};
-
-EdgeScratch& edgeScratchForThread() {
-  thread_local EdgeScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-namespace detail {
-
-void releaseEdgeScratch() { edgeScratchForThread() = EdgeScratch{}; }
-
-}  // namespace detail
-
 void edgeDetectUnfused(const Mat& src, Mat& dst, double thresh, int ksize,
                        BorderType border, KernelPath path) {
   SIMDCV_TRACE_SCOPE("edge.unfused", resolvePath(path),
                      static_cast<std::uint64_t>(src.rows()) * src.cols() *
                          (src.elemSize() + 1));
-  EdgeScratch& s = edgeScratchForThread();
-  Sobel(src, s.gx, Depth::S16, 1, 0, ksize, 1.0, border, path);
-  Sobel(src, s.gy, Depth::S16, 0, 1, ksize, 1.0, border, path);
-  gradientMagnitude(s.gx, s.gy, s.mag, path);
-  threshold(s.mag, dst, thresh, 255.0, ThresholdType::Binary, path);
-}
-
-void edgeDetect(const Mat& src, Mat& dst, double thresh, int ksize,
-                BorderType border, KernelPath path) {
-  // Fused and staged forms are bit-exact, so this is purely a per-size
-  // scheduling decision (see detail::fuseProfitable). Under SIMDCV_TUNE the
-  // heuristic only seeds the trial: the path (for Default requests) and the
-  // fuse-vs-staged choice are measured per size-class and the winner served
-  // to every later call.
-  if (tune::enabled()) {
-    const std::uint64_t bytes = static_cast<std::uint64_t>(src.rows()) *
-                                src.cols() * (src.elemSize() + 1);
-    tune::PathScope ps("edgeDetect", path, bytes);
-    const KernelPath p = ps.path();
-    const int fallback =
-        detail::fuseProfitable(src.cols(), src.rows(), ksize, p) ? 1 : 0;
-    tune::ChoiceScope fuse("edgeDetect", "fuse", p, bytes, 2, fallback);
-    if (fuse.choice() == 1)
-      edgeDetectFused(src, dst, thresh, ksize, border, p);
-    else
-      edgeDetectUnfused(src, dst, thresh, ksize, border, p);
-    return;
-  }
-  if (detail::fuseProfitable(src.cols(), src.rows(), ksize, path))
-    edgeDetectFused(src, dst, thresh, ksize, border, path);
-  else
-    edgeDetectUnfused(src, dst, thresh, ksize, border, path);
+  Mat gx, gy, mag;
+  Sobel(src, gx, Depth::S16, 1, 0, ksize, 1.0, border, path);
+  Sobel(src, gy, Depth::S16, 0, 1, ksize, 1.0, border, path);
+  gradientMagnitude(gx, gy, mag, path);
+  threshold(mag, dst, thresh, 255.0, ThresholdType::Binary, path);
 }
 
 }  // namespace simdcv::imgproc

@@ -17,31 +17,22 @@ void gradientMagnitude(const Mat& gx, const Mat& gy, Mat& dst,
                        KernelPath path = KernelPath::Default);
 
 /// Full pipeline: Sobel(dx=1), Sobel(dy=1), |gx|+|gy|, threshold > thresh
-/// to 255/0. Output is a U8 binary edge map. Dispatches to the fused
-/// cache-blocked implementation (edgeDetectFused); bit-exact with the
-/// unfused reference on every KernelPath and thread count.
+/// to 255/0. Output is a U8 binary edge map. Runs graph::makeEdgeGraph on the
+/// graph executor (defined in src/graph, so callers link simdcv_graph);
+/// bit-exact with edgeDetectUnfused on every KernelPath and thread count.
+/// Source must be single-channel u8 or f32; ksize odd and >= 3.
 void edgeDetect(const Mat& src, Mat& dst, double thresh, int ksize = 3,
                 BorderType border = BorderType::Reflect101,
                 KernelPath path = KernelPath::Default);
 
-/// Fused single-pass pipeline (the tentpole of the paper's benchmark 5):
-/// processes the image in row bands, keeping Sobel gx/gy in ring-buffered
-/// per-band row scratch and applying magnitude + threshold in the same pass —
-/// whole-image 16S gradients are never materialized. Bit-exact with
-/// edgeDetectUnfused for the same arguments on every path.
-void edgeDetectFused(const Mat& src, Mat& dst, double thresh, int ksize = 3,
-                     BorderType border = BorderType::Reflect101,
-                     KernelPath path = KernelPath::Default);
-
 /// Reference 4-pass pipeline (two Sobel passes, magnitude, threshold through
-/// whole-image intermediates). Kept as the differential oracle the fused
-/// path is checked against; its gx/gy/mag scratch lives in a per-thread
-/// arena so repeated calls at one size perform no allocations.
+/// whole-image intermediates). Kept as the differential oracle edgeDetect is
+/// checked against.
 void edgeDetectUnfused(const Mat& src, Mat& dst, double thresh, int ksize = 3,
                        BorderType border = BorderType::Reflect101,
                        KernelPath path = KernelPath::Default);
 
-// Internal hooks (shared dispatch + test instrumentation) live in
+// The per-path magnitude dispatch shared with the graph executor lives in
 // "imgproc/edge_detail.hpp"; they are not part of the public API.
 
 // Flat-range magnitude kernels per path (for benchmarks/tests).

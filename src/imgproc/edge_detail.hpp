@@ -1,5 +1,5 @@
-// Internal hooks of the edge-detection pipeline: shared per-path dispatch and
-// the fused engine's test/tuning surface. Not part of the public API — the
+// Internal hooks of the edge-detection pipeline: the per-path magnitude
+// dispatch shared with the graph executor. Not part of the public API — the
 // umbrella header (simdcv.hpp) does not include this file, and its contents
 // may change without notice. Include "imgproc/edge.hpp" for the public entry
 // points.
@@ -8,51 +8,24 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "core/mat.hpp"
-#include "imgproc/border.hpp"
 #include "simd/features.hpp"
 
 namespace simdcv::imgproc::detail {
 
 /// Memory traffic of one magnitude output row: two s16 gradient-row reads
 /// plus the u8 write. gradientMagnitude's trace accounting, its parallel
-/// grain, and the fused engine's per-stage sample all use this helper so the
-/// fork decision prices exactly the traffic the profiler reports.
+/// grain, and the graph executor's per-stage sample all use this helper so
+/// the fork decision prices exactly the traffic the profiler reports.
 inline constexpr std::uint64_t magnitudeRowBytes(int cols) noexcept {
   return static_cast<std::uint64_t>(cols) * (2 * sizeof(std::int16_t) + 1);
 }
 
 /// Per-path flat-range magnitude kernel selector, shared by
-/// gradientMagnitude and the fused pipeline so both resolve a path to the
+/// gradientMagnitude and the graph executor so both resolve a path to the
 /// identical kernel (every x86 path instantiates the same width-generic
 /// body, so all are bit-exact).
 using MagnitudeFn = void (*)(const std::int16_t* gx, const std::int16_t* gy,
                              std::uint8_t* dst, std::size_t n);
 MagnitudeFn magnitudeFnFor(KernelPath path);
-
-/// Run the fused engine serially over fixed-height row bands (testing hook
-/// for band-seam correctness: every band re-primes its own ring, exactly as
-/// a parallel band does). bandRows >= 1.
-void edgeDetectFusedBanded(const Mat& src, Mat& dst, double thresh, int ksize,
-                           BorderType border, KernelPath path, int bandRows);
-
-/// Cache-informed minimum band height for the fused engine at this width
-/// (see DESIGN.md: seam amortization + the runtime's fork threshold).
-int fusedBandGrain(int width, int ksize, int rows);
-
-/// Per-size fuse-vs-staged scheduling decision used by edgeDetect: false
-/// when the staged (unfused) pipeline is expected to win — currently the
-/// AVX2 small-image case, where the whole-image intermediates fit in L2 and
-/// fusion's per-row stage dispatch costs more than the memory round trips it
-/// avoids (the 0.54x regression at 640x480 in BENCH_fusion.json).
-/// Overridable for experiments: SIMDCV_EDGE_FUSE=1 forces fused, =0 staged.
-bool fuseProfitable(int width, int rows, int ksize, KernelPath path);
-
-/// Per-band scratch footprint of the fused engine in bytes (two kh-row float
-/// rings, the padded row, conv/s16/mag rows and tap tables).
-std::size_t fusedScratchBytes(int width, int ksize);
-
-/// Drop this thread's cached unfused-pipeline scratch Mats (gx/gy/mag).
-void releaseEdgeScratch();
 
 }  // namespace simdcv::imgproc::detail

@@ -1,5 +1,5 @@
 // Internal building blocks of the separable-filter engine, shared between
-// sepFilter2D (filter.cpp) and the fused edge pipeline (edge_fused.cpp).
+// sepFilter2D (filter.cpp) and the fused graph executor (graph_fused.cpp).
 // Everything here preserves the engine's bit-exactness contract: for a given
 // KernelPath the load/pad/convert steps are the exact same code no matter
 // which pipeline invokes them, so a fused pipeline reproduces the unfused

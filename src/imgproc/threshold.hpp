@@ -34,7 +34,7 @@ double threshold(const Mat& src, Mat& dst, double thresh, double maxval,
                  ThresholdType type, KernelPath path = KernelPath::Default);
 
 // Per-path U8 kernel selector, shared by the dispatcher above and fused
-// pipelines (edge_fused.cpp) so both resolve a path to the identical kernel.
+// pipelines (graph_fused.cpp) so both resolve a path to the identical kernel.
 namespace detail {
 using ThreshU8Fn = void (*)(const std::uint8_t* src, std::uint8_t* dst,
                             std::size_t n, std::uint8_t thresh,

@@ -2,9 +2,8 @@
 //
 // The paper's central finding is that the winning implementation (hand SIMD
 // vs autovec vs scalar) flips per kernel, per size, and per ISA; until now
-// the library encoded those crossovers as one-off heuristics (the AVX2-only
-// L2 cutoff in detail::fuseProfitable, the fixed 256 KiB fork threshold in
-// runtime::parallelThreshold). This subsystem replaces "predict" with
+// the library encoded those crossovers as one-off heuristics (e.g. the
+// fixed 256 KiB fork threshold in runtime::parallelThreshold). This subsystem replaces "predict" with
 // "measure once, remember": the first few calls of a kernel at a given
 // decision point run a short calibrated trial — each candidate is timed on
 // live traffic via prof::nowNs(), no synthetic inputs — and the winner is
@@ -15,8 +14,8 @@
 // where axis is one of
 //     "path"  — KernelPath auto-selection for Default requests
 //               (candidates: Auto + every available HAND path),
-//     "fuse"  — edgeDetect's fused-vs-staged choice (generalizing
-//               fuseProfitable into a measured per-size decision),
+//     "fuse"  — a graph's fused-vs-staged choice, keyed by its signature
+//               (Graph::fuseProfitable seeds the trial),
 //     "grain" — parallel_for band grain for the big five kernels
 //               (candidates: heuristic ×1 / ×2 / ×4 / serial).
 // Every candidate on every axis is bit-exact with every other (the
@@ -167,7 +166,7 @@ class PathScope {
   bool measuring_ = false;
 };
 
-/// Generic N-way tuned choice (edgeDetect's fuse axis). `fallback` is the
+/// Generic N-way tuned choice (Graph::run's fuse axis). `fallback` is the
 /// heuristic decision served while trials are unavailable.
 class ChoiceScope {
  public:

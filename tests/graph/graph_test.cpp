@@ -14,7 +14,8 @@
 #include "imgproc/edge.hpp"
 #include "imgproc/filter.hpp"
 #include "imgproc/threshold.hpp"
-#include "platform/platform.hpp"
+#include "prof/prof.hpp"
+#include "simd/caps.hpp"
 #include "simd/features.hpp"
 
 namespace simdcv::graph {
@@ -155,8 +156,7 @@ TEST(GraphIntrospect, SignatureAndStagedBytes) {
   const Graph g = makeEdgeGraph(Depth::U8, 100.0, 3,
                                 imgproc::BorderType::Reflect101);
   EXPECT_EQ(g.signature(), "g.sep3x3s16.sep3x3s16@0.mag@1-2.thru8t0");
-  // Intermediates: two S16 gradients + the U8 magnitude = 5 bytes/px — the
-  // exact footprint edgeDetect's fuse heuristic prices.
+  // Intermediates: two S16 gradients + the U8 magnitude = 5 bytes/px.
   EXPECT_EQ(g.stagedBytes(640, 480), 640u * 480u * 5u);
   // Per-node introspection: derived live-window radii.
   EXPECT_EQ(g.node(1).radius, 0);  // gx feeds element-wise magnitude only
@@ -174,23 +174,39 @@ TEST(GraphIntrospect, RadiiAccumulateAcrossConvolutions) {
 }
 
 TEST(GraphIntrospect, FuseProfitableModel) {
+  // One rule on every path and at every size: a fusible graph with
+  // intermediates to save runs fused.
   const Graph g = makeEdgeGraph(Depth::U8, 100.0, 3,
                                 imgproc::BorderType::Reflect101);
-  // Non-AVX2 paths: always fused (matches imgproc::detail::fuseProfitable).
-  EXPECT_TRUE(g.fuseProfitable(640, 480, KernelPath::Sse2));
-  EXPECT_TRUE(g.fuseProfitable(64, 48, KernelPath::ScalarNoVec));
-  if (pathAvailable(KernelPath::Avx2)) {
-    const std::size_t l2 = platform::queryHost().l2_kb * 1024u;
-    // Tiny image: intermediates fit in L2 -> staged wins on AVX2.
-    EXPECT_FALSE(g.fuseProfitable(64, 48, KernelPath::Avx2));
-    // Huge image: intermediates spill -> fused.
-    const int bigRows = static_cast<int>(l2 / (5 * 1024)) + 64;
-    EXPECT_TRUE(g.fuseProfitable(1024, bigRows, KernelPath::Avx2));
+  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+           {64, 48}, {640, 480}, {4096, 4096}})
+    EXPECT_TRUE(g.fuseProfitable(w, h)) << w << "x" << h;
+  // run() takes that schedule on every selectable path, which its trace
+  // span names.
+  if (prof::kCompiledIn) {
+    const Mat src = randomMat(48, 64, Depth::U8, 16);
+    for (KernelPath p : caps::availablePaths()) {
+      prof::reset();
+      prof::setEnabled(true);
+      Mat out;
+      g.run(src, out, p);
+      prof::setEnabled(false);
+      const prof::Snapshot snap = prof::snapshot();
+      std::uint64_t fused = 0, staged = 0;
+      for (const auto& k : snap.kernels) {
+        if (k.name == "graph.fused") fused += k.count;
+        if (k.name == "graph.staged") staged += k.count;
+      }
+      EXPECT_EQ(fused, 1u) << toString(p);
+      EXPECT_EQ(staged, 0u) << toString(p);
+    }
+    prof::reset();
   }
   // A single-stage graph has no intermediates to save.
   const Graph one = makeThresholdGraph(Depth::U8, 128, 255,
                                        imgproc::ThresholdType::Binary);
   EXPECT_EQ(one.stagedBytes(640, 480), 0u);
+  EXPECT_FALSE(one.fuseProfitable(640, 480));
 }
 
 // ---- fused == staged: stage vocabulary & prebuilt chains --------------------

@@ -49,7 +49,7 @@ TEST(ProfCompiledOut, InstrumentedKernelsStillWork) {
   Mat dst;
   imgproc::threshold(src, dst, 50.0, 255.0, imgproc::ThresholdType::Binary);
   EXPECT_EQ(dst.at<std::uint8_t>(0, 0), 255);
-  imgproc::edgeDetectFused(src, dst, 100.0);
+  imgproc::edgeDetect(src, dst, 100.0);
   const prof::Snapshot s = prof::snapshot();
   EXPECT_TRUE(s.kernels.empty());
   prof::setEnabled(false);

@@ -385,36 +385,41 @@ TEST_F(ProfTest, SummaryTextAndCsvContainKernels) {
   EXPECT_EQ(filtered.str().find("fmt.kernel"), std::string::npos);
 }
 
-// The fused edge pipeline attributes per-stage time via addSample: with
-// tracing on, a fused run must produce the five stage rows plus the
-// pipeline span, and the stage times must sum to less than the pipeline
-// total (they are bracketed sub-intervals of it).
+// The graph executor attributes per-stage time via addSample: with tracing
+// on, a fused edge-graph run must produce one graph.fused span plus a sample
+// for every fused node label, and the stage times must sum to no more than
+// the span total (they are bracketed sub-intervals of it).
 TEST_F(ProfTest, FusedEdgeEmitsStageBreakdown) {
   Mat src(256, 512, U8C1);
   src.setTo(0);
   for (int r = 64; r < 192; ++r)
     std::memset(src.ptr<std::uint8_t>(r) + 128, 200, 256);
+  const graph::Graph g = graph::makeEdgeGraph(
+      Depth::U8, 100.0, 3, imgproc::BorderType::Reflect101);
   Mat dst;
-  imgproc::edgeDetectFused(src, dst, 100.0);  // warm scratch untraced
+  g.runFused(src, dst);  // warm scratch untraced
 
   prof::reset();
   prof::setEnabled(true);
-  imgproc::edgeDetectFused(src, dst, 100.0);
+  g.runFused(src, dst);
   prof::setEnabled(false);
 
   const prof::Snapshot s = prof::snapshot();
-  const prof::KernelStat* fused = findKernel(s, "edge.fused");
+  const prof::KernelStat* fused = findKernel(s, "graph.fused");
   ASSERT_NE(fused, nullptr);
   EXPECT_EQ(fused->count, 1u);
   std::uint64_t stageSum = 0;
-  for (const char* stage :
-       {"edge.fused.rowConv", "edge.fused.colConv", "edge.fused.cvt",
-        "edge.fused.magnitude", "edge.fused.threshold"}) {
-    const prof::KernelStat* k = findKernel(s, stage);
-    ASSERT_NE(k, nullptr) << stage;
-    EXPECT_GE(k->count, 1u) << stage;
+  for (graph::NodeId id = 1; id < g.numNodes(); ++id) {
+    const graph::detail::Node& n = g.node(id);
+    const prof::KernelStat* k = findKernel(s, n.label);
+    ASSERT_NE(k, nullptr) << n.label;
+    EXPECT_GE(k->count, 1u) << n.label;
     stageSum += k->total_ns;
+    // The row pass of a conv group is sampled once, under its leader.
+    if (const prof::KernelStat* row = findKernel(s, n.rowLabel))
+      stageSum += row->total_ns;
   }
+  EXPECT_NE(findKernel(s, g.node(1).rowLabel), nullptr);
   EXPECT_GT(stageSum, 0u);
   EXPECT_LE(stageSum, fused->total_ns);
 }
