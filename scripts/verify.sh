@@ -33,6 +33,18 @@ grep -q 'paths: scalar-novec auto$' build/check_forced_scalar.log
 ! grep -q 'avx2' build/check_forced_scalar.log
 
 echo
+echo "== SSE2-default leg (SIMDCV_DISABLE_BACKENDS masks avx512 and avx2) =="
+# Default resolves to the widest native backend; with the two wider x86
+# backends masked it must land on SSE2 (the banner prints it), and the
+# differential checker and its tests must run clean there too.
+SIMDCV_DISABLE_BACKENDS=avx512,avx2 \
+  ./build/src/check/check_all --seed=0x55e2def0 --iters=60 2>&1 \
+  | tee build/check_sse2_default.log
+grep -q 'default: sse2$' build/check_sse2_default.log
+SIMDCV_DISABLE_BACKENDS=avx512,avx2 \
+  ctest --test-dir build -L check --output-on-failure -j"$(nproc)"
+
+echo
 echo "== runtime tests under ThreadSanitizer =="
 cmake -B build-tsan -S . \
   -DSIMDCV_SANITIZE=thread \
@@ -65,7 +77,7 @@ cmake -B build-asan -S . \
   -DSIMDCV_BUILD_BENCH=OFF \
   -DSIMDCV_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j --target check_all test_check test_io test_tune \
-  test_fixedpt test_morph
+  test_fixedpt test_morph test_prof
 # Fixed seeds: the run must be reproducible in CI; a failure prints a
 # one-line reproducer (see DESIGN.md, "simdcv::check").
 ./build-asan/src/check/check_all --seed=0x51dc5eed --iters=200
@@ -107,6 +119,12 @@ echo "== integer kernel tier under AddressSanitizer (ctest -L fixedpt/morph) =="
 # +/-2 LSB tolerance negative control, with bounds checking armed.
 ctest --test-dir build-asan -L fixedpt --output-on-failure -j"$(nproc)"
 ctest --test-dir build-asan -L morph --output-on-failure -j"$(nproc)"
+
+echo
+echo "== profiler under AddressSanitizer (ctest -L prof) =="
+# Snapshots, ring buffers, chrome-trace export and the traced kernels, with
+# bounds and lifetime checking armed.
+ctest --test-dir build-asan -L prof --output-on-failure -j"$(nproc)"
 
 echo
 echo "== autotuner under AddressSanitizer (ctest -L tune) =="

@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
   for (KernelPath p : check::availablePaths()) {
     std::fprintf(stderr, " %s", toString(p));
   }
-  std::fprintf(stderr, "\n");
+  std::fprintf(stderr, "\ncheck_all: default: %s\n",
+               toString(resolvePath(KernelPath::Default)));
 
   const check::Report report = check::runAll(opts);
   std::fprintf(stderr,

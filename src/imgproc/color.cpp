@@ -42,7 +42,7 @@ void swapRb(const std::uint8_t* src, std::uint8_t* dst, std::size_t n) {
 void cvtColor(const Mat& src, Mat& dst, ColorCode code, KernelPath path) {
   SIMDCV_REQUIRE(!src.empty(), "cvtColor: empty source");
   SIMDCV_REQUIRE(src.depth() == Depth::U8, "cvtColor: u8 images only");
-  const KernelPath p = resolvePath(path);
+  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   const int rows = src.rows();
   const int cols = src.cols();
 

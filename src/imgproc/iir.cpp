@@ -122,14 +122,13 @@ void vColsNeon(const Mat& src, Mat& dst, float alpha) {
 void iirSmoothHorizontal(const Mat& src, Mat& dst, float alpha,
                          KernelPath path) {
   checkInput(src, alpha, "iirSmoothHorizontal");
-  const KernelPath p = resolvePath(path);
+  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
   out.create(src.rows(), src.cols(), F32C1);
   const int rows = src.rows(), cols = src.cols();
   int y = 0;
-  const bool simd4 = (p == KernelPath::Sse2 || p == KernelPath::Avx2 ||
-                      p == KernelPath::Avx512 || p == KernelPath::Neon) &&
-                     cols > 0;
+  const bool simd4 =
+      (p == KernelPath::Sse2 || p == KernelPath::Neon) && cols > 0;
   if (simd4) {
     for (; y + 4 <= rows; y += 4) {
       const float* s[4];
@@ -155,13 +154,11 @@ void iirSmoothHorizontal(const Mat& src, Mat& dst, float alpha,
 void iirSmoothVertical(const Mat& src, Mat& dst, float alpha,
                        KernelPath path) {
   checkInput(src, alpha, "iirSmoothVertical");
-  const KernelPath p = resolvePath(path);
+  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
   out.create(src.rows(), src.cols(), F32C1);
   switch (p) {
 #if defined(__SSE2__)
-    case KernelPath::Avx512:
-    case KernelPath::Avx2:
     case KernelPath::Sse2: vColsSse2(src, out, alpha); break;
 #endif
     case KernelPath::Neon: vColsNeon(src, out, alpha); break;

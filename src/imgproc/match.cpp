@@ -63,11 +63,11 @@ std::uint64_t sadRange(const std::uint8_t* a, const std::uint8_t* b,
 
 namespace {
 
+// PSADBW already saturates the port, so SAD has no AVX2/AVX-512 arm; the
+// callers resolve their path with widest=Sse2.
 std::uint64_t sadRow(const std::uint8_t* a, const std::uint8_t* b,
                      std::size_t n, KernelPath p) {
   switch (p) {
-    case KernelPath::Avx512:
-    case KernelPath::Avx2:  // PSADBW already saturates the port; reuse SSE2
     case KernelPath::Sse2: return sse2::sadRange(a, b, n);
     case KernelPath::Neon: return neon::sadRange(a, b, n);
     case KernelPath::ScalarNoVec: return novec::sadRange(a, b, n);
@@ -91,7 +91,7 @@ std::uint64_t sadAt(const Mat& img, const Mat& tmpl, int x, int y,
   SIMDCV_REQUIRE(x >= 0 && y >= 0 && x + tmpl.cols() <= img.cols() &&
                      y + tmpl.rows() <= img.rows(),
                  "sadAt: window out of range");
-  const KernelPath p = resolvePath(path);
+  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   std::uint64_t acc = 0;
   for (int r = 0; r < tmpl.rows(); ++r) {
     acc += sadRow(img.ptr<std::uint8_t>(y + r) + x, tmpl.ptr<std::uint8_t>(r),
@@ -103,7 +103,7 @@ std::uint64_t sadAt(const Mat& img, const Mat& tmpl, int x, int y,
 void matchTemplateSad(const Mat& img, const Mat& tmpl, Mat& result,
                       KernelPath path) {
   checkInputs(img, tmpl, "matchTemplateSad");
-  const KernelPath p = resolvePath(path);
+  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   const int rw = img.cols() - tmpl.cols() + 1;
   const int rh = img.rows() - tmpl.rows() + 1;
   Mat out = std::move(result);
@@ -125,7 +125,7 @@ void matchTemplateSad(const Mat& img, const Mat& tmpl, Mat& result,
 
 MatchResult findBestMatch(const Mat& img, const Mat& tmpl, KernelPath path) {
   checkInputs(img, tmpl, "findBestMatch");
-  const KernelPath p = resolvePath(path);
+  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   MatchResult best;
   best.sad = std::numeric_limits<std::uint64_t>::max();
   for (int y = 0; y + tmpl.rows() <= img.rows(); ++y) {

@@ -151,7 +151,7 @@ void medianBlur(const Mat& src, Mat& dst, int ksize, KernelPath path) {
   SIMDCV_REQUIRE(!src.empty(), "medianBlur: empty source");
   SIMDCV_REQUIRE(src.type() == U8C1, "medianBlur: u8c1 only");
   SIMDCV_REQUIRE(ksize == 3 || ksize == 5, "medianBlur: ksize must be 3 or 5");
-  const KernelPath p = resolvePath(path);
+  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
   out.create(src.rows(), src.cols(), U8C1);
 

@@ -281,7 +281,7 @@ void resize(const Mat& src, Mat& dst, Size dsize, Interp interp,
   const bool f32ok = src.depth() == Depth::F32 && src.channels() == 1;
   SIMDCV_REQUIRE(u8ok || f32ok, "resize: u8c1/u8c3/f32c1 only");
 
-  const KernelPath p = resolvePath(path);
+  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
   out.create(dsize.height, dsize.width, src.type());
 

@@ -186,8 +186,10 @@ std::vector<KernelPath> handPaths() {
 }
 
 KernelPath best() noexcept {
+  const bool nativeNeon = cpuFeatures().neon;
   for (const BackendInfo& b : registry().backends)
-    if (b.selectable()) return b.path;
+    if (b.selectable() && (b.path != KernelPath::Neon || nativeNeon))
+      return b.path;
   return KernelPath::Auto;
 }
 

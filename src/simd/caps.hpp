@@ -18,8 +18,9 @@
 // Environment overrides (parsed once, warn-and-fallback on unknown names —
 // see platform/env.hpp):
 //   SIMDCV_FORCE_BACKEND=<name>     make preferredPath() resolve to this
-//                                   backend (ignored, with a warning, if
-//                                   unknown or not selectable),
+//                                   backend instead of best() (ignored,
+//                                   with a warning, if unknown or not
+//                                   selectable),
 //   SIMDCV_DISABLE_BACKENDS=a,b     mask backends by name ("avx512",
 //                                   "avx2", "sse2", "neon"); unknown names
 //                                   warn and are skipped.
@@ -70,10 +71,10 @@ std::vector<KernelPath> availablePaths();
 /// axis appends these to {Auto}).
 std::vector<KernelPath> handPaths();
 
-/// The widest selectable hand-written backend, or Auto when none is.
-/// Note preferredPath() deliberately does NOT chase this: the library's
-/// static default stays the paper's baseline HAND path (sse2/neon) and
-/// wider backends win through tune:: measurements or explicit requests.
+/// The widest selectable hand-written backend the host runs natively, or
+/// Auto when none is. Emulated NEON never counts: on x86 it is scalar code
+/// behind the intrinsic names. This is what KernelPath::Default resolves
+/// to unless setPreferredPath() or SIMDCV_FORCE_BACKEND says otherwise.
 KernelPath best() noexcept;
 
 /// Parse a backend name ("sse2", "avx2", "avx512", "neon" — the values

@@ -102,13 +102,6 @@ CpuFeatures detect() {
 
 std::atomic<bool> g_use_optimized{true};
 
-KernelPath defaultPreferred() {
-  const CpuFeatures& f = cpuFeatures();
-  if (f.neon) return KernelPath::Neon;
-  if (f.sse2) return KernelPath::Sse2;
-  return KernelPath::Auto;
-}
-
 std::atomic<KernelPath> g_preferred{KernelPath::Default};
 
 }  // namespace
@@ -130,7 +123,7 @@ KernelPath preferredPath() noexcept {
   // explicit setPreferredPath call, which is a deliberate program choice).
   const KernelPath forced = caps::forcedBackend();
   if (forced != KernelPath::Default) return forced;
-  return defaultPreferred();
+  return caps::best();
 }
 
 bool pathAvailable(KernelPath path) noexcept {
@@ -146,15 +139,20 @@ bool pathAvailable(KernelPath path) noexcept {
   }
 }
 
-KernelPath resolvePath(KernelPath requested) noexcept {
+KernelPath resolvePath(KernelPath requested, KernelPath widest) noexcept {
   KernelPath p = requested;
   if (p == KernelPath::Default) {
     p = useOptimized() ? preferredPath() : KernelPath::Auto;
   }
   // Degrade through the narrower x86 HAND arms before giving up on
-  // intrinsics: Avx512 -> Avx2 -> Sse2 -> Auto.
-  if (p == KernelPath::Avx512 && !pathAvailable(p)) p = KernelPath::Avx2;
-  if (p == KernelPath::Avx2 && !pathAvailable(p)) p = KernelPath::Sse2;
+  // intrinsics: Avx512 -> Avx2 -> Sse2 -> Auto. A step is taken when the
+  // backend is not selectable or is wider than the family's widest arm.
+  if (p == KernelPath::Avx512 &&
+      (widest != KernelPath::Avx512 || !pathAvailable(p)))
+    p = KernelPath::Avx2;
+  if (p == KernelPath::Avx2 &&
+      (widest == KernelPath::Sse2 || !pathAvailable(p)))
+    p = KernelPath::Sse2;
   if (!pathAvailable(p)) p = KernelPath::Auto;
   return p;
 }

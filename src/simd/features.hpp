@@ -63,15 +63,20 @@ const CpuFeatures& cpuFeatures() noexcept;
 void setUseOptimized(bool enabled) noexcept;
 bool useOptimized() noexcept;
 
-/// Preferred HAND path when optimizations are on. Defaults to the best
-/// native path for the host (Sse2 on x86, Neon on ARM).
+/// Preferred HAND path when optimizations are on. Precedence: an explicit
+/// setPreferredPath(), then SIMDCV_FORCE_BACKEND, then caps::best() — the
+/// widest selectable backend the host runs natively (avx512 > avx2 > sse2
+/// on x86, neon on ARM, Auto when none is).
 void setPreferredPath(KernelPath path) noexcept;
 KernelPath preferredPath() noexcept;
 
 /// Resolve Default into a concrete runnable path; validates that the
 /// requested path is selectable on this host (degrading Avx512 -> Avx2 ->
-/// Sse2 before falling back to Auto).
-KernelPath resolvePath(KernelPath requested) noexcept;
+/// Sse2 before falling back to Auto). `widest` is the widest x86 arm the
+/// calling kernel family has (Avx512, Avx2 or Sse2): a wider request takes
+/// the same degrade steps down to it instead of missing every hand arm.
+KernelPath resolvePath(KernelPath requested,
+                       KernelPath widest = KernelPath::Avx512) noexcept;
 
 /// True if `path` can execute on this host. For the hand-written backends
 /// this consults the simdcv::caps registry, so a backend disabled via

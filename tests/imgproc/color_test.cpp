@@ -5,13 +5,10 @@
 
 #include <random>
 
+#include "simd/caps.hpp"
+
 namespace simdcv::imgproc {
 namespace {
-
-std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Neon};
-}
 
 Mat randomBgr(int rows, int cols, unsigned seed, int channels = 3) {
   Mat m(rows, cols, PixelType(Depth::U8, channels));
@@ -28,7 +25,7 @@ int refGray(int b, int g, int r) {
 
 TEST(CvtColor, Bgr2GrayMatchesFixedPointReference) {
   const Mat src = randomBgr(23, 41, 1);
-  for (KernelPath p : paths()) {
+  for (KernelPath p : caps::availablePaths()) {  // avx2/avx512: sse2 arm
     if (!pathAvailable(p)) continue;
     Mat gray;
     cvtColor(src, gray, ColorCode::BGR2GRAY, p);
@@ -46,7 +43,7 @@ TEST(CvtColor, AllPathsBitExact) {
   const Mat src = randomBgr(64, 99, 2);
   Mat ref;
   cvtColor(src, ref, ColorCode::BGR2GRAY, KernelPath::Auto);
-  for (KernelPath p : paths()) {
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat got;
     cvtColor(src, got, ColorCode::BGR2GRAY, p);
@@ -114,7 +111,7 @@ TEST(CvtColor, RejectsWrongChannels) {
 
 TEST(SplitMerge, RoundTripC3) {
   const Mat src = randomBgr(13, 29, 5);
-  for (KernelPath p : paths()) {
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     std::vector<Mat> planes;
     split(src, planes, p);

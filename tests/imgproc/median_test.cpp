@@ -9,14 +9,10 @@
 #include <vector>
 
 #include "imgproc/border.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
-
-std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Neon};
-}
 
 Mat randomU8(int rows, int cols, unsigned seed) {
   Mat m(rows, cols, U8C1);
@@ -49,7 +45,7 @@ Mat bruteMedian(const Mat& src, int ksize) {
 TEST(MedianBlur, MatchesBruteForce3x3) {
   const Mat src = randomU8(25, 41, 1);
   const Mat ref = bruteMedian(src, 3);
-  for (KernelPath p : paths()) {
+  for (KernelPath p : caps::availablePaths()) {  // avx2/avx512: sse2 arm
     if (!pathAvailable(p)) continue;
     Mat got;
     medianBlur(src, got, 3, p);

@@ -6,13 +6,10 @@
 
 #include <random>
 
+#include "simd/caps.hpp"
+
 namespace simdcv::imgproc {
 namespace {
-
-std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Neon};
-}
 
 Mat randomU8(int rows, int cols, unsigned seed, int ch = 1) {
   Mat m(rows, cols, PixelType(Depth::U8, ch));
@@ -87,7 +84,7 @@ TEST(Resize, AllPathsBitExactU8) {
   const Mat src = randomU8(37, 53, 2);
   Mat ref;
   resize(src, ref, {97, 71}, Interp::Linear, KernelPath::Auto);
-  for (KernelPath p : paths()) {
+  for (KernelPath p : caps::availablePaths()) {  // avx2/avx512: sse2 arm
     if (!pathAvailable(p)) continue;
     Mat got;
     resize(src, got, {97, 71}, Interp::Linear, p);
@@ -103,7 +100,7 @@ TEST(Resize, AllPathsBitExactF32) {
     for (int c = 0; c < 30; ++c) src.at<float>(r, c) = dist(rng);
   Mat ref;
   resize(src, ref, {44, 55}, Interp::Linear, KernelPath::Auto);
-  for (KernelPath p : paths()) {
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat got;
     resize(src, got, {44, 55}, Interp::Linear, p);

@@ -43,6 +43,9 @@ const prof::KernelStat* findKernel(const prof::Snapshot& s,
     if (k.name == name) return &k;
   return nullptr;
 }
+// The result points into `s`: a temporary snapshot would leave it dangling.
+const prof::KernelStat* findKernel(prof::Snapshot&& s,
+                                   const std::string& name) = delete;
 
 std::uint64_t spinNs(std::uint64_t ns) {
   const std::uint64_t t0 = prof::nowNs();
@@ -225,7 +228,8 @@ TEST_F(ProfTest, HarnessTimerAgreesWithSpanClock) {
     }
     timerSec = timer.stop();
     prof::setEnabled(false);
-    const prof::KernelStat* k = findKernel(prof::snapshot(), "clock.agree");
+    const prof::Snapshot s = prof::snapshot();
+    const prof::KernelStat* k = findKernel(s, "clock.agree");
     ASSERT_NE(k, nullptr);
     spanSec = static_cast<double>(k->total_ns) * 1e-9;
     ASSERT_GT(spanSec, 0.0);
@@ -450,7 +454,8 @@ TEST_F(ProfTest, PerfCountersForcedUnavailableFallBackCleanly) {
   prof::setEnabled(false);
   prof::setHwCountersEnabled(false);
   prof::detail::forceHwUnavailableForTest(false);
-  const prof::KernelStat* k = findKernel(prof::snapshot(), "hw.fallback");
+  const prof::Snapshot s = prof::snapshot();
+  const prof::KernelStat* k = findKernel(s, "hw.fallback");
   ASSERT_NE(k, nullptr);
   EXPECT_EQ(k->count, 1u);
   EXPECT_GE(k->total_ns, 5'000u);
@@ -471,7 +476,8 @@ TEST_F(ProfTest, PerfCountersLiveWhenHostAllows) {
   }
   prof::setEnabled(false);
   prof::setHwCountersEnabled(false);
-  const prof::KernelStat* k = findKernel(prof::snapshot(), "hw.live");
+  const prof::Snapshot s = prof::snapshot();
+  const prof::KernelStat* k = findKernel(s, "hw.live");
   ASSERT_NE(k, nullptr);
   EXPECT_GT(k->instructions, 100000u);  // at least one instr per iteration
   EXPECT_GT(k->cycles, 0u);
@@ -492,8 +498,8 @@ TEST_F(ProfTest, GradientMagnitudeBytesMatchRowHelper) {
   prof::setEnabled(true);
   imgproc::gradientMagnitude(gx, gy, mag);
   prof::setEnabled(false);
-  const prof::KernelStat* k =
-      findKernel(prof::snapshot(), "gradientMagnitude");
+  const prof::Snapshot s = prof::snapshot();
+  const prof::KernelStat* k = findKernel(s, "gradientMagnitude");
   ASSERT_NE(k, nullptr);
   EXPECT_EQ(k->bytes,
             kRows * imgproc::detail::magnitudeRowBytes(kCols));

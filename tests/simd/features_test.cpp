@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "simd/caps.hpp"
+
 namespace simdcv {
 namespace {
 
@@ -52,7 +54,11 @@ TEST(KernelPath, PreferredPathOverride) {
   EXPECT_EQ(resolvePath(KernelPath::Default), KernelPath::Neon);
   setPreferredPath(KernelPath::Default);  // restore
 #if defined(__x86_64__)
-  EXPECT_EQ(preferredPath(), KernelPath::Sse2);
+  // Without an override, the widest selectable x86 backend.
+  KernelPath widest = KernelPath::Auto;
+  for (KernelPath p : {KernelPath::Sse2, KernelPath::Avx2, KernelPath::Avx512})
+    if (caps::selectable(p)) widest = p;
+  EXPECT_EQ(preferredPath(), widest);
 #endif
 }
 
