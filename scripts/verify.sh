@@ -41,6 +41,10 @@ SIMDCV_DISABLE_BACKENDS=avx512,avx2 \
   ./build/src/check/check_all --seed=0x55e2def0 --iters=60 2>&1 \
   | tee build/check_sse2_default.log
 grep -q 'default: sse2$' build/check_sse2_default.log
+# The lowered U8 edge graph's SSE2 fixed-point arms against the float chain.
+SIMDCV_DISABLE_BACKENDS=avx512,avx2 \
+  ./build/src/check/check_all --only=graph.edge-float --seed=0x55e2f10a \
+  --iters=60
 SIMDCV_DISABLE_BACKENDS=avx512,avx2 \
   ctest --test-dir build -L check --output-on-failure -j"$(nproc)"
 
@@ -83,9 +87,10 @@ cmake --build build-asan -j --target check_all test_check test_io test_tune \
 ./build-asan/src/check/check_all --seed=0x51dc5eed --iters=200
 ./build-asan/src/check/check_all --seed=0xa5a11ced --iters=100
 # The edge family again, deeper: edge.detect and tuned.edge-detect run
-# edgeDetect through the edge graph, and graph.edge diffs its fused schedule
-# against the staged one, which is edgeDetectUnfused stage for stage (see
-# DESIGN.md section 13).
+# edgeDetect through the edge graph, graph.edge diffs its fused schedule
+# against the staged one, and graph.edge-float diffs run() against
+# edgeDetectUnfused, the float chain it is byte-equal to (its U8 Sobel pair
+# lowers to the exact 16-bit engine; see DESIGN.md section 13).
 ./build-asan/src/check/check_all --only=edge --seed=0xed6ef05e --iters=400
 ./build-asan/src/check/check_all --only=graph.edge --seed=0xed6ef05e --iters=400
 # The graph engine's fused-vs-staged contract across chains, band partitions

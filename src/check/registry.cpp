@@ -272,8 +272,10 @@ Mat runThresholdTuned(const CaseSpec& c, KernelPath p) {
 // bit-exact with the staged whole-image schedule. The oracle's reference leg
 // is always (ScalarNoVec, 1 thread), so routing ScalarNoVec to runStaged
 // compares every fused path on every thread count against the staged scalar
-// reference. The staged edge graph is edgeDetectUnfused stage for stage, so
-// graph.edge is also the fused-vs-unfused contract of edgeDetect.
+// reference. For U8 sources at ksize 3/5 both schedules run the Sobel pair as
+// exact FxSobel nodes (Graph::sepConv's integer lowering), so graph.edge
+// compares integer against integer; graph.edge-float holds that lowering to
+// the float chain, byte for byte.
 
 graph::Graph genEdgeGraph(const CaseSpec& c) {
   Rng r(c.seed ^ 0x9ed6ef05edull);
@@ -290,6 +292,24 @@ Mat runGraphEdge(const CaseSpec& c, KernelPath p) {
     g.runStaged(src, dst, p);
   else
     g.runFused(src, dst, p);
+  return dst;
+}
+
+// The exactness contract of the FxSobel lowering: the ScalarNoVec leg is the
+// float chain edgeDetectUnfused (Sobel -> gradientMagnitude -> threshold);
+// every other leg runs the edge graph's run() on its path. ksize 3/5 lower
+// to FxSobel; ksize 7 exceeds the i16 bound and covers the float SepConv.
+Mat runGraphEdgeFloat(const CaseSpec& c, KernelPath p) {
+  Mat src = genMat(c, kSrcA, U8C1);
+  Rng r(c.seed ^ 0xed6ef10a7ull);
+  const double thresh = r.real(-10.0, 300.0);
+  const int ksize = 3 + 2 * r.uniform(0, 2);  // 3, 5, 7
+  const imgproc::BorderType border = borderFor(r);
+  Mat dst;
+  if (p == KernelPath::ScalarNoVec)
+    imgproc::edgeDetectUnfused(src, dst, thresh, ksize, border, p);
+  else
+    graph::makeEdgeGraph(Depth::U8, thresh, ksize, border).run(src, dst, p);
   return dst;
 }
 
@@ -654,6 +674,7 @@ const std::vector<KernelCheck>& kernelRegistry() {
     reg.push_back({"edge.detect", &runEdgeDetect, Tolerance::Exact()});
     // pipeline graphs: fused streaming schedule vs the staged scalar oracle.
     reg.push_back({"graph.edge", &runGraphEdge, Tolerance::Exact()});
+    reg.push_back({"graph.edge-float", &runGraphEdgeFloat, Tolerance::Exact()});
     reg.push_back({"graph.blur-sobel-thr", &runGraphBlurSobelThreshold, Tolerance::Exact()});
     reg.push_back({"graph.photo", &runGraphPhoto, Tolerance::Exact()});
     reg.push_back({"graph.banded", &runGraphBanded, Tolerance::Exact()});

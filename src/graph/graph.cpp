@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <mutex>
 #include <unordered_set>
 
@@ -63,6 +65,45 @@ int inputRadius(const detail::Node& n) {
   }
 }
 
+// The i16 accumulator bound of the 16-bit derivative engine: the row pass
+// peaks at 255*sum|kx| and the column pass at 255*sum|kx|*sum|ky|.
+bool fxS16BoundHolds(long long sax, long long say) {
+  return 255 * sax <= 32767 && 255 * sax * std::max(say, 1LL) <= 32767;
+}
+
+// Exact integer lowering of a sepConv (the rule Graph::sepConv documents).
+// With u8 inputs and integer taps every float partial sum of the row and
+// column passes is an integer of magnitude <= 255*sum|kx|*sum|ky| < 2^24, so
+// the float engine computes it exactly in any order and saturate_cast<s16>
+// returns it unchanged. Under the i16 bound fxSobel asserts, the 16-bit
+// engine computes the same integer without wrap. Fills the empty ix/iy and
+// returns true when the rule holds.
+bool lowersToFxSobel(Depth inDepth, const std::vector<float>& kx,
+                     const std::vector<float>& ky, Depth outDepth,
+                     imgproc::BorderType border, double borderValue,
+                     std::vector<std::int16_t>& ix,
+                     std::vector<std::int16_t>& iy) {
+  if (inDepth != Depth::U8 || outDepth != Depth::S16) return false;
+  if (border == imgproc::BorderType::Constant &&
+      !(borderValue >= 0.0 && borderValue <= 255.0 &&
+        borderValue == std::floor(borderValue)))
+    return false;
+  // Integer taps in i16 range (NaN and +-Inf fail the range test), plus the
+  // sum of their magnitudes.
+  auto toInt = [](const std::vector<float>& k, std::vector<std::int16_t>& out,
+                  long long& sumAbs) {
+    for (float t : k) {
+      if (!(t >= -32768.0f && t <= 32767.0f) || t != std::floor(t))
+        return false;
+      out.push_back(static_cast<std::int16_t>(t));
+      sumAbs += std::abs(static_cast<long long>(t));
+    }
+    return true;
+  };
+  long long sax = 0, say = 0;
+  return toInt(kx, ix, sax) && toInt(ky, iy, say) && fxS16BoundHolds(sax, say);
+}
+
 // prof::addSample keeps the name pointer, so stage labels must outlive every
 // Graph instance: intern them in a process-lifetime pool.
 const char* internLabel(const std::string& s) {
@@ -112,6 +153,9 @@ NodeId Graph::sepConv(NodeId input, std::vector<float> kx,
   SIMDCV_REQUIRE(supportedDepth(outDepth), "graph: sepConv depth must be u8/s16/f32");
   SIMDCV_REQUIRE(!kx.empty() && !ky.empty() && (kx.size() & 1) && (ky.size() & 1),
                  "graph: sepConv kernels must have odd length");
+  std::vector<std::int16_t> ix, iy;
+  if (lowersToFxSobel(in.depth, kx, ky, outDepth, border, borderValue, ix, iy))
+    return fxSobel(input, std::move(ix), std::move(iy), border, borderValue);
   detail::Node n;
   n.kind = NodeKind::SepConv;
   n.in0 = input;
@@ -245,7 +289,7 @@ NodeId Graph::fxSobel(NodeId input, std::vector<std::int16_t> kx,
   long long sax = 0, say = 0;
   for (std::int16_t t : kx) sax += t < 0 ? -static_cast<long long>(t) : t;
   for (std::int16_t t : ky) say += t < 0 ? -static_cast<long long>(t) : t;
-  SIMDCV_REQUIRE(255 * sax <= 32767 && 255 * sax * std::max(say, 1LL) <= 32767,
+  SIMDCV_REQUIRE(fxS16BoundHolds(sax, say),
                  "graph: fxSobel taps exceed the i16 accumulator bound");
   detail::Node n;
   n.kind = NodeKind::FxSobel;
@@ -325,7 +369,7 @@ void Graph::sink(NodeId node) {
   // Conv-load sharing groups: convolutions over the same input with the same
   // geometry/border and one shared sole consumer advance in lockstep, so the
   // leader can load+pad each virtual source row once and row-convolve it for
-  // every member (one load, N rowConvs: sobelX/sobelY in the edge chain).
+  // every member (one load, N rowConvs: sobelX/sobelY in the F32 edge chain).
   struct GroupKey {
     NodeId in0;
     std::size_t kw, kh;
@@ -429,7 +473,11 @@ void Graph::sink(NodeId node) {
       code += "@" + std::to_string(n.in0);
     signature_ += "." + code;
     n.label = internLabel("graph.fused." + code);
-    if (n.kind == NodeKind::SepConv)
+    // Windowed stages also sample their horizontal (row) pass.
+    if (n.kind == NodeKind::Morph)
+      n.rowLabel = internLabel("graph.fused." + code + ".rowMorph");
+    else if (n.kind == NodeKind::SepConv || n.kind == NodeKind::FxGaussian ||
+             n.kind == NodeKind::FxSobel)
       n.rowLabel = internLabel("graph.fused." + code + ".rowConv");
   }
 }

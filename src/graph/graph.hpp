@@ -6,8 +6,9 @@
 // source and one sink. Execution picks between two bit-identical schedules:
 //
 //   staged  each stage runs its public kernel over the whole image, exactly
-//           as calling sepFilter2D / convertTo / threshold / ... by hand —
-//           this is the reference oracle;
+//           as calling sepFilter2D / convertTo / threshold / ... by hand
+//           (a lowered integer Sobel calls sepFilter2DFxS16, byte-equal to
+//           sepFilter2D) — this is the reference oracle;
 //   fused   the whole graph streams through ksize-row ring buffers in row
 //           bands: each stage's output rows live in an O(radius)-row ring in
 //           the stage's declared depth (the exact bytes its staged
@@ -98,7 +99,9 @@ struct Node {
   int consumers = 0;
   int group = -1;  ///< conv-load sharing group (see graph_fused.cpp)
   const char* label = "";     ///< interned prof stage label
-  const char* rowLabel = "";  ///< "<label>.rowConv" for SepConv nodes
+  /// Row-pass label: "<label>.rowConv" for SepConv/FxGaussian/FxSobel,
+  /// "<label>.rowMorph" for Morph, "" otherwise.
+  const char* rowLabel = "";
 };
 
 }  // namespace detail
@@ -124,6 +127,16 @@ class Graph {
 
   /// Separable convolution (kx horizontal, ky vertical) into `outDepth`
   /// (U8/S16/F32) — the sepFilter2D stage. Input depth must be U8 or F32.
+  ///
+  /// Exact integer lowering: when the input is U8, `outDepth` is S16, every
+  /// tap is an integer in i16 range, 255*sum|kx| <= 32767 and
+  /// 255*sum|kx|*max(sum|ky|, 1) <= 32767 (fxSobel's bound), and the border
+  /// is not Constant or `borderValue` is an integer in [0, 255], this
+  /// declares exactly the node fxSobel(input, <integer taps>, border,
+  /// borderValue) would (NodeKind::FxSobel). Both give the same bytes: every
+  /// float partial sum is then an integer below 2^24, exact in any order, and
+  /// saturate_cast<s16> keeps it; the bound rules out wrap in the 16-bit
+  /// engine. Otherwise the node is a float SepConv.
   NodeId sepConv(NodeId input, std::vector<float> kx, std::vector<float> ky,
                  Depth outDepth,
                  imgproc::BorderType border = imgproc::BorderType::Reflect101,
@@ -185,7 +198,7 @@ class Graph {
   /// which ring buffers cannot stream for interior stages).
   bool fusible() const noexcept { return fusible_; }
 
-  /// Stable per-structure identifier ("g.sep3x3s16.mag...") used as the
+  /// Stable per-structure identifier ("g.fxs3x3.fxs3x3@0.mag...") used as the
   /// tune:: kernel key for the fuse/path axes and as the prof label stem.
   const std::string& signature() const { return signature_; }
 
@@ -251,11 +264,13 @@ inline void runFusedBanded(const Graph& g, const Mat& src, Mat& dst,
 
 // ---- prebuilt graphs -------------------------------------------------------
 // The chains the library itself uses, expressed as graphs. Each returns a
-// finalized Graph; the staged schedule of each is stage-for-stage identical
-// to the direct-call chain it mirrors.
+// finalized Graph whose output is byte-equal to the direct-call chain it
+// mirrors.
 
 /// edgeDetect as a graph: sobelX/sobelY (S16) -> magnitude -> binary
-/// threshold. Staged == edgeDetectUnfused; imgproc::edgeDetect runs it.
+/// threshold; imgproc::edgeDetect runs it. On U8 at ksize 3/5 the Sobel pair
+/// lowers to FxSobel nodes (see sepConv); both schedules are byte-equal to
+/// edgeDetectUnfused.
 Graph makeEdgeGraph(Depth srcDepth, double thresh, int ksize,
                     imgproc::BorderType border);
 

@@ -19,8 +19,10 @@
 //     Convolutions over the same input with identical geometry and one shared
 //     sole consumer form a GROUP (Node::group): they advance in lockstep, so
 //     the group loads+pads each virtual source row once and row-convolves it
-//     for every member — the one-load-two-rowConvs structure of the edge
-//     pipeline, generalized to N members.
+//     for every member (one load, N rowConvs: the F32 edge graph's Sobel
+//     pair, or any sibling float convolutions). The U8 edge graph's Sobel
+//     pair is declared as FxSobel nodes (Graph::sepConv's exact integer
+//     lowering), which stream through per-node windowed rings instead.
 //   * Bands: a band initializes every counter to max(0, band.begin - R) and
 //     recomputes its seam rows through the identical sequence, so any row
 //     partition (1 band, parallel bands, or the forced test partition) is
@@ -226,6 +228,7 @@ struct BandExec {
   // Stage-time attribution (only touched when c.trace).
   std::vector<std::uint64_t> ns, rowsOut;        // per node
   std::vector<std::uint64_t> rowNs, rowsPrimed;  // per group
+  std::vector<std::uint64_t> wRowNs, wRowsPrimed;  // per windowed node
 
   BandExec(const RunCtx& ctx, runtime::Range band) : c(ctx) {
     const int N = static_cast<int>(c.nodes.size());
@@ -292,6 +295,8 @@ struct BandExec {
       rowsOut.assign(static_cast<std::size_t>(N), 0);
       rowNs.assign(G, 0);
       rowsPrimed.assign(G, 0);
+      wRowNs.assign(static_cast<std::size_t>(N), 0);
+      wRowsPrimed.assign(static_cast<std::size_t>(N), 0);
     }
   }
 
@@ -390,21 +395,22 @@ struct BandExec {
   // stages are never grouped).
   void computeWindowRow(NodeId u, int v) {
     const Node& n = c.nodes[static_cast<std::size_t>(u)];
+    const auto uu = static_cast<std::size_t>(u);
     const int kw = windowKw(n), kh = windowKh(n);
     std::uint8_t* dstRow = wslot(u, kh, v);
     const int m = imgproc::borderInterpolate(v, c.rows, n.border);
     if (m < 0) {  // Constant border, out of range: precomputed constant row
+      const std::uint64_t t0 = c.trace ? prof::nowNs() : 0;
       if (n.kind == NodeKind::FxSobel)
-        std::memcpy(dstRow,
-                    c.constRowsS16[static_cast<std::size_t>(u)].data(),
+        std::memcpy(dstRow, c.constRowsS16[uu].data(),
                     c.w * sizeof(std::int16_t));
       else
-        std::memcpy(dstRow, c.constRowsU8[static_cast<std::size_t>(u)].data(),
-                    c.w);
+        std::memcpy(dstRow, c.constRowsU8[uu].data(), c.w);
+      if (c.trace) wRowNs[uu] += prof::nowNs() - t0;
       return;
     }
     produceUpTo(n.in0, m);
-    const auto uu = static_cast<std::size_t>(u);
+    const std::uint64_t t0 = c.trace ? prof::nowNs() : 0;
     const int rx = kw / 2;
     std::memcpy(wpad[uu] + rx, inRowPtr(n.in0, m), c.w);
     imgproc::detail::padRowU8(wpad[uu], c.width, rx, n.border,
@@ -424,6 +430,10 @@ struct BandExec {
         c.fxRowS16(wpad[uu], reinterpret_cast<std::int16_t*>(dstRow), c.width,
                    n.fxsx.data(), kw);
         break;
+    }
+    if (c.trace) {
+      wRowNs[uu] += prof::nowNs() - t0;
+      ++wRowsPrimed[uu];
     }
   }
 
@@ -548,12 +558,16 @@ struct BandExec {
         bytes = rowsOut[u] * imgproc::detail::magnitudeRowBytes(c.width);
       else if (isWindowed(n))
         bytes += rowsOut[u] * c.w *
-                 (1 + static_cast<std::uint64_t>(windowKh(n)) * windowElem(n));
+                 static_cast<std::uint64_t>(windowKh(n)) * windowElem(n);
       else
         bytes += rowsOut[u] * c.w *
                  depthSize(c.nodes[static_cast<std::size_t>(n.in0)].depth) *
                  (n.in1 >= 0 ? 2 : 1);
       prof::addSample(n.label, c.p, ns[u], bytes);
+      // A windowed node's row pass: u8 in, one intermediate row out.
+      if (isWindowed(n) && wRowsPrimed[u] > 0)
+        prof::addSample(n.rowLabel, c.p, wRowNs[u],
+                        wRowsPrimed[u] * c.w * (1 + windowElem(n)));
     }
     for (std::size_t gi = 0; gi < c.groups.size(); ++gi) {
       const GroupInfo& g = c.groups[gi];

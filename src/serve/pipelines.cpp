@@ -33,10 +33,9 @@ void registerLocked(const std::string& name, PipelineFn fn) {
 }
 
 // The built-in presets, installed once before the first lookup, each
-// expressed as a pipeline Graph (a graph's staged schedule is stage-for-stage
-// the direct kernel chain, and its fused schedule is bit-identical to staged,
-// so served responses stay bit-identical to calling the chain directly —
-// the guarantee tests/serve asserts per preset). Graphs declare the source
+// expressed as a pipeline Graph (both schedules of a graph are byte-equal to
+// the direct kernel chain, so served responses stay bit-identical to calling
+// the chain directly — the guarantee tests/serve asserts per preset). Graphs declare the source
 // depth, so depth-polymorphic presets keep one frozen Graph per accepted
 // depth and select by src.depth(). Thresholds and kernel shapes mirror the
 // examples they were lifted from (examples/edge_detection.cpp,

@@ -1,7 +1,8 @@
 // Pipeline-graph engine: builder validation, fusibility rules, fused-vs-
 // staged bit-exactness on edge-case geometries (1x1, 1xW, Hx1), all border
 // modes, ROI/non-contiguous sources, ksize-1 stages, adversarial band
-// heights, and the fuse-decision model.
+// heights, the fuse-decision model, and the exact integer lowering of u8 -> s16
+// convolutions (byte-equal to the float engine).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "graph/graph.hpp"
 #include "imgproc/edge.hpp"
 #include "imgproc/filter.hpp"
+#include "imgproc/kernels.hpp"
 #include "imgproc/threshold.hpp"
 #include "prof/prof.hpp"
 #include "simd/caps.hpp"
@@ -98,6 +100,81 @@ TEST(GraphBuild, S16ConvInputRejected) {
   EXPECT_THROW(g.sepConv(c, {1.f}, {1.f}, Depth::S16), Error);
 }
 
+// ---- exact integer lowering -------------------------------------------------
+
+// One sepConv node off a fresh source, as the sink of a finalized graph.
+Graph oneConv(Depth in, std::vector<float> kx, std::vector<float> ky,
+              Depth out,
+              imgproc::BorderType border = imgproc::BorderType::Reflect101,
+              double borderValue = 0.0) {
+  Graph g;
+  const NodeId s = g.source(in);
+  g.sink(g.sepConv(s, std::move(kx), std::move(ky), out, border, borderValue));
+  return g;
+}
+
+TEST(GraphBuild, SepConvLowersExactIntegerTaps) {
+  const Mat src = randomMat(19, 23, Depth::U8, 21);
+  for (int ksize : {3, 5}) {
+    for (const auto& [dx, dy] :
+         std::vector<std::pair<int, int>>{{1, 0}, {0, 1}, {2, 0}}) {
+      std::vector<float> kx, ky;
+      imgproc::getDerivKernels(kx, ky, dx, dy, ksize, /*normalize=*/false);
+      for (imgproc::BorderType b : allBorders()) {
+        const Graph g = oneConv(Depth::U8, kx, ky, Depth::S16, b);
+        ASSERT_EQ(g.node(1).kind, NodeKind::FxSobel)
+            << ksize << " " << dx << dy << " " << toString(b);
+        ASSERT_EQ(g.node(1).fxsx.size(), kx.size());
+        for (std::size_t i = 0; i < kx.size(); ++i)
+          EXPECT_EQ(g.node(1).fxsx[i], static_cast<std::int16_t>(kx[i]));
+        // Bytes: the lowered node equals the float Sobel on every path.
+        Mat ref;
+        imgproc::Sobel(src, ref, Depth::S16, dx, dy, ksize, 1.0, b,
+                       KernelPath::ScalarNoVec);
+        for (KernelPath p : caps::availablePaths()) {
+          Mat staged, fused;
+          g.runStaged(src, staged, p);
+          g.runFused(src, fused, p);
+          EXPECT_EQ(countMismatches(ref, staged), 0u) << toString(p);
+          EXPECT_EQ(countMismatches(ref, fused), 0u) << toString(p);
+        }
+      }
+    }
+  }
+}
+
+TEST(GraphBuild, SepConvKeepsFloatWhenLoweringIsInexact) {
+  std::vector<float> kx7, ky7;  // 7x7 Sobel: 255*20*64 > 32767
+  imgproc::getDerivKernels(kx7, ky7, 1, 0, 7, /*normalize=*/false);
+  EXPECT_EQ(oneConv(Depth::U8, kx7, ky7, Depth::S16).node(1).kind,
+            NodeKind::SepConv);
+  const std::vector<float> k3 = {-1.f, 0.f, 1.f}, s3 = {1.f, 2.f, 1.f};
+  EXPECT_EQ(oneConv(Depth::U8, {-0.5f, 0.f, 0.5f}, s3, Depth::S16)
+                .node(1).kind,
+            NodeKind::SepConv);  // non-integer tap
+  EXPECT_EQ(oneConv(Depth::F32, k3, s3, Depth::S16).node(1).kind,
+            NodeKind::SepConv);  // f32 input
+  EXPECT_EQ(oneConv(Depth::U8, k3, s3, Depth::F32).node(1).kind,
+            NodeKind::SepConv);  // f32 output
+  EXPECT_EQ(oneConv(Depth::U8, {40000.f}, {0.f}, Depth::S16).node(1).kind,
+            NodeKind::SepConv);  // tap outside i16
+  // Constant borders lower only for an integer border value in [0, 255].
+  const Mat src = randomMat(9, 12, Depth::U8, 22);
+  for (double bv : {0.0, 255.0, 3.7, 300.0, -1.0}) {
+    const Graph g =
+        oneConv(Depth::U8, k3, s3, Depth::S16, imgproc::BorderType::Constant, bv);
+    const bool lowers = bv == 0.0 || bv == 255.0;
+    EXPECT_EQ(g.node(1).kind, lowers ? NodeKind::FxSobel : NodeKind::SepConv)
+        << bv;
+    Mat ref, got;
+    imgproc::sepFilter2D(src, ref, Depth::S16, k3, s3,
+                         imgproc::BorderType::Constant, bv,
+                         KernelPath::ScalarNoVec);
+    g.run(src, got);
+    EXPECT_EQ(countMismatches(ref, got), 0u) << bv;
+  }
+}
+
 TEST(GraphBuild, FrozenAfterSink) {
   Graph g;
   const NodeId s = g.source(Depth::U8);
@@ -155,7 +232,7 @@ TEST(GraphIntrospect, WrapOnInteriorStageNotFusible) {
 TEST(GraphIntrospect, SignatureAndStagedBytes) {
   const Graph g = makeEdgeGraph(Depth::U8, 100.0, 3,
                                 imgproc::BorderType::Reflect101);
-  EXPECT_EQ(g.signature(), "g.sep3x3s16.sep3x3s16@0.mag@1-2.thru8t0");
+  EXPECT_EQ(g.signature(), "g.fxs3x3.fxs3x3@0.mag@1-2.thru8t0");
   // Intermediates: two S16 gradients + the U8 magnitude = 5 bytes/px.
   EXPECT_EQ(g.stagedBytes(640, 480), 640u * 480u * 5u);
   // Per-node introspection: derived live-window radii.
@@ -211,19 +288,49 @@ TEST(GraphIntrospect, FuseProfitableModel) {
 
 // ---- fused == staged: stage vocabulary & prebuilt chains --------------------
 
+// The U8 edge graph lowers its Sobel pair to FxSobel at ksize 3/5 and keeps
+// the float engine at 7; either way every schedule (and edgeDetect) must
+// equal the float chain byte for byte, on every path, border and geometry.
 TEST(GraphExec, EdgeGraphMatchesEdgeDetectUnfused) {
-  const Mat src = randomMat(31, 29, Depth::U8, 3);
-  for (int ksize : {3, 5}) {
-    const Graph g = makeEdgeGraph(Depth::U8, 120.0, ksize,
-                                  imgproc::BorderType::Reflect101);
-    Mat ref;
-    imgproc::edgeDetectUnfused(src, ref, 120.0, ksize,
-                               imgproc::BorderType::Reflect101,
-                               KernelPath::ScalarNoVec);
-    Mat staged, fused;
-    g.runStaged(src, staged, KernelPath::ScalarNoVec);
-    EXPECT_EQ(countMismatches(ref, staged), 0u) << "ksize=" << ksize;
-    expectFusedMatchesStaged(g, src, "edge");
+  const Mat parent = randomMat(40, 50, Depth::U8, 3);
+  // Low-contrast copy, so the threshold splits the magnitudes instead of
+  // seeing them all saturate.
+  Mat soft(40, 50, U8C1);
+  for (int r = 0; r < soft.rows(); ++r)
+    for (int c = 0; c < soft.cols(); ++c)
+      soft.at<std::uint8_t>(r, c) = static_cast<std::uint8_t>(
+          96 + (parent.at<std::uint8_t>(r, c) & 15) + (c > 25 ? 40 : 0));
+  const std::vector<std::pair<const char*, Mat>> sources = {
+      {"31x29", parent.roi({0, 0, 29, 31}).clone()},
+      {"soft", soft},
+      {"1x1", parent.roi({3, 4, 1, 1}).clone()},
+      {"1xN", parent.roi({0, 5, 37, 1}).clone()},
+      {"Nx1", parent.roi({6, 0, 1, 33}).clone()},
+      {"roi", parent.roi({5, 3, 30, 20})},
+  };
+  for (const auto& [what, src] : sources) {
+    for (imgproc::BorderType b : allBorders()) {
+      for (int ksize : {3, 5, 7}) {
+        const double thresh = ksize == 3 ? 120.0 : 250.0;
+        const Graph g = makeEdgeGraph(Depth::U8, thresh, ksize, b);
+        EXPECT_EQ(g.node(1).kind,
+                  ksize < 7 ? NodeKind::FxSobel : NodeKind::SepConv);
+        Mat ref;
+        imgproc::edgeDetectUnfused(src, ref, thresh, ksize, b,
+                                   KernelPath::ScalarNoVec);
+        for (KernelPath p : caps::availablePaths()) {
+          Mat staged, fused, run, detect;
+          g.runStaged(src, staged, p);
+          g.runFused(src, fused, p);
+          g.run(src, run, p);
+          imgproc::edgeDetect(src, detect, thresh, ksize, b, p);
+          for (const Mat* m : {&staged, &fused, &run, &detect})
+            EXPECT_EQ(countMismatches(ref, *m), 0u)
+                << what << " " << toString(b) << " ksize=" << ksize << " "
+                << toString(p);
+        }
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "imgproc/edge_detail.hpp"
@@ -390,42 +391,55 @@ TEST_F(ProfTest, SummaryTextAndCsvContainKernels) {
 }
 
 // The graph executor attributes per-stage time via addSample: with tracing
-// on, a fused edge-graph run must produce one graph.fused span plus a sample
-// for every fused node label, and the stage times must sum to no more than
-// the span total (they are bracketed sub-intervals of it).
+// on, a fused graph run must produce one graph.fused span plus a sample for
+// every fused node label and every row pass (conv groups and windowed
+// Morph/FxGaussian/FxSobel nodes), and the stage times must sum to no more
+// than the span total (they are disjoint bracketed sub-intervals of it).
 TEST_F(ProfTest, FusedEdgeEmitsStageBreakdown) {
   Mat src(256, 512, U8C1);
   src.setTo(0);
   for (int r = 64; r < 192; ++r)
     std::memset(src.ptr<std::uint8_t>(r) + 128, 200, 256);
-  const graph::Graph g = graph::makeEdgeGraph(
-      Depth::U8, 100.0, 3, imgproc::BorderType::Reflect101);
-  Mat dst;
-  g.runFused(src, dst);  // warm scratch untraced
+  const std::vector<std::pair<const char*, graph::Graph>> graphs = {
+      {"edge", graph::makeEdgeGraph(Depth::U8, 100.0, 3,
+                                    imgproc::BorderType::Reflect101)},
+      {"fxedge", graph::makeFxEdgeGraph(5, 1.2, 3, 80.0,
+                                        imgproc::BorderType::Reflect101)},
+      {"morphgrad", graph::makeMorphGradientGraph(5, 1.2, 5, 5)},
+  };
+  for (const auto& [what, g] : graphs) {
+    SCOPED_TRACE(what);
+    Mat dst;
+    g.runFused(src, dst);  // warm scratch untraced
 
-  prof::reset();
-  prof::setEnabled(true);
-  g.runFused(src, dst);
-  prof::setEnabled(false);
+    prof::reset();
+    prof::setEnabled(true);
+    g.runFused(src, dst);
+    prof::setEnabled(false);
 
-  const prof::Snapshot s = prof::snapshot();
-  const prof::KernelStat* fused = findKernel(s, "graph.fused");
-  ASSERT_NE(fused, nullptr);
-  EXPECT_EQ(fused->count, 1u);
-  std::uint64_t stageSum = 0;
-  for (graph::NodeId id = 1; id < g.numNodes(); ++id) {
-    const graph::detail::Node& n = g.node(id);
-    const prof::KernelStat* k = findKernel(s, n.label);
-    ASSERT_NE(k, nullptr) << n.label;
-    EXPECT_GE(k->count, 1u) << n.label;
-    stageSum += k->total_ns;
-    // The row pass of a conv group is sampled once, under its leader.
-    if (const prof::KernelStat* row = findKernel(s, n.rowLabel))
-      stageSum += row->total_ns;
+    const prof::Snapshot s = prof::snapshot();
+    const prof::KernelStat* fused = findKernel(s, "graph.fused");
+    ASSERT_NE(fused, nullptr);
+    EXPECT_EQ(fused->count, 1u);
+    std::uint64_t stageSum = 0;
+    for (graph::NodeId id = 1; id < g.numNodes(); ++id) {
+      const graph::detail::Node& n = g.node(id);
+      const prof::KernelStat* k = findKernel(s, n.label);
+      ASSERT_NE(k, nullptr) << n.label;
+      EXPECT_GE(k->count, 1u) << n.label;
+      stageSum += k->total_ns;
+      // The row pass of a conv group is sampled once, under its leader.
+      if (const prof::KernelStat* row = findKernel(s, n.rowLabel))
+        stageSum += row->total_ns;
+      const bool windowed = n.kind == graph::NodeKind::Morph ||
+                            n.kind == graph::NodeKind::FxGaussian ||
+                            n.kind == graph::NodeKind::FxSobel;
+      if (windowed) EXPECT_NE(findKernel(s, n.rowLabel), nullptr) << n.label;
+    }
+    EXPECT_NE(findKernel(s, g.node(1).rowLabel), nullptr);
+    EXPECT_GT(stageSum, 0u);
+    EXPECT_LE(stageSum, fused->total_ns);
   }
-  EXPECT_NE(findKernel(s, g.node(1).rowLabel), nullptr);
-  EXPECT_GT(stageSum, 0u);
-  EXPECT_LE(stageSum, fused->total_ns);
 }
 
 // ---- perf_event graceful fallback ------------------------------------------
