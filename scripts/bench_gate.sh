@@ -55,6 +55,11 @@ cmake --build "$BUILD_DIR" -j --target gate_compare ext_serve \
   fig2_cvt_speedup fig3_threshold_speedup fig4_gaussian_speedup \
   fig5_sobel_speedup fig6_edge_speedup fig_b6_morphology
 
+# Suites actually compared against their baseline vs skipped for a host
+# mismatch; the closing line reports both so an all-skipped run is visible.
+COMPARED=0
+SKIPPED=0
+
 # gate_suite NAME BENCH_BINARY CANDIDATE_JSON BASELINE_JSON METRICS TOL
 gate_suite() {
   local name="$1" bin="$2" json="$3" baseline="$4" metrics="$5" tol="$6"
@@ -70,6 +75,7 @@ gate_suite() {
     case "$rc" in
       0)
         echo "gate: $name ok"
+        COMPARED=$((COMPARED + 1))
         return 0
         ;;
       1)
@@ -82,6 +88,7 @@ gate_suite() {
         fi
         echo "gate: $name SKIPPED — baseline recorded on a different host;" \
              "re-record $baseline on this machine to arm the gate"
+        SKIPPED=$((SKIPPED + 1))
         return 0
         ;;
       *)
@@ -117,4 +124,4 @@ gate_suite b6 fig_b6_morphology BENCH_b6.json \
   "$BASELINE_DIR/BENCH_b6_smoke.json" speedup "$TOL_B6"
 
 echo
-echo "bench gate: OK"
+echo "bench gate: OK ($COMPARED suites compared, $SKIPPED skipped for host mismatch)"

@@ -142,13 +142,28 @@ Mat runScaleAdd(const CaseSpec& c, KernelPath p) {
   return dst;
 }
 
+// Variants with bits 16 and 32 both set blend u8/s16 with the exact-integer
+// weights (1, +-1, 0), which the hand paths run as saturating add/sub, or
+// with a near miss that must stay on their f64 lanes.
 Mat runAddWeighted(const CaseSpec& c, KernelPath p) {
+  struct Weights {
+    double alpha, beta, gamma;
+  };
+  static const std::vector<Weights> unitBlends = {
+      {1.0, 1.0, 0.0}, {1.0, -1.0, 0.0}, {1.0, -1.0, -0.0},
+      {1.0, -1.0, 0.5}, {-1.0, 1.0, 0.0}, {1.0, -1.0 + 0x1p-52, 0.0}};
   static const Depth depths[] = {Depth::U8, Depth::S16, Depth::F32};
-  const PixelType type(depths[c.variant % 3], channelsFor(c));
+  const bool unitBlend = (c.variant & 48) == 48;
+  const PixelType type(depths[c.variant % (unitBlend ? 2 : 3)], channelsFor(c));
   Mat a = genMat(c, kSrcA, type);
   Mat b = genMat(c, kSrcB, type);
   Rng r(c.seed ^ 0xaddbeefedull);
   Mat dst;
+  if (unitBlend) {
+    const Weights& w = r.pick(unitBlends);
+    core::addWeighted(a, w.alpha, b, w.beta, w.gamma, dst, p);
+    return dst;
+  }
   const double alpha = coef(c, r, -2.0, 2.0);
   const double beta = coef(c, r, -2.0, 2.0);
   core::addWeighted(a, alpha, b, beta, coef(c, r, -100.0, 100.0), dst, p);

@@ -15,7 +15,8 @@
 //     ring of row-convolved virtual rows (slot(v) = (v+ry) % kh), each
 //     computed by load-as-float + padRow + rowConv through the identical
 //     per-path selectors sepFilter2D uses; the vertical pass gathers kh taps
-//     and colConvs into a float row that storeRowPtr saturates into the ring.
+//     and colConvs straight into an F32 output row, or into a float row that
+//     storeRowPtr saturates into a narrower output.
 //     Convolutions over the same input with identical geometry and one shared
 //     sole consumer form a GROUP (Node::group): they advance in lockstep, so
 //     the group loads+pads each virtual source row once and row-convolves it
@@ -374,8 +375,15 @@ struct BandExec {
       for (int r = 0; r < g.kh; ++r)
         taps[static_cast<std::size_t>(r)] = slot(gi, mi, y - g.ry + r);
       const std::uint64_t t0 = c.trace ? prof::nowNs() : 0;
-      c.colFn(taps, fbuf, c.width, n.ky.data(), g.kh);
-      imgproc::detail::storeRowPtr(fbuf, n.depth, outRowPtr(u, y), c.w, c.p);
+      // F32 outputs take the column pass directly; narrower depths
+      // saturate out of fbuf.
+      void* dst = outRowPtr(u, y);
+      if (n.depth == Depth::F32) {
+        c.colFn(taps, static_cast<float*>(dst), c.width, n.ky.data(), g.kh);
+      } else {
+        c.colFn(taps, fbuf, c.width, n.ky.data(), g.kh);
+        imgproc::detail::storeRowPtr(fbuf, n.depth, dst, c.w, c.p);
+      }
       if (c.trace) {
         ns[static_cast<std::size_t>(u)] += prof::nowNs() - t0;
         ++rowsOut[static_cast<std::size_t>(u)];

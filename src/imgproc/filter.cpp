@@ -225,8 +225,12 @@ void sepFilter2D(const Mat& src, Mat& dst, Depth ddepth,
       computeVirtualRow(y + ry);
       for (int r = 0; r < kh; ++r)
         taps[static_cast<std::size_t>(r)] = slot(y - ry + r);
-      colFn(taps.data(), outRow.data(), width, ky.data(), kh);
-      storeRow(outRow.data(), out, y, p);
+      if (ddepth == Depth::F32) {  // no narrowing: write the row in place
+        colFn(taps.data(), out.ptr<float>(y), width, ky.data(), kh);
+      } else {
+        colFn(taps.data(), outRow.data(), width, ky.data(), kh);
+        storeRow(outRow.data(), out, y, p);
+      }
     }
   };
 

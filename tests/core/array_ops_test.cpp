@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/saturate.hpp"
+#include "simd/caps.hpp"
 
 #include <cmath>
 #include <random>
@@ -177,6 +178,41 @@ TEST(ArrayOps, AddWeightedBlend) {
   EXPECT_EQ(d.at<std::uint8_t>(0, 0), 255);  // saturates
   addWeighted(a, 0.0, b, 0.0, 42.0, d);
   EXPECT_EQ(d.at<std::uint8_t>(0, 0), 42);
+}
+
+// addWeighted(a, 1, b, +-1, 0) on u8/s16 runs the hand paths' saturating
+// add/sub; at the rails it must still equal the f64 definition clamped. The
+// width (3 * 64 + 11) puts rail pairs in whole vectors and in the scalar tail
+// at every lane count.
+template <typename T>
+void expectUnitBlendAtRails(Depth d, T a0, T b0, double beta, T want) {
+  const int cols = 3 * 64 + 11;
+  Mat a = randomMat(d, 2, cols, 17), b = randomMat(d, 2, cols, 18);
+  for (int c = 0; c < cols; ++c) {
+    if (c % 5 != 0 && c != cols - 1) continue;
+    a.at<T>(1, c) = a0;
+    b.at<T>(1, c) = b0;
+  }
+  for (KernelPath p : caps::availablePaths()) {
+    Mat out;
+    addWeighted(a, 1.0, b, beta, 0.0, out, p);
+    for (int r = 0; r < 2; ++r)
+      for (int c = 0; c < cols; ++c)
+        ASSERT_EQ(out.at<T>(r, c),
+                  saturate_cast<T>(static_cast<double>(a.at<T>(r, c)) * 1.0 +
+                                   static_cast<double>(b.at<T>(r, c)) * beta +
+                                   0.0))
+            << toString(p) << " r=" << r << " c=" << c;
+    EXPECT_EQ(out.at<T>(1, cols - 1), want) << toString(p);
+    EXPECT_EQ(out.at<T>(1, 0), want) << toString(p);
+  }
+}
+
+TEST(ArrayOps, AddWeightedUnitBlendSaturatesAtRails) {
+  expectUnitBlendAtRails<std::uint8_t>(Depth::U8, 0, 255, -1.0, 0);
+  expectUnitBlendAtRails<std::uint8_t>(Depth::U8, 255, 255, 1.0, 255);
+  expectUnitBlendAtRails<std::int16_t>(Depth::S16, -32768, 32767, -1.0, -32768);
+  expectUnitBlendAtRails<std::int16_t>(Depth::S16, 32767, 1, 1.0, 32767);
 }
 
 TEST(ArrayOps, GeometryMismatchThrows) {

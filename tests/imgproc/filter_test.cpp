@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <random>
 
 #include "imgproc/kernels.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
@@ -82,6 +85,46 @@ TEST(ColConvWorkers, AllPathsMatchReference) {
     for (int i = 0; i < width; ++i)
       ASSERT_EQ(got[static_cast<std::size_t>(i)], want[static_cast<std::size_t>(i)])
           << toString(p) << " i=" << i;
+  }
+}
+
+// Width sweep over the blocked bodies: every width 1..4*64+3 covers the
+// 4-vector main loop, the 1-vector loop and the scalar tail at every lane
+// count (4L-1, 4L, 4L+1 for L = 4, 8, 16). Taps are asymmetric with negative
+// entries; the data never hits +-0, so the byte compare is unaffected by the
+// scalar arm's 0.0f + (-0.0f) start.
+TEST(SepConvWorkers, WidthSweepByteEqualToNovec) {
+  constexpr int kMaxWidth = 4 * 64 + 3;
+  constexpr int kMaxK = 15;
+  std::mt19937 rng(16);
+  std::uniform_real_distribution<float> dist(0.5f, 4.f);
+  std::vector<float> data(static_cast<std::size_t>(kMaxK) * (kMaxWidth + kMaxK));
+  for (auto& v : data) v = (rng() & 1) ? dist(rng) : -dist(rng);
+  std::vector<const float*> taps;
+  for (int r = 0; r < kMaxK; ++r)
+    taps.push_back(data.data() + static_cast<std::size_t>(r) * (kMaxWidth + kMaxK));
+  for (int ksize : {1, 3, 5, 7, 9, 15}) {
+    std::vector<float> k(static_cast<std::size_t>(ksize));
+    for (int j = 0; j < ksize; ++j)
+      k[static_cast<std::size_t>(j)] = 0.37f * static_cast<float>(j + 1) -
+                                       (j % 3 == 1 ? 1.9f : 0.f);
+    for (KernelPath p : caps::availablePaths()) {
+      for (int width = 1; width <= kMaxWidth; ++width) {
+        const auto n = static_cast<std::size_t>(width);
+        std::vector<float> want(n), got(n, -1.f);
+        detail::rowConvFor(KernelPath::ScalarNoVec)(taps[0], want.data(), width,
+                                                    k.data(), ksize);
+        detail::rowConvFor(p)(taps[0], got.data(), width, k.data(), ksize);
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(float)))
+            << "rowConv " << toString(p) << " ksize=" << ksize << " width=" << width;
+        detail::colConvFor(KernelPath::ScalarNoVec)(taps.data(), want.data(),
+                                                    width, k.data(), ksize);
+        std::fill(got.begin(), got.end(), -1.f);
+        detail::colConvFor(p)(taps.data(), got.data(), width, k.data(), ksize);
+        ASSERT_EQ(0, std::memcmp(want.data(), got.data(), n * sizeof(float)))
+            << "colConv " << toString(p) << " ksize=" << ksize << " width=" << width;
+      }
+    }
   }
 }
 

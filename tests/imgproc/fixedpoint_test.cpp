@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "check/check.hpp"
@@ -17,6 +19,7 @@
 #include "imgproc/filter.hpp"
 #include "imgproc/kernels.hpp"
 #include "runtime/thread_pool.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
@@ -104,6 +107,72 @@ TEST(FixedPoint, SobelBitExactWithFloatEngine) {
       SobelFx(src, fx, d.dx, d.dy, d.ksize, border);
       EXPECT_EQ(countMismatches(fl, fx), 0u)
           << "dx=" << d.dx << " dy=" << d.dy << " ksize=" << d.ksize;
+    }
+  }
+}
+
+// ---- worker width sweep ----------------------------------------------------
+
+// The blocked row/col bodies against the scalar-novec arm at every width
+// 1..4*64+3: the 4-vector main loop, the narrower loop and the scalar tail
+// at every lane count (4L-1, 4L, 4L+1 for L = 4, 8, 16 and the s16 lane
+// counts). Taps are asymmetric with negative entries (wrapped for the u16
+// taps); the sums are modular, so the outputs are byte-equal regardless of
+// the engine's wrap-free bounds.
+TEST(FixedPoint, WorkerWidthSweepByteEqualToNovec) {
+  constexpr int kMaxWidth = 4 * 64 + 3;
+  constexpr int kMaxK = 15;
+  constexpr std::size_t kStride = kMaxWidth + kMaxK;
+  std::mt19937 rng(61);
+  std::vector<std::uint8_t> u8(kMaxK * kStride);
+  std::vector<std::int16_t> s16(kMaxK * kStride);
+  for (auto& v : u8) v = static_cast<std::uint8_t>(rng());
+  for (auto& v : s16) v = static_cast<std::int16_t>(rng());
+  std::vector<const std::uint8_t*> u8Rows;
+  std::vector<const std::int16_t*> s16Rows;
+  for (std::size_t r = 0; r < kMaxK; ++r) {
+    u8Rows.push_back(u8.data() + r * kStride);
+    s16Rows.push_back(s16.data() + r * kStride);
+  }
+  const KernelPath ref = KernelPath::ScalarNoVec;
+  for (int ksize : {1, 3, 5, 7, 9, 15}) {
+    std::vector<std::int16_t> ks(static_cast<std::size_t>(ksize));
+    std::vector<std::uint16_t> ku(ks.size());
+    for (int j = 0; j < ksize; ++j) {
+      ks[static_cast<std::size_t>(j)] =
+          static_cast<std::int16_t>((j % 2 ? -3 : 5) * (j + 1));
+      ku[static_cast<std::size_t>(j)] =
+          static_cast<std::uint16_t>(ks[static_cast<std::size_t>(j)]);
+    }
+    for (KernelPath p : caps::availablePaths()) {
+      for (int width = 1; width <= kMaxWidth; ++width) {
+        const auto n = static_cast<std::size_t>(width);
+        const auto where = [&](const char* fn) {
+          return std::string(fn) + " " + toString(p) +
+                 " ksize=" + std::to_string(ksize) +
+                 " width=" + std::to_string(width);
+        };
+        std::vector<std::uint8_t> wantU8(n), gotU8(n, 0xa5);
+        detail::fxRowU8For(ref)(u8Rows[0], wantU8.data(), width, ku.data(), ksize);
+        detail::fxRowU8For(p)(u8Rows[0], gotU8.data(), width, ku.data(), ksize);
+        ASSERT_EQ(wantU8, gotU8) << where("rowConvU8");
+        std::fill(gotU8.begin(), gotU8.end(), 0xa5);
+        detail::fxColU8For(ref)(u8Rows.data(), wantU8.data(), width, ku.data(),
+                                ksize);
+        detail::fxColU8For(p)(u8Rows.data(), gotU8.data(), width, ku.data(), ksize);
+        ASSERT_EQ(wantU8, gotU8) << where("colConvU8");
+        std::vector<std::int16_t> wantS16(n), gotS16(n, 0x5a5a);
+        detail::fxRowS16For(ref)(u8Rows[0], wantS16.data(), width, ks.data(),
+                                 ksize);
+        detail::fxRowS16For(p)(u8Rows[0], gotS16.data(), width, ks.data(), ksize);
+        ASSERT_EQ(wantS16, gotS16) << where("rowConvS16");
+        std::fill(gotS16.begin(), gotS16.end(), 0x5a5a);
+        detail::fxColS16For(ref)(s16Rows.data(), wantS16.data(), width,
+                                 ks.data(), ksize);
+        detail::fxColS16For(p)(s16Rows.data(), gotS16.data(), width, ks.data(),
+                               ksize);
+        ASSERT_EQ(wantS16, gotS16) << where("colConvS16");
+      }
     }
   }
 }
