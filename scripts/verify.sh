@@ -68,8 +68,11 @@ ctest --test-dir build-tsan -L serve --output-on-failure -j"$(nproc)"
 
 echo
 echo "== integer kernel tier under ThreadSanitizer (ctest -L fixedpt/morph) =="
-# Both engines band rows across the pool and re-prime windows at band seams;
-# the cross-path x thread x band identity tests race-check exactly that.
+# Both filters band rows across the pool through the shared ring engine and
+# re-prime windows at band seams; the cross-path x thread x band identity
+# tests assert that their calls fork, so TSan race-checks the per-band
+# rings and scratch. (The -L runtime leg above does the same for
+# sepFilter2D: ParallelEquivalence.FilterBorderModesAcrossSeams.)
 ctest --test-dir build-tsan -L fixedpt --output-on-failure -j"$(nproc)"
 ctest --test-dir build-tsan -L morph --output-on-failure -j"$(nproc)"
 
@@ -81,7 +84,7 @@ cmake -B build-asan -S . \
   -DSIMDCV_BUILD_BENCH=OFF \
   -DSIMDCV_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j --target check_all test_check test_io test_tune \
-  test_fixedpt test_morph test_prof
+  test_fixedpt test_morph test_prof test_runtime
 # Fixed seeds: the run must be reproducible in CI; a failure prints a
 # one-line reproducer (see DESIGN.md, "simdcv::check").
 ./build-asan/src/check/check_all --seed=0x51dc5eed --iters=200
@@ -120,10 +123,17 @@ ctest --test-dir build-asan -L check --output-on-failure -j"$(nproc)"
 
 echo
 echo "== integer kernel tier under AddressSanitizer (ctest -L fixedpt/morph) =="
-# Boundary tables, metamorphic algebra, decomposition-vs-oracle, and the
-# +/-2 LSB tolerance negative control, with bounds checking armed.
+# Boundary tables, metamorphic algebra, decomposition-vs-oracle, the
+# +/-2 LSB tolerance negative control, and the fork-asserting band-identity
+# tests, with bounds checking armed on the ring slots and per-band scratch.
 ctest --test-dir build-asan -L fixedpt --output-on-failure -j"$(nproc)"
 ctest --test-dir build-asan -L morph --output-on-failure -j"$(nproc)"
+
+echo
+echo "== band parallelism under AddressSanitizer (ctest -L runtime) =="
+# 1-vs-N bit identity of the paper kernels; FilterBorderModesAcrossSeams
+# forks sepFilter2D's ring engine over every border and depth pair.
+ctest --test-dir build-asan -L runtime --output-on-failure -j"$(nproc)"
 
 echo
 echo "== profiler under AddressSanitizer (ctest -L prof) =="

@@ -71,6 +71,14 @@ bool fxS16BoundHolds(long long sax, long long say) {
   return 255 * sax <= 32767 && 255 * sax * std::max(say, 1LL) <= 32767;
 }
 
+// The fixed-point nodes take an integer Constant border value, as their
+// imgproc engines do: the staged and fused schedules both pad with that int,
+// so a fractional value would have no single meaning (NaN fails the test).
+bool fxBorderValueOk(imgproc::BorderType border, double v) {
+  return border != imgproc::BorderType::Constant ||
+         (v >= -2147483648.0 && v <= 2147483647.0 && v == std::floor(v));
+}
+
 // Exact integer lowering of a sepConv (the rule Graph::sepConv documents).
 // With u8 inputs and integer taps every float partial sum of the row and
 // column passes is an integer of magnitude <= 255*sum|kx|*sum|ky| < 2^24, so
@@ -266,6 +274,8 @@ NodeId Graph::fxGaussian(NodeId input, std::vector<std::uint16_t> kx,
     SIMDCV_REQUIRE(sum == 256,
                    "graph: fxGaussian taps must sum to exactly 256 (Q8)");
   }
+  SIMDCV_REQUIRE(fxBorderValueOk(border, borderValue),
+                 "graph: fxGaussian Constant border value must be an integer");
   detail::Node n;
   n.kind = NodeKind::FxGaussian;
   n.in0 = input;
@@ -291,6 +301,8 @@ NodeId Graph::fxSobel(NodeId input, std::vector<std::int16_t> kx,
   for (std::int16_t t : ky) say += t < 0 ? -static_cast<long long>(t) : t;
   SIMDCV_REQUIRE(fxS16BoundHolds(sax, say),
                  "graph: fxSobel taps exceed the i16 accumulator bound");
+  SIMDCV_REQUIRE(fxBorderValueOk(border, borderValue),
+                 "graph: fxSobel Constant border value must be an integer");
   detail::Node n;
   n.kind = NodeKind::FxSobel;
   n.in0 = input;

@@ -167,7 +167,8 @@ class Graph {
 
   /// Fixed-point Q8 separable smoothing (u8 -> u8): the graph form of
   /// sepFilter2DFxU8. Taps must be odd-length with each kernel summing to
-  /// exactly 256 (use imgproc::quantizeKernelQ8).
+  /// exactly 256 (use imgproc::quantizeKernelQ8). Under a Constant border,
+  /// `borderValue` must be an integer (sepFilter2DFxU8 takes an int).
   NodeId fxGaussian(NodeId input, std::vector<std::uint16_t> kx,
                     std::vector<std::uint16_t> ky,
                     imgproc::BorderType border = imgproc::BorderType::Reflect101,
@@ -175,7 +176,8 @@ class Graph {
 
   /// Fixed-point separable derivative (u8 -> s16): the graph form of
   /// sepFilter2DFxS16. The i16 accumulator bound (255*sum|kx|*sum|ky| <=
-  /// 32767) is asserted eagerly.
+  /// 32767) is asserted eagerly. Under a Constant border, `borderValue` must
+  /// be an integer (sepFilter2DFxS16 takes an int).
   NodeId fxSobel(NodeId input, std::vector<std::int16_t> kx,
                  std::vector<std::int16_t> ky,
                  imgproc::BorderType border = imgproc::BorderType::Reflect101,

@@ -11,25 +11,30 @@
 //   * Each node has a monotone `next` counter; produceUpTo(u, m) produces rows
 //     next..m in order. The sink node has R == 0 and no consumers, so it
 //     writes its rows straight into dst.
-//   * A SepConv node mirrors the separable engine: an internal kh-row float
-//     ring of row-convolved virtual rows (slot(v) = (v+ry) % kh), each
-//     computed by load-as-float + padRow + rowConv through the identical
-//     per-path selectors sepFilter2D uses; the vertical pass gathers kh taps
-//     and colConvs straight into an F32 output row, or into a float row that
-//     storeRowPtr saturates into a narrower output.
+//   * Separable stages hold the imgproc ring engine's parts
+//     (ring_engine.hpp): a Ring of row-passed virtual rows with its own
+//     monotone counter, padRow, and the Constant-border constantRow. A
+//     SepConv node computes each virtual row by load-as-float + padRow +
+//     rowConv through the per-path selectors sepFilter2D uses; the vertical
+//     pass gathers kh taps and colConvs straight into an F32 output row, or
+//     into a float row that storeRowPtr saturates into a narrower output.
 //     Convolutions over the same input with identical geometry and one shared
-//     sole consumer form a GROUP (Node::group): they advance in lockstep, so
-//     the group loads+pads each virtual source row once and row-convolves it
-//     for every member (one load, N rowConvs: the F32 edge graph's Sobel
-//     pair, or any sibling float convolutions). The U8 edge graph's Sobel
-//     pair is declared as FxSobel nodes (Graph::sepConv's exact integer
-//     lowering), which stream through per-node windowed rings instead.
+//     sole consumer form a GROUP (Node::group): they advance in lockstep
+//     through one ring whose slot holds every member's row, so the group
+//     loads+pads each virtual source row once and row-convolves it for every
+//     member (one load, N rowConvs: the F32 edge graph's Sobel pair, or any
+//     sibling float convolutions). The windowed integer stages (Morph,
+//     FxGaussian, FxSobel — the U8 edge graph's Sobel pair is FxSobel through
+//     Graph::sepConv's exact integer lowering) each keep their own u8 or i16
+//     Ring, with the row and column workers erode/dilate and the
+//     fixed-point filters use.
 //   * Bands: a band initializes every counter to max(0, band.begin - R) and
 //     recomputes its seam rows through the identical sequence, so any row
 //     partition (1 band, parallel bands, or the forced test partition) is
 //     bit-identical — the property the graph.* check entries enforce.
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -45,6 +50,7 @@
 #include "imgproc/filter_detail.hpp"
 #include "imgproc/fixedpoint.hpp"
 #include "imgproc/morph_detail.hpp"
+#include "imgproc/ring_engine.hpp"
 #include "imgproc/threshold.hpp"
 #include "platform/platform.hpp"
 #include "prof/prof.hpp"
@@ -58,6 +64,7 @@ namespace {
 
 using imgproc::BorderType;
 using imgproc::ThresholdType;
+using imgproc::ring::Ring;
 
 using ThreshF32Fn = void (*)(const float*, float*, std::size_t, float, float,
                              ThresholdType);
@@ -205,6 +212,40 @@ struct RunCtx {
   std::vector<std::vector<std::int16_t>> constRowsS16{};  // node-indexed
 };
 
+imgproc::detail::MinMax morphMode(const Node& n) {
+  return n.morphMax ? imgproc::detail::MinMax::Max
+                    : imgproc::detail::MinMax::Min;
+}
+
+// The u8 border value a windowed node pads with: the integer the staged
+// schedule hands sepFilter2DFx* (Graph::fxGaussian / fxSobel reject a
+// non-integer Constant value), saturated as the engine saturates it.
+std::uint8_t windowBorderValue(const Node& n) {
+  return core::fxSatU8(static_cast<int>(n.borderValue));
+}
+
+// Row pass of a windowed node over a padded u8 row: i16 intermediates for
+// FxSobel, u8 for Morph and FxGaussian.
+template <typename T>
+void windowRowPass(const RunCtx& c, const Node& n, const std::uint8_t* padded,
+                   T* out) {
+  if constexpr (std::is_same_v<T, std::int16_t>)
+    c.fxRowS16(padded, out, c.width, n.fxsx.data(), windowKw(n));
+  else if (n.kind == NodeKind::Morph)
+    imgproc::detail::morphHorizontalMinMax(padded, out, c.width, windowKw(n),
+                                           morphMode(n), c.p);
+  else
+    c.fxRowU8(padded, out, c.width, n.fxkx.data(), windowKw(n));
+}
+
+template <typename T>
+const std::vector<T>& windowConstRow(const RunCtx& c, NodeId u) {
+  if constexpr (std::is_same_v<T, std::int16_t>)
+    return c.constRowsS16[static_cast<std::size_t>(u)];
+  else
+    return c.constRowsU8[static_cast<std::size_t>(u)];
+}
+
 // Per-band executor. All scratch comes from this thread's ScratchArena via
 // one ScratchFrame, so repeated runs at one width never touch the heap.
 struct BandExec {
@@ -214,16 +255,17 @@ struct BandExec {
   std::vector<std::uint8_t*> ring;      // per node (null: source/sink)
   std::vector<int> ringH;               // per node
   std::vector<std::size_t> rowBytes;    // per node
-  std::vector<int> gnext, vnext;        // per group
+  std::vector<int> gnext;               // per group
   std::vector<float*> padded;           // per group
-  std::vector<std::vector<float*>> convRing;  // per group, per member
+  // Per group: slot v holds every member's row pass of virtual row v, member
+  // mi at offset mi * w.
+  std::vector<Ring<float>> convRing;
   const float** taps = nullptr;
   float* fbuf = nullptr;
   // Windowed (Morph / fixed-point) per-node state.
-  std::vector<std::uint8_t*> wring;   // window ring (u8 or i16 rows)
-  std::vector<std::uint8_t*> wpad;    // padded u8 input row
-  std::vector<int> wvnext;            // next virtual row to compute
-  std::vector<std::size_t> wRowBytes; // ring row stride in bytes
+  std::vector<Ring<std::uint8_t>> wring8;   // Morph / FxGaussian
+  std::vector<Ring<std::int16_t>> wring16;  // FxSobel
+  std::vector<std::uint8_t*> wpad;          // padded u8 input row
   const std::uint8_t** taps8 = nullptr;
   const std::int16_t** taps16 = nullptr;
   // Stage-time attribution (only touched when c.trace).
@@ -249,40 +291,35 @@ struct BandExec {
     }
     const std::size_t G = c.groups.size();
     gnext.resize(G);
-    vnext.resize(G);
     padded.resize(G);
     convRing.resize(G);
     int maxKh = 1;
     for (std::size_t gi = 0; gi < G; ++gi) {
       const GroupInfo& g = c.groups[gi];
       gnext[gi] = next[static_cast<std::size_t>(g.members[0])];
-      vnext[gi] = gnext[gi] - g.ry;
       padded[gi] =
           frame.allocN<float>(c.w + static_cast<std::size_t>(g.kw) - 1);
-      convRing[gi].resize(g.members.size());
-      for (std::size_t mi = 0; mi < g.members.size(); ++mi)
-        convRing[gi][mi] =
-            frame.allocN<float>(static_cast<std::size_t>(g.kh) * c.w);
+      convRing[gi] =
+          Ring<float>(frame, g.kh, g.members.size() * c.w, gnext[gi]);
       maxKh = std::max(maxKh, g.kh);
     }
     taps = frame.allocN<const float*>(static_cast<std::size_t>(maxKh));
     fbuf = frame.allocN<float>(c.w);
-    wring.assign(static_cast<std::size_t>(N), nullptr);
+    wring8.resize(static_cast<std::size_t>(N));
+    wring16.resize(static_cast<std::size_t>(N));
     wpad.assign(static_cast<std::size_t>(N), nullptr);
-    wvnext.assign(static_cast<std::size_t>(N), 0);
-    wRowBytes.assign(static_cast<std::size_t>(N), 0);
     int maxWKh = 0;
     for (int u = 1; u < N; ++u) {
       const Node& n = c.nodes[static_cast<std::size_t>(u)];
       if (!isWindowed(n)) continue;
       const auto uu = static_cast<std::size_t>(u);
       const int kw = windowKw(n), kh = windowKh(n);
-      wRowBytes[uu] = c.w * windowElem(n);
-      wring[uu] = frame.allocN<std::uint8_t>(
-          static_cast<std::size_t>(kh) * wRowBytes[uu]);
+      if (n.kind == NodeKind::FxSobel)
+        wring16[uu] = Ring<std::int16_t>(frame, kh, c.w, next[uu]);
+      else
+        wring8[uu] = Ring<std::uint8_t>(frame, kh, c.w, next[uu]);
       wpad[uu] = frame.allocN<std::uint8_t>(
           c.w + static_cast<std::size_t>(kw) - 1);
-      wvnext[uu] = next[uu] - kh / 2;
       maxWKh = std::max(maxWKh, kh);
     }
     if (maxWKh > 0) {
@@ -299,12 +336,6 @@ struct BandExec {
       wRowNs.assign(static_cast<std::size_t>(N), 0);
       wRowsPrimed.assign(static_cast<std::size_t>(N), 0);
     }
-  }
-
-  float* slot(std::size_t gi, std::size_t mi, int v) {
-    const GroupInfo& g = c.groups[gi];
-    return convRing[gi][mi] +
-           static_cast<std::size_t>((v + g.ry) % g.kh) * c.w;
   }
 
   const void* inRowPtr(NodeId u, int y) {
@@ -337,12 +368,13 @@ struct BandExec {
   // source-row load however many members consume it.
   void computeVirtualRow(std::size_t gi, int v) {
     const GroupInfo& g = c.groups[gi];
+    float* slot = convRing[gi].slot(v);
     const int m = imgproc::borderInterpolate(v, c.rows, g.border);
     if (m < 0) {  // Constant border, out of range: precomputed constant row
       const std::uint64_t t0 = c.trace ? prof::nowNs() : 0;
       for (std::size_t mi = 0; mi < g.members.size(); ++mi)
         std::memcpy(
-            slot(gi, mi, v),
+            slot + mi * c.w,
             c.constRows[static_cast<std::size_t>(g.members[mi])].data(),
             c.w * sizeof(float));
       if (c.trace) rowNs[gi] += prof::nowNs() - t0;
@@ -353,10 +385,10 @@ struct BandExec {
     imgproc::detail::loadRowPtrAsFloat(
         c.nodes[static_cast<std::size_t>(g.in0)].depth, inRowPtr(g.in0, m),
         padded[gi] + g.rx, c.w, c.p);
-    imgproc::detail::padRow(padded[gi], c.width, g.rx, g.border, g.bv);
+    imgproc::ring::padRow(padded[gi], c.width, g.rx, g.border, g.bv);
     for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
       const Node& n = c.nodes[static_cast<std::size_t>(g.members[mi])];
-      c.rowFn(padded[gi], slot(gi, mi, v), c.width, n.kx.data(), g.kw);
+      c.rowFn(padded[gi], slot + mi * c.w, c.width, n.kx.data(), g.kw);
     }
     if (c.trace) {
       rowNs[gi] += prof::nowNs() - t0;
@@ -368,12 +400,11 @@ struct BandExec {
   // lockstep, which is what keeps the shared kh-row virtual ring valid).
   void produceGroupRow(std::size_t gi, int y) {
     const GroupInfo& g = c.groups[gi];
-    while (vnext[gi] <= y + g.ry) computeVirtualRow(gi, vnext[gi]++);
+    convRing[gi].fillTo(y + g.ry, [&](int v) { computeVirtualRow(gi, v); });
     for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
       const NodeId u = g.members[mi];
       const Node& n = c.nodes[static_cast<std::size_t>(u)];
-      for (int r = 0; r < g.kh; ++r)
-        taps[static_cast<std::size_t>(r)] = slot(gi, mi, y - g.ry + r);
+      convRing[gi].gather(y, taps, mi * c.w);
       const std::uint64_t t0 = c.trace ? prof::nowNs() : 0;
       // F32 outputs take the column pass directly; narrower depths
       // saturate out of fbuf.
@@ -392,53 +423,36 @@ struct BandExec {
     }
   }
 
-  std::uint8_t* wslot(NodeId u, int kh, int v) {
-    const auto uu = static_cast<std::size_t>(u);
-    return wring[uu] +
-           static_cast<std::size_t>((v + kh / 2) % kh) * wRowBytes[uu];
+  template <typename T>
+  Ring<T>& windowRing(NodeId u) {
+    if constexpr (std::is_same_v<T, std::int16_t>)
+      return wring16[static_cast<std::size_t>(u)];
+    else
+      return wring8[static_cast<std::size_t>(u)];
   }
 
-  // Pad + horizontal-pass virtual row v of a windowed node into its window
-  // ring — the integer twin of computeVirtualRow, but per node (windowed
-  // stages are never grouped).
+  // Pad + row-pass virtual row v of a windowed node into its window ring —
+  // the integer twin of computeVirtualRow, but per node (windowed stages are
+  // never grouped).
+  template <typename T>
   void computeWindowRow(NodeId u, int v) {
     const Node& n = c.nodes[static_cast<std::size_t>(u)];
     const auto uu = static_cast<std::size_t>(u);
-    const int kw = windowKw(n), kh = windowKh(n);
-    std::uint8_t* dstRow = wslot(u, kh, v);
+    T* dstRow = windowRing<T>(u).slot(v);
     const int m = imgproc::borderInterpolate(v, c.rows, n.border);
     if (m < 0) {  // Constant border, out of range: precomputed constant row
       const std::uint64_t t0 = c.trace ? prof::nowNs() : 0;
-      if (n.kind == NodeKind::FxSobel)
-        std::memcpy(dstRow, c.constRowsS16[uu].data(),
-                    c.w * sizeof(std::int16_t));
-      else
-        std::memcpy(dstRow, c.constRowsU8[uu].data(), c.w);
+      std::memcpy(dstRow, windowConstRow<T>(c, u).data(), c.w * sizeof(T));
       if (c.trace) wRowNs[uu] += prof::nowNs() - t0;
       return;
     }
     produceUpTo(n.in0, m);
     const std::uint64_t t0 = c.trace ? prof::nowNs() : 0;
-    const int rx = kw / 2;
+    const int rx = windowKw(n) / 2;
     std::memcpy(wpad[uu] + rx, inRowPtr(n.in0, m), c.w);
-    imgproc::detail::padRowU8(wpad[uu], c.width, rx, n.border,
-                              core::fxSatU8(cvRound(n.borderValue)));
-    switch (n.kind) {
-      case NodeKind::Morph:
-        imgproc::detail::morphHorizontalMinMax(
-            wpad[uu], dstRow, c.width, kw,
-            n.morphMax ? imgproc::detail::MinMax::Max
-                       : imgproc::detail::MinMax::Min,
-            c.p);
-        break;
-      case NodeKind::FxGaussian:
-        c.fxRowU8(wpad[uu], dstRow, c.width, n.fxkx.data(), kw);
-        break;
-      default:  // FxSobel
-        c.fxRowS16(wpad[uu], reinterpret_cast<std::int16_t*>(dstRow), c.width,
-                   n.fxsx.data(), kw);
-        break;
-    }
+    imgproc::ring::padRow(wpad[uu], c.width, rx, n.border,
+                          windowBorderValue(n));
+    windowRowPass(c, n, wpad[uu], dstRow);
     if (c.trace) {
       wRowNs[uu] += prof::nowNs() - t0;
       ++wRowsPrimed[uu];
@@ -447,33 +461,22 @@ struct BandExec {
 
   // Vertical pass of a windowed node: prime the window ring up to y+ry, then
   // gather kh taps and reduce into the node's output ring (or dst).
-  void produceWindowedRow(NodeId u, int y) {
+  template <typename T>
+  void produceWindowedRow(NodeId u, int y, const T** taps) {
     const Node& n = c.nodes[static_cast<std::size_t>(u)];
-    const int kh = windowKh(n);
-    const int ry = kh / 2;
-    auto& v = wvnext[static_cast<std::size_t>(u)];
-    while (v <= y + ry) computeWindowRow(u, v++);
+    Ring<T>& ring = windowRing<T>(u);
+    const int kh = ring.kh;
+    ring.fillTo(y + kh / 2, [&](int v) { computeWindowRow<T>(u, v); });
     const std::uint64_t t0 = c.trace ? prof::nowNs() : 0;
-    void* d = outRowPtr(u, y);
-    if (n.kind == NodeKind::FxSobel) {
-      for (int r = 0; r < kh; ++r)
-        taps16[static_cast<std::size_t>(r)] =
-            reinterpret_cast<const std::int16_t*>(wslot(u, kh, y - ry + r));
-      c.fxColS16(taps16, static_cast<std::int16_t*>(d), c.width, n.fxsy.data(),
-                 kh);
-    } else {
-      for (int r = 0; r < kh; ++r)
-        taps8[static_cast<std::size_t>(r)] = wslot(u, kh, y - ry + r);
-      if (n.kind == NodeKind::Morph)
-        imgproc::detail::morphVerticalMinMax(
-            taps8, static_cast<std::uint8_t*>(d), c.width, kh,
-            n.morphMax ? imgproc::detail::MinMax::Max
-                       : imgproc::detail::MinMax::Min,
-            c.p);
-      else
-        c.fxColU8(taps8, static_cast<std::uint8_t*>(d), c.width, n.fxky.data(),
-                  kh);
-    }
+    T* d = static_cast<T*>(outRowPtr(u, y));
+    ring.gather(y, taps);
+    if constexpr (std::is_same_v<T, std::int16_t>)
+      c.fxColS16(taps, d, c.width, n.fxsy.data(), kh);
+    else if (n.kind == NodeKind::Morph)
+      imgproc::detail::morphVerticalMinMax(taps, d, c.width, kh, morphMode(n),
+                                           c.p);
+    else
+      c.fxColU8(taps, d, c.width, n.fxky.data(), kh);
     if (c.trace) {
       ns[static_cast<std::size_t>(u)] += prof::nowNs() - t0;
       ++rowsOut[static_cast<std::size_t>(u)];
@@ -486,7 +489,10 @@ struct BandExec {
   void produceRow(NodeId u, int y) {
     const Node& n = c.nodes[static_cast<std::size_t>(u)];
     if (isWindowed(n)) {
-      produceWindowedRow(u, y);
+      if (n.kind == NodeKind::FxSobel)
+        produceWindowedRow(u, y, taps16);
+      else
+        produceWindowedRow(u, y, taps8);
       return;
     }
     produceUpTo(n.in0, y);
@@ -682,25 +688,22 @@ void runFusedImpl(const Graph& g, const Mat& src, Mat& dst, KernelPath path,
     if (n.kind == NodeKind::Threshold)
       ctx.thr[static_cast<std::size_t>(id)] = prepThreshold(n);
     // Constant-border fully-out-of-image rows for the windowed integer
-    // stages, horizontal-passed once and shared by every band.
+    // stages, row-passed once and shared by every band.
     if (isWindowed(n) && n.border == BorderType::Constant) {
-      const std::uint8_t bv = core::fxSatU8(cvRound(n.borderValue));
-      const int kw = windowKw(n);
-      std::vector<std::uint8_t> pad(
-          static_cast<std::size_t>(width) + static_cast<std::size_t>(kw) - 1,
-          bv);
-      if (n.kind == NodeKind::FxSobel) {
-        auto& cr = ctx.constRowsS16[static_cast<std::size_t>(id)];
-        cr.resize(static_cast<std::size_t>(width));
-        ctx.fxRowS16(pad.data(), cr.data(), width, n.fxsx.data(), kw);
-      } else if (n.kind == NodeKind::FxGaussian) {
-        auto& cr = ctx.constRowsU8[static_cast<std::size_t>(id)];
-        cr.resize(static_cast<std::size_t>(width));
-        ctx.fxRowU8(pad.data(), cr.data(), width, n.fxkx.data(), kw);
-      } else {  // Morph: min/max over a constant window is the constant
-        ctx.constRowsU8[static_cast<std::size_t>(id)].assign(
-            static_cast<std::size_t>(width), bv);
-      }
+      const auto uu = static_cast<std::size_t>(id);
+      const std::uint8_t bv = windowBorderValue(n);
+      if (n.kind == NodeKind::FxSobel)
+        ctx.constRowsS16[uu] = imgproc::ring::constantRow<std::int16_t>(
+            width, windowKw(n), bv,
+            [&](const std::uint8_t* pad, std::int16_t* o) {
+              windowRowPass(ctx, n, pad, o);
+            });
+      else
+        ctx.constRowsU8[uu] = imgproc::ring::constantRow<std::uint8_t>(
+            width, windowKw(n), bv,
+            [&](const std::uint8_t* pad, std::uint8_t* o) {
+              windowRowPass(ctx, n, pad, o);
+            });
     }
     if (n.kind != NodeKind::SepConv) continue;
     if (static_cast<std::size_t>(n.group) >= denseOf.size())
@@ -723,15 +726,15 @@ void runFusedImpl(const Graph& g, const Mat& src, Mat& dst, KernelPath path,
     ctx.groupOf[static_cast<std::size_t>(id)] = gi;
     // Fully-constant virtual rows under Constant border: row-convolved once,
     // shared by every band (identical to what any band would compute).
-    if (n.border == BorderType::Constant) {
-      std::vector<float> pad(
-          static_cast<std::size_t>(width) + n.kx.size() - 1,
-          static_cast<float>(n.borderValue));
-      auto& cr = ctx.constRows[static_cast<std::size_t>(id)];
-      cr.resize(static_cast<std::size_t>(width));
-      ctx.rowFn(pad.data(), cr.data(), width, n.kx.data(),
-                static_cast<int>(n.kx.size()));
-    }
+    if (n.border == BorderType::Constant)
+      ctx.constRows[static_cast<std::size_t>(id)] =
+          imgproc::ring::constantRow<float>(
+              width, static_cast<int>(n.kx.size()),
+              static_cast<float>(n.borderValue),
+              [&](const float* pad, float* o) {
+                ctx.rowFn(pad, o, width, n.kx.data(),
+                          static_cast<int>(n.kx.size()));
+              });
   }
 
   auto processBand = [&](runtime::Range band) {

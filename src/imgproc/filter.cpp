@@ -1,26 +1,25 @@
-// Separable filter engine.
+// sepFilter2D, the float separable convolution (paper B3/B4), and the
+// filters built on it (GaussianBlur, Sobel, Scharr, boxFilter).
 //
-// Structure (per output row):
-//   source row --convert-to-float--> padded row --rowConv(kx)--> intermediate
-//   ring of kh intermediates --colConv(ky)--> float row --store--> dst depth
+// Per output row (ring_engine.hpp runs the loop):
+//   source row --convert-to-float--> padded row --rowConv(kx)--> ring row
+//   kh ring rows --colConv(ky)--> float row --store--> dst depth
 //
-// Vertical border rows are materialized through the same ring ("virtual" row
-// indices -ry .. rows-1+ry, mapped by borderInterpolate), so every border
-// mode costs the same inner loop. All arithmetic is float32 and every
-// KernelPath performs the adds in the same per-element order, which keeps the
-// HAND and AUTO arms bit-exact with each other.
+// This file supplies the float steps: the path-matched u8/f32 -> float load,
+// the rowConv/colConv selectors and the saturating store, which the graph
+// executor's SepConv nodes call too. All arithmetic is float32 and every
+// KernelPath performs the adds in the same per-element order, which keeps
+// the HAND and AUTO arms bit-exact with each other.
 #include "imgproc/filter.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "core/convert.hpp"
 #include "core/saturate.hpp"
 #include "imgproc/filter_detail.hpp"
 #include "imgproc/kernels.hpp"
-#include "prof/prof.hpp"
-#include "runtime/parallel.hpp"
-#include "tune/tune.hpp"
+#include "imgproc/ring_engine.hpp"
 
 namespace simdcv::imgproc {
 
@@ -69,24 +68,6 @@ void loadRowPtrAsFloat(Depth depth, const void* row, float* out, std::size_t n,
   }
 }
 
-void loadRowAsFloat(const Mat& src, int row, float* out, KernelPath p) {
-  loadRowPtrAsFloat(src.depth(), src.ptr<std::uint8_t>(row), out,
-                    static_cast<std::size_t>(src.cols()), p);
-}
-
-// Fill the horizontal pads of `padded` (rx floats each side around `width`
-// central elements already in place).
-void padRow(float* padded, int width, int rx, BorderType border,
-            float borderValue) {
-  float* center = padded + rx;
-  for (int j = 0; j < rx; ++j) {
-    const int li = borderInterpolate(j - rx, width, border);
-    padded[j] = li < 0 ? borderValue : center[li];
-    const int ri = borderInterpolate(width + j, width, border);
-    center[width + j] = ri < 0 ? borderValue : center[ri];
-  }
-}
-
 CvtS16Fn cvt32f16sFor(KernelPath path) {
   switch (resolvePath(path)) {
     case KernelPath::Avx512: return &core::avx512::cvt32f16s;
@@ -127,20 +108,7 @@ void storeRowPtr(const float* row, Depth depth, void* dst, std::size_t n,
   }
 }
 
-void storeRow(const float* row, Mat& dst, int y, KernelPath p) {
-  storeRowPtr(row, dst.depth(), dst.ptr<std::uint8_t>(y),
-              static_cast<std::size_t>(dst.cols()), p);
-}
-
 }  // namespace detail
-
-namespace {
-
-using detail::loadRowAsFloat;
-using detail::padRow;
-using detail::storeRow;
-
-}  // namespace
 
 void sepFilter2D(const Mat& src, Mat& dst, Depth ddepth,
                  const std::vector<float>& kx, const std::vector<float>& ky,
@@ -156,17 +124,12 @@ void sepFilter2D(const Mat& src, Mat& dst, Depth ddepth,
                  "sepFilter2D: kernels must have odd length");
   const int kw = static_cast<int>(kx.size());
   const int kh = static_cast<int>(ky.size());
-  const int rx = kw / 2;
-  const int ry = kh / 2;
   const int rows = src.rows();
   const int width = src.cols();
   SIMDCV_REQUIRE(border != BorderType::Wrap || (rows >= 1 && width >= 1),
                  "sepFilter2D: wrap border needs non-empty image");
 
   const KernelPath p = resolvePath(path);
-  SIMDCV_TRACE_SCOPE("sepFilter2D", p,
-                     static_cast<std::uint64_t>(rows) * width *
-                         (src.elemSize() + depthSize(ddepth)));
   const auto rowFn = detail::rowConvFor(p);
   const auto colFn = detail::colConvFor(p);
 
@@ -175,79 +138,27 @@ void sepFilter2D(const Mat& src, Mat& dst, Depth ddepth,
   Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
   out.create(rows, width, PixelType(ddepth, 1));
 
-  const float bv = static_cast<float>(borderValue);
-
-  // Intermediate for a fully-constant (out-of-image) row under Constant
-  // border: row-convolve a border-valued padded row once; shared read-only
-  // by every band.
-  std::vector<float> constRow;
-  if (border == BorderType::Constant) {
-    std::vector<float> borderPad(static_cast<std::size_t>(width + kw - 1), bv);
-    constRow.resize(static_cast<std::size_t>(width));
-    rowFn(borderPad.data(), constRow.data(), width, kx.data(), kw);
-  }
-
-  // One ring-buffer engine instance per band. Every virtual source row is
-  // recomputed through the identical load/pad/rowFn sequence regardless of
-  // which band needs it, and each output row is produced by the same colFn
-  // tap order — so a banded run is bit-identical to the serial one; bands
-  // merely recompute the ry overlap rows at their seams.
-  auto processBand = [&](runtime::Range bandRows) {
-    std::vector<float> padded(static_cast<std::size_t>(width + kw - 1));
-    std::vector<float> ring(static_cast<std::size_t>(kh) *
-                            static_cast<std::size_t>(width));
-    std::vector<float> outRow(static_cast<std::size_t>(width));
-    std::vector<const float*> taps(static_cast<std::size_t>(kh));
-
-    auto slot = [&](int v) {
-      // Virtual row v occupies ring slot (v + ry) mod kh (always >= 0 once
-      // biased by ry; v >= -ry always holds here).
-      return ring.data() +
-             static_cast<std::size_t>((v + ry) % kh) * static_cast<std::size_t>(width);
-    };
-
-    auto computeVirtualRow = [&](int v) {
-      const int m = borderInterpolate(v, rows, border);
-      if (m < 0) {
-        std::memcpy(slot(v), constRow.data(),
-                    static_cast<std::size_t>(width) * sizeof(float));
-        return;
-      }
-      loadRowAsFloat(src, m, padded.data() + rx, p);
-      padRow(padded.data(), width, rx, border, bv);
-      rowFn(padded.data(), slot(v), width, kx.data(), kw);
-    };
-
-    // Prime the ring with the rows needed for the band's first output row.
-    for (int v = bandRows.begin - ry; v < bandRows.begin + ry; ++v)
-      computeVirtualRow(v);
-    for (int y = bandRows.begin; y < bandRows.end; ++y) {
-      computeVirtualRow(y + ry);
-      for (int r = 0; r < kh; ++r)
-        taps[static_cast<std::size_t>(r)] = slot(y - ry + r);
-      if (ddepth == Depth::F32) {  // no narrowing: write the row in place
-        colFn(taps.data(), out.ptr<float>(y), width, ky.data(), kh);
-      } else {
-        colFn(taps.data(), outRow.data(), width, ky.data(), kh);
-        storeRow(outRow.data(), out, y, p);
-      }
-    }
-  };
-
-  // Each output row costs ~kw multiplies horizontally plus kh taps
-  // vertically over float32 rows; keep bands tall enough to amortize both
-  // the fork and the ry-row seam recomputation. Bands are bit-exact (seam
-  // rows recompute), so the grain is tunable around the heuristic.
-  const int heuristic =
-      std::max(runtime::parallelThreshold(
-                   static_cast<std::size_t>(width) * sizeof(float), rows,
-                   static_cast<double>(kw + kh)),
-               kh);
-  tune::GrainScope gs("sepFilter2D", p,
-                      static_cast<std::uint64_t>(rows) * width *
-                          (src.elemSize() + depthSize(ddepth)),
-                      rows, heuristic);
-  runtime::parallel_for({0, rows}, processBand, gs.grain());
+  const std::size_t w = static_cast<std::size_t>(width);
+  ring::runBanded<float>(
+      "sepFilter2D", p,
+      static_cast<std::uint64_t>(rows) * width *
+          (src.elemSize() + depthSize(ddepth)),
+      {rows, width, kw, kh, border}, static_cast<float>(borderValue),
+      [&](int m, float* d) {
+        detail::loadRowPtrAsFloat(src.depth(), src.ptr<std::uint8_t>(m), d, w,
+                                  p);
+      },
+      [&](const float* padded, float* o) {
+        rowFn(padded, o, width, kx.data(), kw);
+      },
+      [&](const float* const* taps, int y, float* spare) {
+        if (ddepth == Depth::F32) {  // no narrowing: write the row in place
+          colFn(taps, out.ptr<float>(y), width, ky.data(), kh);
+          return;
+        }
+        colFn(taps, spare, width, ky.data(), kh);
+        detail::storeRowPtr(spare, ddepth, out.ptr<std::uint8_t>(y), w, p);
+      });
   dst = std::move(out);
 }
 

@@ -1,18 +1,14 @@
-// Fixed-point separable-filter engines (u8->u8 and u8->s16), the Q8 kernel
-// quantizer, and the GaussianBlurFx / SobelFx entry points.
+// Fixed-point separable filters (u8->u8 Q8 smoothing and u8->s16 exact
+// derivatives), the Q8 kernel quantizer, and the GaussianBlurFx / SobelFx
+// entry points.
 //
-// Both engines are structural twins of sepFilter2D's banded ring engine: per
-// band, every needed source row is padded and row-convolved into a kh-row
-// intermediate ring ("virtual" row indices -ry .. rows-1+ry via
-// borderInterpolate), and output rows are produced by the vertical pass over
-// the buffered intermediates. Seam rows recompute through the identical
-// sequence, so any band partition is bit-identical to the serial walk — the
-// PR 1 banding contract, inherited unchanged.
-//
-// The difference is the ring element type: u8 intermediates (Gaussian, with
-// per-pass (+128)>>8 rounding) or i16 intermediates (Sobel, exact), instead
-// of float32. That is the whole point — a 5x5 fx Gaussian band touches 1/4
-// the ring bytes of its float twin and runs 16-wide per 128-bit op.
+// Both filters run the separable ring engine (ring_engine.hpp) that
+// sepFilter2D and erode/dilate run; this file supplies the integer row and
+// column steps and the wrap-free assertions. The difference from the float
+// engine is the ring element type: u8 intermediates (Gaussian, with per-pass
+// (+128)>>8 rounding) or i16 intermediates (Sobel, exact), instead of
+// float32. That is the whole point — a 5x5 fx Gaussian band touches 1/4 the
+// ring bytes of its float twin and runs 16-wide per 128-bit op.
 #include "imgproc/fixedpoint.hpp"
 
 #include <algorithm>
@@ -20,11 +16,8 @@
 #include <cstring>
 
 #include "core/fixedpt.hpp"
-#include "core/scratch.hpp"
 #include "imgproc/kernels.hpp"
-#include "prof/prof.hpp"
-#include "runtime/parallel.hpp"
-#include "tune/tune.hpp"
+#include "imgproc/ring_engine.hpp"
 
 namespace simdcv::imgproc {
 
@@ -74,17 +67,6 @@ FxColS16Fn fxColS16For(KernelPath path) {
   }
 }
 
-void padRowU8(std::uint8_t* padded, int width, int rx, BorderType border,
-              std::uint8_t borderValue) {
-  std::uint8_t* center = padded + rx;
-  for (int j = 0; j < rx; ++j) {
-    const int li = borderInterpolate(j - rx, width, border);
-    padded[j] = li < 0 ? borderValue : center[li];
-    const int ri = borderInterpolate(width + j, width, border);
-    center[width + j] = ri < 0 ? borderValue : center[ri];
-  }
-}
-
 }  // namespace detail
 
 std::vector<std::uint16_t> quantizeKernelQ8(const std::vector<float>& k) {
@@ -118,67 +100,33 @@ std::vector<std::uint16_t> quantizeKernelQ8(const std::vector<float>& k) {
 
 namespace {
 
-// Shared engine skeleton for both fixed-point pipelines. Inter is the ring
-// element type (u8 or i16); rowFn/colFn are the per-path workers; makeConst
-// produces the fully-out-of-image intermediate row under Constant border.
-template <typename Inter, typename RowFn, typename ColFn>
-void fxEngine(const Mat& src, Mat& out, int kw, int kh, BorderType border,
-              std::uint8_t bv, RowFn rowFn, ColFn colFn,
-              const Inter* constRow, const char* kernelName, KernelPath p) {
+// Both fixed-point filters: u8 source rows, Inter ring rows (u8 or i16),
+// Inter output, through the shared ring engine. rowFn/colFn are the per-path
+// workers.
+template <typename Inter, typename K, typename RowFn, typename ColFn>
+void fxFilter(const Mat& src, Mat& dst, const std::vector<K>& kx,
+              const std::vector<K>& ky, BorderType border, int borderValue,
+              RowFn rowFn, ColFn colFn, const char* kernelName, KernelPath p) {
   const int rows = src.rows(), width = src.cols();
-  const int rx = kw / 2, ry = kh / 2;
-  const std::uint64_t bytes =
+  const int kw = static_cast<int>(kx.size()), kh = static_cast<int>(ky.size());
+  Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
+  out.create(rows, width, PixelType(kDepthOf<Inter>, 1));
+  ring::runBanded<Inter>(
+      kernelName, p,
       static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(width) *
-      (1 + sizeof(Inter));
-  SIMDCV_TRACE_SCOPE(kernelName, p, bytes);
-
-  auto processBand = [&](runtime::Range band) {
-    core::ScratchFrame frame;
-    std::uint8_t* padded = frame.allocN<std::uint8_t>(
-        static_cast<std::size_t>(width) + static_cast<std::size_t>(kw) - 1);
-    Inter* ring = frame.allocN<Inter>(static_cast<std::size_t>(kh) *
-                                      static_cast<std::size_t>(width));
-    const Inter** taps =
-        frame.allocN<const Inter*>(static_cast<std::size_t>(kh));
-
-    auto slot = [&](int v) {
-      return ring + static_cast<std::size_t>((v + ry) % kh) *
-                        static_cast<std::size_t>(width);
-    };
-    auto computeVirtualRow = [&](int v) {
-      const int m = borderInterpolate(v, rows, border);
-      if (m < 0) {  // Constant border, fully out of image
-        std::memcpy(slot(v), constRow,
-                    static_cast<std::size_t>(width) * sizeof(Inter));
-        return;
-      }
-      const std::uint8_t* s = src.ptr<std::uint8_t>(m);
-      std::memcpy(padded + rx, s, static_cast<std::size_t>(width));
-      detail::padRowU8(padded, width, rx, border, bv);
-      rowFn(padded, slot(v), width);
-    };
-
-    for (int v = band.begin - ry; v < band.begin + ry; ++v)
-      computeVirtualRow(v);
-    for (int y = band.begin; y < band.end; ++y) {
-      computeVirtualRow(y + ry);
-      for (int r = 0; r < kh; ++r)
-        taps[static_cast<std::size_t>(r)] = slot(y - ry + r);
-      colFn(taps, out.ptr<Inter>(y), width);
-    }
-  };
-
-  // Fork rule: the separable engine's threshold with this kernel's narrow
-  // rows (1-2 bytes/px instead of 4), floored at the kernel height. Bands
-  // are bit-exact (seams re-prime), so the grain is a pure scheduling knob —
-  // tunable around the heuristic like every other ring engine.
-  const int heuristic =
-      std::max(runtime::parallelThreshold(
-                   static_cast<std::size_t>(width) * sizeof(Inter), rows,
-                   static_cast<double>(kw + kh)),
-               kh);
-  tune::GrainScope gs(kernelName, p, bytes, rows, heuristic);
-  runtime::parallel_for({0, rows}, processBand, gs.grain());
+          (1 + sizeof(Inter)),
+      {rows, width, kw, kh, border}, core::fxSatU8(borderValue),
+      [&](int m, std::uint8_t* d) {
+        std::memcpy(d, src.ptr<std::uint8_t>(m),
+                    static_cast<std::size_t>(width));
+      },
+      [&](const std::uint8_t* padded, Inter* o) {
+        rowFn(padded, o, width, kx.data(), kw);
+      },
+      [&](const Inter* const* taps, int y, Inter*) {
+        colFn(taps, out.ptr<Inter>(y), width, ky.data(), kh);
+      });
+  dst = std::move(out);
 }
 
 void requireFxSource(const Mat& src, const std::vector<std::size_t>& ksizes,
@@ -208,35 +156,9 @@ void sepFilter2DFxU8(const Mat& src, Mat& dst,
                    "sepFilter2DFxU8: taps must sum to exactly 256 (Q8)");
   }
   const KernelPath p = resolvePath(path);
-  const int kw = static_cast<int>(kx.size());
-  const int kh = static_cast<int>(ky.size());
-  const std::uint8_t bv = core::fxSatU8(borderValue);
-
-  Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
-  out.create(src.rows(), src.cols(), U8C1);
-
-  const auto rawRow = detail::fxRowU8For(p);
-  const auto rawCol = detail::fxColU8For(p);
-  // Fully-constant virtual row under Constant border: with sum(k) == 256 the
-  // row pass maps a bv-filled row to (256*bv + 128) >> 8 == bv, but compute
-  // it through the real row worker so the property is enforced by code.
-  std::vector<std::uint8_t> constRow;
-  if (border == BorderType::Constant) {
-    std::vector<std::uint8_t> pad(
-        static_cast<std::size_t>(src.cols() + kw - 1), bv);
-    constRow.resize(static_cast<std::size_t>(src.cols()));
-    rawRow(pad.data(), constRow.data(), src.cols(), kx.data(), kw);
-  }
-
-  auto rowFn = [&](const std::uint8_t* padded, std::uint8_t* o, int w) {
-    rawRow(padded, o, w, kx.data(), kw);
-  };
-  auto colFn = [&](const std::uint8_t* const* taps, std::uint8_t* o, int w) {
-    rawCol(taps, o, w, ky.data(), kh);
-  };
-  fxEngine<std::uint8_t>(src, out, kw, kh, border, bv, rowFn, colFn,
-                         constRow.data(), "sepFilter2DFx8u", p);
-  dst = std::move(out);
+  fxFilter<std::uint8_t>(src, dst, kx, ky, border, borderValue,
+                         detail::fxRowU8For(p), detail::fxColU8For(p),
+                         "sepFilter2DFx8u", p);
 }
 
 void sepFilter2DFxS16(const Mat& src, Mat& dst,
@@ -257,32 +179,9 @@ void sepFilter2DFxS16(const Mat& src, Mat& dst,
                  "sepFilter2DFxS16: 255*sum|kx|*sum|ky| exceeds the i16 "
                  "accumulator");
   const KernelPath p = resolvePath(path);
-  const int kw = static_cast<int>(kx.size());
-  const int kh = static_cast<int>(ky.size());
-  const std::uint8_t bv = core::fxSatU8(borderValue);
-
-  Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
-  out.create(src.rows(), src.cols(), S16C1);
-
-  const auto rawRow = detail::fxRowS16For(p);
-  const auto rawCol = detail::fxColS16For(p);
-  std::vector<std::int16_t> constRow;
-  if (border == BorderType::Constant) {
-    std::vector<std::uint8_t> pad(
-        static_cast<std::size_t>(src.cols() + kw - 1), bv);
-    constRow.resize(static_cast<std::size_t>(src.cols()));
-    rawRow(pad.data(), constRow.data(), src.cols(), kx.data(), kw);
-  }
-
-  auto rowFn = [&](const std::uint8_t* padded, std::int16_t* o, int w) {
-    rawRow(padded, o, w, kx.data(), kw);
-  };
-  auto colFn = [&](const std::int16_t* const* taps, std::int16_t* o, int w) {
-    rawCol(taps, o, w, ky.data(), kh);
-  };
-  fxEngine<std::int16_t>(src, out, kw, kh, border, bv, rowFn, colFn,
-                         constRow.data(), "sepFilter2DFx16s", p);
-  dst = std::move(out);
+  fxFilter<std::int16_t>(src, dst, kx, ky, border, borderValue,
+                         detail::fxRowS16For(p), detail::fxColS16For(p),
+                         "sepFilter2DFx16s", p);
 }
 
 void GaussianBlurFx(const Mat& src, Mat& dst, Size ksize, double sigmaX,

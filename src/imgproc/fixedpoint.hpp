@@ -106,11 +106,6 @@ FxColU8Fn fxColU8For(KernelPath path);
 FxRowS16Fn fxRowS16For(KernelPath path);
 FxColS16Fn fxColS16For(KernelPath path);
 
-/// Fill the horizontal pads of a u8 row (rx bytes each side around `width`
-/// central bytes already in place) — the integer twin of detail::padRow.
-void padRowU8(std::uint8_t* padded, int width, int rx, BorderType border,
-              std::uint8_t borderValue);
-
 }  // namespace detail
 
 namespace fx_novec {

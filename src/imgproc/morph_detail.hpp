@@ -1,7 +1,9 @@
-// Internal morphology worker interface. morphology.cpp hosts the engine and
-// the scalar/SSE2/NEON workers; the AVX2 workers live in morphology_avx2.cpp
-// because that TU alone is compiled with -mavx2 (execution is runtime-guarded
-// by resolvePath). This header is the seam between the two.
+// Internal morphology worker interface. morphology.cpp hosts the per-path
+// dispatch, the SSE2 instantiation of morph_kernels.inl and the NEON and
+// scalar workers; the AVX2 and AVX-512 instantiations live in
+// morphology_avx2.cpp / morphology_avx512.cpp because those TUs alone are
+// compiled with the wider -m flags (execution is runtime-guarded by
+// resolvePath). This header is the seam between them.
 #pragma once
 
 #include <cstdint>

@@ -1,29 +1,28 @@
-// Morphology implementation: separable running min/max.
+// erode / dilate (and open / close on top): separable running min/max over a
+// rect structuring element, with the replicate border.
 //
-// Horizontal pass: for each output pixel, min/max over a kw window of the
-// (replicate-padded) row — vectorized as a sliding window of unaligned loads,
-// since u8 min/max is carry-free and associative. Vertical pass: min/max
-// across kh buffered rows at each column, a straight lane-wise min/max across
-// row pointers — identical structure to the convolution engine's column pass.
-// AVX2 variants of both passes live in morphology_avx2.cpp (the only TU with
-// -mavx2); dispatch is runtime-guarded by resolvePath.
+// morphRect runs the separable ring engine (ring_engine.hpp) that the
+// convolutions run. Row pass: min/max over a kw window of the padded row —
+// a sliding window of unaligned loads, since u8 min/max is carry-free and
+// associative. Column pass: lane-wise min/max across the kh ring rows.
+// Both passes are written once over VecTraits (morph_kernels.inl) and
+// instantiated at SSE2 here and at AVX2 / AVX-512 in their own TUs; the
+// NEON arms stay hand-written, as the paper's HAND-NEON object of study.
 #include "imgproc/morphology.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <vector>
 
-#include "core/scratch.hpp"
 #include "imgproc/filter.hpp"
 #include "imgproc/kernels.hpp"
 #include "imgproc/morph_detail.hpp"
-#include "prof/prof.hpp"
-#include "runtime/parallel.hpp"
+#include "imgproc/ring_engine.hpp"
 #include "simd/neon_compat.hpp"
-#include "tune/tune.hpp"
 
 #if defined(__SSE2__)
-#include <emmintrin.h>
+#include "simd/vec_sse2.hpp"
+
+#include "imgproc/morph_kernels.inl"
 #endif
 
 namespace simdcv::imgproc {
@@ -41,21 +40,13 @@ void morphVerticalMinMax(const std::uint8_t* const* rows, std::uint8_t* out,
     morph_avx2::verticalMinMax(rows, out, width, kh, mode);
     return;
   }
-  int x = 0;
 #if defined(__SSE2__)
   if (p == KernelPath::Sse2) {
-    for (; x + 16 <= width; x += 16) {
-      __m128i acc =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[0] + x));
-      for (int r = 1; r < kh; ++r) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows[r] + x));
-        acc = mode == MinMax::Min ? _mm_min_epu8(acc, v) : _mm_max_epu8(acc, v);
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + x), acc);
-    }
+    morph_vker::verticalMinMax<simd::backend::Sse2>(rows, out, width, kh, mode);
+    return;
   }
 #endif
+  int x = 0;
   if (p == KernelPath::Neon) {
     for (; x + 16 <= width; x += 16) {
       uint8x16_t acc = vld1q_u8(rows[0] + x);
@@ -89,21 +80,14 @@ void morphHorizontalMinMax(const std::uint8_t* padded, std::uint8_t* out,
     morph_avx2::horizontalMinMax(padded, out, width, kw, mode);
     return;
   }
-  int i = 0;
 #if defined(__SSE2__)
   if (p == KernelPath::Sse2) {
-    for (; i + 16 <= width; i += 16) {
-      __m128i acc =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(padded + i));
-      for (int j = 1; j < kw; ++j) {
-        const __m128i v =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(padded + i + j));
-        acc = mode == MinMax::Min ? _mm_min_epu8(acc, v) : _mm_max_epu8(acc, v);
-      }
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), acc);
-    }
+    morph_vker::horizontalMinMax<simd::backend::Sse2>(padded, out, width, kw,
+                                                      mode);
+    return;
   }
 #endif
+  int i = 0;
   if (p == KernelPath::Neon) {
     for (; i + 16 <= width; i += 16) {
       uint8x16_t acc = vld1q_u8(padded + i);
@@ -139,65 +123,24 @@ void morphRect(const Mat& src, Mat& dst, Size ksize, MinMax mode,
                  "morphology: ksize must be odd and positive");
   const KernelPath p = resolvePath(path);
   const int rows = src.rows(), width = src.cols();
-  const int kw = ksize.width, kh = ksize.height;
-  const int rx = kw / 2, ry = kh / 2;
-  const std::uint64_t bytes =
-      2 * static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(width);
-  SIMDCV_TRACE_SCOPE("morphRect", p, bytes);
-
   Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
   out.create(rows, width, U8C1);
-
-  // One ring engine per band, exactly like the separable-convolution engine:
-  // min/max over a window is a pure function of the source rows, and each
-  // band recomputes its seam rows through the identical pad + horizontal
-  // pass, so any band partition is bit-identical to the serial walk.
-  auto processBand = [&](runtime::Range band) {
-    core::ScratchFrame frame;
-    std::uint8_t* padded = frame.allocN<std::uint8_t>(
-        static_cast<std::size_t>(width) + static_cast<std::size_t>(kw) - 1);
-    std::uint8_t* ring = frame.allocN<std::uint8_t>(
-        static_cast<std::size_t>(kh) * static_cast<std::size_t>(width));
-    const std::uint8_t** taps =
-        frame.allocN<const std::uint8_t*>(static_cast<std::size_t>(kh));
-
-    auto slot = [&](int v) {
-      return ring + static_cast<std::size_t>((v + ry) % kh) *
-                        static_cast<std::size_t>(width);
-    };
-    auto computeVirtualRow = [&](int v) {
-      const int m = borderInterpolate(v, rows, BorderType::Replicate);
-      const std::uint8_t* s = src.ptr<std::uint8_t>(m);
-      std::memcpy(padded + rx, s, static_cast<std::size_t>(width));
-      for (int j = 0; j < rx; ++j) {
-        padded[j] = s[0];
-        padded[rx + width + j] = s[width - 1];
-      }
-      detail::morphHorizontalMinMax(padded, slot(v), width, kw, mode, p);
-    };
-
-    for (int v = band.begin - ry; v < band.begin + ry; ++v)
-      computeVirtualRow(v);
-    for (int y = band.begin; y < band.end; ++y) {
-      computeVirtualRow(y + ry);
-      for (int r = 0; r < kh; ++r)
-        taps[static_cast<std::size_t>(r)] = slot(y - ry + r);
-      detail::morphVerticalMinMax(taps, out.ptr<std::uint8_t>(y), width, kh,
-                                  mode, p);
-    }
-  };
-
-  // Fork rule: the separable engine's threshold with this kernel's per-row
-  // cost (kw-window horizontal + kh-row vertical min/max), floored at the
-  // kernel height so a band is at least one full window tall. Band grain is
-  // pure scheduling (seams re-prime), so it is tunable like the other ring
-  // engines ("morphRect" axis, SIMDCV_TUNE=1).
-  const int heuristic =
-      std::max(runtime::parallelThreshold(static_cast<std::size_t>(width),
-                                          rows, 1.0 * (kw + kh)),
-               kh);
-  tune::GrainScope gs("morphRect", p, bytes, rows, heuristic);
-  runtime::parallel_for({0, rows}, processBand, gs.grain());
+  ring::runBanded<std::uint8_t>(
+      "morphRect", p,
+      2 * static_cast<std::uint64_t>(rows) * static_cast<std::uint64_t>(width),
+      {rows, width, ksize.width, ksize.height, BorderType::Replicate},
+      std::uint8_t{0},
+      [&](int m, std::uint8_t* d) {
+        std::memcpy(d, src.ptr<std::uint8_t>(m),
+                    static_cast<std::size_t>(width));
+      },
+      [&](const std::uint8_t* padded, std::uint8_t* o) {
+        detail::morphHorizontalMinMax(padded, o, width, ksize.width, mode, p);
+      },
+      [&](const std::uint8_t* const* taps, int y, std::uint8_t*) {
+        detail::morphVerticalMinMax(taps, out.ptr<std::uint8_t>(y), width,
+                                    ksize.height, mode, p);
+      });
   dst = std::move(out);
 }
 

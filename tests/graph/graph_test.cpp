@@ -14,6 +14,7 @@
 #include "graph/graph.hpp"
 #include "imgproc/edge.hpp"
 #include "imgproc/filter.hpp"
+#include "imgproc/fixedpoint.hpp"
 #include "imgproc/kernels.hpp"
 #include "imgproc/threshold.hpp"
 #include "prof/prof.hpp"
@@ -23,10 +24,7 @@
 namespace simdcv::graph {
 namespace {
 
-std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Avx2, KernelPath::Neon};
-}
+std::vector<KernelPath> paths() { return caps::availablePaths(); }
 
 std::vector<imgproc::BorderType> allBorders() {
   return {imgproc::BorderType::Constant, imgproc::BorderType::Replicate,
@@ -172,6 +170,48 @@ TEST(GraphBuild, SepConvKeepsFloatWhenLoweringIsInexact) {
                          KernelPath::ScalarNoVec);
     g.run(src, got);
     EXPECT_EQ(countMismatches(ref, got), 0u) << bv;
+  }
+}
+
+// The fixed-point nodes take an integer Constant border value, as
+// sepFilter2DFxU8 / sepFilter2DFxS16 do. A fractional one is rejected at
+// declaration: the staged schedule would truncate it to the engine's int
+// while the fused one rounded it, so at 7.5 the two schedules gave
+// different bytes. Non-Constant borders never read the value.
+TEST(GraphBuild, FxNodesRejectFractionalConstantBorder) {
+  const auto q = imgproc::quantizeKernelQ8(imgproc::getGaussianKernel(5, 1.1));
+  const std::vector<std::int16_t> dx = {-1, 0, 1}, sy = {1, 2, 1};
+  for (double bv : {7.5, 7.6, 200.4, -0.5}) {
+    Graph g;
+    const NodeId s = g.source(Depth::U8);
+    EXPECT_THROW(g.fxGaussian(s, q, q, imgproc::BorderType::Constant, bv),
+                 Error)
+        << bv;
+    EXPECT_THROW(g.fxSobel(s, dx, sy, imgproc::BorderType::Constant, bv),
+                 Error)
+        << bv;
+  }
+  Graph g;
+  const NodeId s = g.source(Depth::U8);
+  EXPECT_NO_THROW(g.fxGaussian(s, q, q, imgproc::BorderType::Replicate, 7.5));
+  EXPECT_NO_THROW(g.fxSobel(s, dx, sy, imgproc::BorderType::Reflect, 7.5));
+}
+
+// Integer Constant border values, in range and saturated, give the same
+// bytes fused and staged.
+TEST(GraphExec, FxConstantBorderFusedMatchesStaged) {
+  const Mat src = randomMat(13, 9, Depth::U8, 23);
+  const auto q = imgproc::quantizeKernelQ8(imgproc::getGaussianKernel(5, 1.1));
+  const std::vector<std::int16_t> dx = {-1, 0, 1}, sy = {1, 2, 1};
+  for (double bv : {0.0, 7.0, 200.0, 300.0, -4.0}) {
+    Graph blur;
+    blur.sink(blur.fxGaussian(blur.source(Depth::U8), q, q,
+                              imgproc::BorderType::Constant, bv));
+    expectFusedMatchesStaged(blur, src, "fxGaussian constant border");
+    Graph sobel;
+    sobel.sink(sobel.fxSobel(sobel.source(Depth::U8), dx, sy,
+                             imgproc::BorderType::Constant, bv));
+    expectFusedMatchesStaged(sobel, src, "fxSobel constant border");
   }
 }
 

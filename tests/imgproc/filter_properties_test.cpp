@@ -10,6 +10,7 @@
 #include "imgproc/filter.hpp"
 #include "imgproc/geometry.hpp"
 #include "imgproc/kernels.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
@@ -125,9 +126,7 @@ TEST(FilterProperties, AllPropertiesPathIndependent) {
   Mat ref;
   sepFilter2D(a, ref, Depth::F32, k, k, BorderType::Reflect101, 0.0,
               KernelPath::Auto);
-  for (KernelPath p : {KernelPath::ScalarNoVec, KernelPath::Sse2,
-                       KernelPath::Avx2, KernelPath::Neon}) {
-    if (!pathAvailable(p)) continue;
+  for (KernelPath p : caps::availablePaths()) {
     Mat got;
     sepFilter2D(a, got, Depth::F32, k, k, BorderType::Reflect101, 0.0, p);
     EXPECT_EQ(countMismatches(ref, got), 0u) << toString(p);

@@ -24,14 +24,6 @@
 namespace simdcv::imgproc {
 namespace {
 
-std::vector<KernelPath> paths() {
-  std::vector<KernelPath> out;
-  for (KernelPath p : {KernelPath::ScalarNoVec, KernelPath::Auto,
-                       KernelPath::Sse2, KernelPath::Neon, KernelPath::Avx2})
-    if (pathAvailable(p)) out.push_back(p);
-  return out;
-}
-
 Mat randomU8(int rows, int cols, unsigned seed) {
   Mat m(rows, cols, U8C1);
   std::mt19937 rng(seed);
@@ -180,38 +172,55 @@ TEST(FixedPoint, WorkerWidthSweepByteEqualToNovec) {
 // ---- cross-path x thread x band identity matrix ----------------------------
 
 // Every KernelPath, every thread count (hence every row-band partition the
-// pool chooses), every border mode: bit-identical to the single-threaded
-// scalar-novec walk. Shapes include 1-row and prime-width mats so the SIMD
-// tails and the band seams both get exercised.
+// pool chooses), every border mode (Constant with a nonzero value):
+// bit-identical to the single-threaded scalar-novec walk. Shapes include
+// 1-row and prime-width mats so the SIMD tails get exercised, and one shape
+// large enough that the band rule splits; there every multi-thread call must
+// fork pool tasks, so the ring engine's seam re-prime really runs.
 TEST(FixedPoint, CrossPathThreadBandIdentityMatrix) {
   ThreadScope scope;
   struct Shape {
     int rows, cols;
+    bool forks;
   };
-  const std::vector<Shape> shapes = {{61, 83}, {1, 129}, {16, 16}, {37, 251}};
+  const std::vector<Shape> shapes = {{61, 83, false},
+                                     {1, 129, false},
+                                     {16, 16, false},
+                                     {37, 251, false},
+                                     {203, 517, true}};
   const auto qx = quantizeKernelQ8(getGaussianKernel(5, 1.2));
   const auto qy = quantizeKernelQ8(getGaussianKernel(3, 0.9));
+  const std::vector<std::int16_t> dx = {-1, 0, 1}, sy = {1, 2, 1};
   unsigned seed = 33;
   for (const auto& s : shapes) {
     const Mat src = randomU8(s.rows, s.cols, seed++);
     for (const auto border :
-         {BorderType::Reflect101, BorderType::Replicate, BorderType::Constant}) {
+         {BorderType::Reflect101, BorderType::Replicate, BorderType::Reflect,
+          BorderType::Constant, BorderType::Wrap}) {
       runtime::setNumThreads(1);
       Mat refU8, refS16;
       sepFilter2DFxU8(src, refU8, qx, qy, border, 7, KernelPath::ScalarNoVec);
-      SobelFx(src, refS16, 1, 0, 3, border, KernelPath::ScalarNoVec);
-      for (KernelPath p : paths()) {
+      sepFilter2DFxS16(src, refS16, dx, sy, border, 7,
+                       KernelPath::ScalarNoVec);
+      for (KernelPath p : caps::availablePaths()) {
         for (int threads : {1, 2, 4}) {
           runtime::setNumThreads(threads);
           Mat outU8, outS16;
+          const std::uint64_t tasks0 = runtime::poolStats().tasks_executed;
           sepFilter2DFxU8(src, outU8, qx, qy, border, 7, p);
+          const std::uint64_t tasks1 = runtime::poolStats().tasks_executed;
           EXPECT_EQ(countMismatches(outU8, refU8), 0u)
               << s.rows << "x" << s.cols << " path=" << static_cast<int>(p)
               << " threads=" << threads << " border=" << static_cast<int>(border);
-          SobelFx(src, outS16, 1, 0, 3, border, p);
+          sepFilter2DFxS16(src, outS16, dx, sy, border, 7, p);
           EXPECT_EQ(countMismatches(outS16, refS16), 0u)
               << s.rows << "x" << s.cols << " path=" << static_cast<int>(p)
               << " threads=" << threads << " border=" << static_cast<int>(border);
+          if (s.forks && threads > 1) {
+            EXPECT_GT(tasks1, tasks0) << "u8 engine ran as one band";
+            EXPECT_GT(runtime::poolStats().tasks_executed, tasks1)
+                << "s16 engine ran as one band";
+          }
         }
       }
     }
@@ -227,7 +236,7 @@ TEST(FixedPoint, GraphBandPartitionIdentity) {
       graph::makeFxEdgeGraph(5, 1.2, 3, 80.0, BorderType::Reflect101);
   Mat ref;
   g.runStaged(src, ref, KernelPath::ScalarNoVec);
-  for (KernelPath p : paths()) {
+  for (KernelPath p : caps::availablePaths()) {
     for (int band : {1, 3, 16, 72}) {
       Mat out;
       graph::detail::runFusedBanded(g, src, out, p, band);

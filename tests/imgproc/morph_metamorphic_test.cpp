@@ -24,17 +24,10 @@
 
 #include "imgproc/border.hpp"
 #include "runtime/thread_pool.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
-
-std::vector<KernelPath> paths() {
-  std::vector<KernelPath> out;
-  for (KernelPath p : {KernelPath::ScalarNoVec, KernelPath::Auto,
-                       KernelPath::Sse2, KernelPath::Neon, KernelPath::Avx2})
-    if (pathAvailable(p)) out.push_back(p);
-  return out;
-}
 
 Mat randomU8(int rows, int cols, unsigned seed) {
   Mat m(rows, cols, U8C1);
@@ -84,7 +77,7 @@ TEST(MorphMetamorphic, ErodeDilateDualityUnderComplement) {
   const Mat src = randomU8(37, 61, 101);
   const Mat comp = complement(src);
   for (const Size& se : kSeSizes) {
-    for (KernelPath p : paths()) {
+    for (KernelPath p : caps::availablePaths()) {
       Mat er, dilComp;
       erode(src, er, se, p);
       dilate(comp, dilComp, se, p);
@@ -105,7 +98,7 @@ TEST(MorphMetamorphic, ErodeDilateDualityUnderComplement) {
 TEST(MorphMetamorphic, OpenAndCloseAreIdempotent) {
   const Mat src = randomU8(41, 53, 202);
   for (const Size& se : {Size{3, 3}, Size{5, 3}, Size{5, 5}}) {
-    for (KernelPath p : paths()) {
+    for (KernelPath p : caps::availablePaths()) {
       Mat once, twice;
       morphOpen(src, once, se, p);
       morphOpen(once, twice, se, p);
@@ -132,7 +125,7 @@ TEST(MorphMetamorphic, RectSeDecomposesIntoHThenVRuns) {
     for (const bool isMin : {true, false}) {
       const Mat oracle = bruteMorph(src, se, isMin);
       const auto op = isMin ? &erode : &dilate;
-      for (KernelPath p : paths()) {
+      for (KernelPath p : caps::availablePaths()) {
         Mat rect;
         op(src, rect, se, p);
         EXPECT_EQ(countMismatches(rect, oracle), 0u)
@@ -166,7 +159,7 @@ TEST(MorphMetamorphic, DegenerateShapesMatchOracle) {
     const Mat src = randomU8(s.rows, s.cols, seed++);
     for (const bool isMin : {true, false}) {
       const Mat oracle = bruteMorph(src, s.se, isMin);
-      for (KernelPath p : paths()) {
+      for (KernelPath p : caps::availablePaths()) {
         Mat out;
         (isMin ? erode : dilate)(src, out, s.se, p);
         EXPECT_EQ(countMismatches(out, oracle), 0u)
@@ -185,7 +178,7 @@ TEST(MorphMetamorphic, IdentityAndConstantFixedPoints) {
   Mat flat(16, 16, U8C1);
   for (int r = 0; r < 16; ++r)
     for (int c = 0; c < 16; ++c) flat.at<std::uint8_t>(r, c) = 137;
-  for (KernelPath p : paths()) {
+  for (KernelPath p : caps::availablePaths()) {
     Mat out;
     erode(src, out, {1, 1}, p);
     EXPECT_EQ(countMismatches(out, src), 0u);
@@ -201,11 +194,14 @@ TEST(MorphMetamorphic, IdentityAndConstantFixedPoints) {
 // Band-partition identity: parallel_for splits rows into one band per
 // thread, and each band re-primes the running window at its seam. The
 // output must not depend on where those seams fall.
+// The size makes the band rule split (the grain, 262144 / (517 * (kw + kh))
+// rows, is 84 for 3x3 and 42 for 5x7, of 203), and every multi-thread call
+// must fork pool tasks, so the ring engine's seam re-prime really runs.
 TEST(MorphMetamorphic, ThreadCountDoesNotChangeOutput) {
-  const Mat src = randomU8(67, 91, 606);
+  const Mat src = randomU8(203, 517, 606);
   const int old = runtime::getNumThreads();
   for (const Size& se : {Size{3, 3}, Size{5, 7}}) {
-    for (KernelPath p : paths()) {
+    for (KernelPath p : caps::availablePaths()) {
       runtime::setNumThreads(1);
       Mat ref;
       erode(src, ref, se, p);
@@ -214,12 +210,17 @@ TEST(MorphMetamorphic, ThreadCountDoesNotChangeOutput) {
       for (int threads : {2, 3, 4}) {
         runtime::setNumThreads(threads);
         Mat out;
+        const std::uint64_t tasks0 = runtime::poolStats().tasks_executed;
         erode(src, out, se, p);
+        const std::uint64_t tasks1 = runtime::poolStats().tasks_executed;
         EXPECT_EQ(countMismatches(out, ref), 0u)
             << "erode threads=" << threads << " path=" << static_cast<int>(p);
+        EXPECT_GT(tasks1, tasks0) << "erode ran as one band";
         dilate(src, out, se, p);
         EXPECT_EQ(countMismatches(out, refD), 0u)
             << "dilate threads=" << threads << " path=" << static_cast<int>(p);
+        EXPECT_GT(runtime::poolStats().tasks_executed, tasks1)
+            << "dilate ran as one band";
       }
     }
   }

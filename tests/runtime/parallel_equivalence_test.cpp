@@ -1,5 +1,5 @@
 // Determinism guarantee of band-parallel execution: for every paper kernel
-// (convert, threshold, Gaussian, Sobel, edge) and every compiled KernelPath,
+// (convert, threshold, Gaussian, Sobel, edge) and every available KernelPath,
 // the 4-thread output is bit-identical to the 1-thread output, including on
 // degenerate and odd sizes that stress band-boundary handling.
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include "imgproc/threshold.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv {
 namespace {
@@ -25,14 +26,6 @@ const std::vector<Size>& testSizes() {
   static const std::vector<Size> s = {
       {1, 1}, {5, 3}, {64, 64}, {479, 641}, {641, 479}};
   return s;
-}
-
-std::vector<KernelPath> compiledPaths() {
-  std::vector<KernelPath> out;
-  for (KernelPath p : {KernelPath::ScalarNoVec, KernelPath::Auto,
-                       KernelPath::Sse2, KernelPath::Avx2, KernelPath::Neon})
-    if (pathAvailable(p)) out.push_back(p);
-  return out;
 }
 
 Mat randomMat(int rows, int cols, PixelType type, unsigned seed) {
@@ -74,17 +67,22 @@ void expectBitIdentical(const Mat& a, const Mat& b, const char* what,
 }
 
 /// Run `op` (which writes its output Mat) at 1 thread and at kThreads and
-/// compare the outputs byte for byte.
+/// compare the outputs byte for byte. Returns how many pool tasks the
+/// kThreads run forked (0: it ran as one band).
 template <typename Op>
-void check1vsN(const char* what, KernelPath path, Size size, const Op& op) {
+std::uint64_t check1vsN(const char* what, KernelPath path, Size size,
+                        const Op& op) {
   runtime::setNumThreads(1);
   Mat serial;
   op(serial);
   runtime::setNumThreads(kThreads);
   Mat banded;
+  const std::uint64_t tasks0 = runtime::poolStats().tasks_executed;
   op(banded);
+  const std::uint64_t forked = runtime::poolStats().tasks_executed - tasks0;
   runtime::setNumThreads(1);
   expectBitIdentical(serial, banded, what, path, size);
+  return forked;
 }
 
 class ParallelEquivalence : public ::testing::Test {
@@ -96,7 +94,7 @@ class ParallelEquivalence : public ::testing::Test {
 };
 
 TEST_F(ParallelEquivalence, ThresholdAllDepths) {
-  for (KernelPath path : compiledPaths()) {
+  for (KernelPath path : caps::availablePaths()) {
     for (Size size : testSizes()) {
       const Mat u8 = randomMat(size.height, size.width, U8C1, 11);
       check1vsN("threshold-u8", path, size, [&](Mat& out) {
@@ -120,7 +118,7 @@ TEST_F(ParallelEquivalence, ThresholdAllDepths) {
 }
 
 TEST_F(ParallelEquivalence, ConvertBothDirections) {
-  for (KernelPath path : compiledPaths()) {
+  for (KernelPath path : caps::availablePaths()) {
     for (Size size : testSizes()) {
       const Mat f32 = randomMat(size.height, size.width,
                                 PixelType(Depth::F32, 1), 21);
@@ -140,7 +138,7 @@ TEST_F(ParallelEquivalence, ConvertBothDirections) {
 }
 
 TEST_F(ParallelEquivalence, GaussianBlurBandsMatchSerialRing) {
-  for (KernelPath path : compiledPaths()) {
+  for (KernelPath path : caps::availablePaths()) {
     for (Size size : testSizes()) {
       const Mat u8 = randomMat(size.height, size.width, U8C1, 31);
       check1vsN("gaussian-7x7", path, size, [&](Mat& out) {
@@ -152,7 +150,7 @@ TEST_F(ParallelEquivalence, GaussianBlurBandsMatchSerialRing) {
 }
 
 TEST_F(ParallelEquivalence, SobelBandsMatchSerialRing) {
-  for (KernelPath path : compiledPaths()) {
+  for (KernelPath path : caps::availablePaths()) {
     for (Size size : testSizes()) {
       const Mat u8 = randomMat(size.height, size.width, U8C1, 41);
       check1vsN("sobel-dx", path, size, [&](Mat& out) {
@@ -164,7 +162,7 @@ TEST_F(ParallelEquivalence, SobelBandsMatchSerialRing) {
 }
 
 TEST_F(ParallelEquivalence, EdgeDetectEndToEnd) {
-  for (KernelPath path : compiledPaths()) {
+  for (KernelPath path : caps::availablePaths()) {
     for (Size size : testSizes()) {
       const Mat u8 = randomMat(size.height, size.width, U8C1, 51);
       check1vsN("edge-detect", path, size, [&](Mat& out) {
@@ -176,7 +174,7 @@ TEST_F(ParallelEquivalence, EdgeDetectEndToEnd) {
 }
 
 TEST_F(ParallelEquivalence, ArrayOpsBandsMatch) {
-  for (KernelPath path : compiledPaths()) {
+  for (KernelPath path : caps::availablePaths()) {
     const Size size{641, 479};
     const Mat a = randomMat(size.height, size.width, U8C1, 61);
     const Mat b = randomMat(size.height, size.width, U8C1, 62);
@@ -197,17 +195,40 @@ TEST_F(ParallelEquivalence, ArrayOpsBandsMatch) {
 }
 
 // Border modes move data across band seams in different ways; Wrap and
-// Constant are the adversarial ones for the ring-buffer re-priming.
+// Constant (with a nonzero value) are the adversarial ones for the ring
+// engine's seam re-prime. The size makes the band rule split, and the run
+// must really fork, for every source/destination depth sepFilter2D takes.
 TEST_F(ParallelEquivalence, FilterBorderModesAcrossSeams) {
-  for (imgproc::BorderType border :
-       {imgproc::BorderType::Replicate, imgproc::BorderType::Reflect101,
-        imgproc::BorderType::Constant, imgproc::BorderType::Wrap}) {
-    const Size size{127, 200};
-    const Mat u8 = randomMat(size.height, size.width, U8C1, 71);
-    check1vsN("gaussian-border", KernelPath::Auto, size, [&](Mat& out) {
-      imgproc::GaussianBlur(u8, out, {9, 9}, 2.0, 2.0, border,
-                            KernelPath::Auto);
-    });
+  const Size size{127, 200};
+  const Mat u8 = randomMat(size.height, size.width, U8C1, 71);
+  const Mat f32 = randomMat(size.height, size.width, PixelType(Depth::F32, 1),
+                            72);
+  const std::vector<float> kx = {0.125f, 0.25f, 0.3f, 0.25f, 0.075f};
+  const std::vector<float> ky = {-1.0f, -2.0f, 0.0f, 2.0f, 1.5f};
+  struct Case {
+    const char* what;
+    const Mat& src;
+    Depth ddepth;
+  };
+  for (const Case& c : {Case{"sep-u8-u8", u8, Depth::U8},
+                        Case{"sep-u8-s16", u8, Depth::S16},
+                        Case{"sep-u8-f32", u8, Depth::F32},
+                        Case{"sep-f32-f32", f32, Depth::F32}}) {
+    for (imgproc::BorderType border :
+         {imgproc::BorderType::Replicate, imgproc::BorderType::Reflect,
+          imgproc::BorderType::Reflect101, imgproc::BorderType::Constant,
+          imgproc::BorderType::Wrap}) {
+      for (KernelPath path : caps::availablePaths()) {
+        const std::uint64_t forked =
+            check1vsN(c.what, path, size, [&](Mat& out) {
+              imgproc::sepFilter2D(c.src, out, c.ddepth, kx, ky, border, 37.0,
+                                   path);
+            });
+        EXPECT_GT(forked, 0u) << c.what << " border="
+                              << static_cast<int>(border)
+                              << " path=" << toString(path);
+      }
+    }
   }
 }
 
