@@ -56,7 +56,7 @@ cmake -B build-tsan -S . \
   -DSIMDCV_BUILD_BENCH=OFF \
   -DSIMDCV_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j --target test_runtime test_prof test_serve \
-  test_fixedpt test_morph
+  test_fixedpt test_morph test_graph
 ctest --test-dir build-tsan -L runtime --output-on-failure -j"$(nproc)"
 
 echo
@@ -75,6 +75,14 @@ echo "== integer kernel tier under ThreadSanitizer (ctest -L fixedpt/morph) =="
 # sepFilter2D: ParallelEquivalence.FilterBorderModesAcrossSeams.)
 ctest --test-dir build-tsan -L fixedpt --output-on-failure -j"$(nproc)"
 ctest --test-dir build-tsan -L morph --output-on-failure -j"$(nproc)"
+
+echo
+echo "== pipeline graphs under ThreadSanitizer (ctest -L graph) =="
+# The serve presets share static const graphs between workers;
+# GraphExec.ConcurrentRunsOfOneGraph runs one graph from four threads at two
+# alternating geometries, so TSan race-checks the shared row program, the
+# per-band scratch and the per-thread arenas.
+ctest --test-dir build-tsan -L graph --output-on-failure -j"$(nproc)"
 
 echo
 echo "== differential checker under AddressSanitizer =="
@@ -148,7 +156,8 @@ ctest --test-dir build-asan -L tune --output-on-failure -j"$(nproc)"
 echo
 echo "== pipeline graphs under AddressSanitizer (ctest -L graph) =="
 # Builder validation, degenerate geometry (1x1, 1xW, Hx1), all border
-# modes, ksize-1 stages, ROI sources, and adversarial band heights.
+# modes, ksize-1 stages, ROI sources, adversarial band heights over every
+# factory graph, seeded random DAGs and the no-allocation steady state.
 cmake --build build-asan -j --target test_graph
 ctest --test-dir build-asan -L graph --output-on-failure -j"$(nproc)"
 

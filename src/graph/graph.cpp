@@ -378,53 +378,6 @@ void Graph::sink(NodeId node) {
       fusible_ = false;
   }
 
-  // Conv-load sharing groups: convolutions over the same input with the same
-  // geometry/border and one shared sole consumer advance in lockstep, so the
-  // leader can load+pad each virtual source row once and row-convolve it for
-  // every member (one load, N rowConvs: sobelX/sobelY in the F32 edge chain).
-  struct GroupKey {
-    NodeId in0;
-    std::size_t kw, kh;
-    imgproc::BorderType border;
-    double bv;
-    NodeId consumer;
-    bool operator==(const GroupKey& o) const {
-      return in0 == o.in0 && kw == o.kw && kh == o.kh && border == o.border &&
-             bv == o.bv && consumer == o.consumer;
-    }
-  };
-  std::vector<std::pair<GroupKey, int>> groups;
-  int nextGroup = 0;
-  // Sole consumer of each node (-1 when shared by several).
-  std::vector<NodeId> soleConsumer(static_cast<std::size_t>(numNodes()), -1);
-  for (NodeId id = 0; id < numNodes(); ++id) {
-    const detail::Node& c = nodes_[static_cast<std::size_t>(id)];
-    for (NodeId in : {c.in0, c.in1}) {
-      if (in < 0) continue;
-      auto& s = soleConsumer[static_cast<std::size_t>(in)];
-      s = (nodes_[static_cast<std::size_t>(in)].consumers == 1) ? id : -1;
-    }
-  }
-  for (NodeId id = 0; id < numNodes(); ++id) {
-    detail::Node& n = nodes_[static_cast<std::size_t>(id)];
-    if (n.kind != NodeKind::SepConv) continue;
-    const NodeId cons = soleConsumer[static_cast<std::size_t>(id)];
-    if (cons >= 0) {
-      const GroupKey key{n.in0, n.kx.size(), n.ky.size(), n.border,
-                         n.borderValue, cons};
-      int found = -1;
-      for (const auto& [k, g] : groups)
-        if (k == key) { found = g; break; }
-      if (found < 0) {
-        found = nextGroup++;
-        groups.emplace_back(key, found);
-      }
-      n.group = found;
-    } else {
-      n.group = nextGroup++;
-    }
-  }
-
   // Signature, prof labels and the band-grain cost model.
   signature_ = "g";
   maxKh_ = 1;
@@ -492,6 +445,8 @@ void Graph::sink(NodeId node) {
              n.kind == NodeKind::FxSobel)
       n.rowLabel = internLabel("graph.fused." + code + ".rowConv");
   }
+
+  if (fusible_ && sink_ != 0) program_ = detail::compileRowProgram(nodes_);
 }
 
 // ---- fuse decision ----------------------------------------------------------
@@ -545,12 +500,18 @@ void Graph::runStaged(const Mat& src, Mat& dst, KernelPath path) const {
     dst = std::move(tmp);
     return;
   }
-  std::vector<Mat> vals(nodes_.size());
-  vals[0] = src;  // shallow view; stage kernels detach on aliasing themselves
+  // The sink writes into dst's storage unless dst aliases the source, so a
+  // single-stage graph allocates nothing once dst has its shape. Each
+  // intermediate gets its own Mat.
+  Mat result = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
+  std::vector<Mat> vals(numNodes() > 2 ? nodes_.size() : 0);
+  auto value = [&](NodeId id) -> const Mat& {
+    return id == 0 ? src : vals[static_cast<std::size_t>(id)];
+  };
   for (NodeId id = 1; id < numNodes(); ++id) {
     const detail::Node& n = nodes_[static_cast<std::size_t>(id)];
-    const Mat& a = vals[static_cast<std::size_t>(n.in0)];
-    Mat& out = vals[static_cast<std::size_t>(id)];
+    const Mat& a = value(n.in0);
+    Mat& out = id == sink_ ? result : vals[static_cast<std::size_t>(id)];
     switch (n.kind) {
       case NodeKind::SepConv:
         imgproc::sepFilter2D(a, out, n.depth, n.kx, n.ky, n.border,
@@ -564,12 +525,10 @@ void Graph::runStaged(const Mat& src, Mat& dst, KernelPath path) const {
         imgproc::threshold(a, out, n.thresh, n.maxval, n.ttype, p);
         break;
       case NodeKind::Magnitude:
-        imgproc::gradientMagnitude(a, vals[static_cast<std::size_t>(n.in1)],
-                                   out, p);
+        imgproc::gradientMagnitude(a, value(n.in1), out, p);
         break;
       case NodeKind::AddWeighted:
-        core::addWeighted(a, n.alpha, vals[static_cast<std::size_t>(n.in1)],
-                          n.beta, n.gamma, out, p);
+        core::addWeighted(a, n.alpha, value(n.in1), n.beta, n.gamma, out, p);
         break;
       case NodeKind::Morph:
         if (n.morphMax)
@@ -592,7 +551,7 @@ void Graph::runStaged(const Mat& src, Mat& dst, KernelPath path) const {
         break;
     }
   }
-  dst = std::move(vals[static_cast<std::size_t>(sink_)]);
+  dst = std::move(result);
 }
 
 void Graph::runFused(const Mat& src, Mat& dst, KernelPath path) const {

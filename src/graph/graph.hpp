@@ -31,6 +31,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -97,7 +98,6 @@ struct Node {
   // consumers; grows by ky/2 across each downstream convolution).
   int radius = 0;
   int consumers = 0;
-  int group = -1;  ///< conv-load sharing group (see graph_fused.cpp)
   const char* label = "";     ///< interned prof stage label
   /// Row-pass label: "<label>.rowConv" for SepConv/FxGaussian/FxSobel,
   /// "<label>.rowMorph" for Morph, "" otherwise.
@@ -109,8 +109,15 @@ struct Node {
 class Graph;
 
 namespace detail {
+/// The fused schedule of a finalized fusible graph, compiled at sink()
+/// (graph_fused.cpp).
+struct RowProgram;
+std::shared_ptr<const RowProgram> compileRowProgram(
+    const std::vector<Node>& nodes);
 void runFusedImpl(const Graph& g, const Mat& src, Mat& dst, KernelPath path,
                   int forcedBandRows);
+/// Scratch bytes one fused band takes at this width (0 when the graph has
+/// no row program).
 std::size_t fusedScratchBytes(const Graph& g, int width);
 }  // namespace detail
 
@@ -190,7 +197,7 @@ class Graph {
 
   /// Freeze the graph with `node` as its output. Every declared node must lie
   /// on a path to the sink (no dangling stages). Computes radii, fusibility,
-  /// conv groups and the signature. Required before any run.
+  /// the signature and the fused row program. Required before any run.
   void sink(NodeId node);
 
   // ---- introspection -------------------------------------------------------
@@ -247,6 +254,8 @@ class Graph {
   int sourceRadius_ = 0;   ///< seam depth: rows of source recomputed per band
   int maxKh_ = 1;
   double rowOpCost_ = 1.0; ///< per-row cost estimate for the band grain
+  /// The fused row program (null unless fusible with a stage to run).
+  std::shared_ptr<const detail::RowProgram> program_;
 
   friend void detail::runFusedImpl(const Graph& g, const Mat& src, Mat& dst,
                                    KernelPath path, int forcedBandRows);
@@ -259,6 +268,7 @@ namespace detail {
 /// band-seam test hook.
 inline void runFusedBanded(const Graph& g, const Mat& src, Mat& dst,
                            KernelPath path, int bandRows) {
+  SIMDCV_REQUIRE(bandRows >= 1, "graph: bandRows must be >= 1");
   runFusedImpl(g, src, dst, path, bandRows);
 }
 

@@ -10,8 +10,8 @@
 //
 // The float convolution (sepFilter2D), the fixed-point filters
 // (sepFilter2DFxU8 / sepFilter2DFxS16) and erode/dilate (morphRect) run
-// through runBanded below; the graph executor keeps its own demand-driven
-// schedule but holds the same Ring, padRow and constantRow.
+// through runBanded below; the graph executor runs its own row program
+// (graph_fused.cpp) over the same Ring and padRow.
 //
 // Banding: each band owns a private ring and re-primes its kh/2 seam rows
 // through the identical load -> pad -> row-pass sequence, so any row
@@ -33,16 +33,17 @@
 
 namespace simdcv::imgproc::ring {
 
-/// kh slots of `stride` T elements holding row-passed virtual rows. Virtual
-/// row v lives in slot (v + kh/2) mod kh; `next` is the next virtual row to
-/// compute and only ever increases, so once it passes y + kh/2 the kh rows
-/// centred on output row y are resident.
+/// kh slots of `stride` T elements holding the newest row-passed virtual
+/// rows. `next` is the next virtual row to compute and only ever increases;
+/// `cur` is the slot it goes to, which once kh rows are in also holds the
+/// oldest of them. Slots rotate by increment, never by division.
 template <typename T>
 struct Ring {
   T* base = nullptr;
   std::size_t stride = 0;
   int kh = 1;
   int next = 0;
+  int cur = 0;
 
   Ring() = default;
   /// Slots come from `frame`; the first output row is y0, so the first
@@ -52,22 +53,38 @@ struct Ring {
         stride(stride_),
         kh(kh_),
         next(y0 - kh_ / 2) {}
+  /// A view over kh caller-owned slots, for a caller that schedules its
+  /// rows itself (the graph executor carves them from its band block).
+  Ring(T* base_, int kh_, std::size_t stride_)
+      : base(base_), stride(stride_), kh(kh_) {}
 
-  T* slot(int v) const {
-    return base + static_cast<std::size_t>((v + kh / 2) % kh) * stride;
+  /// The slot virtual row `next` goes to; advances `next`.
+  T* push() {
+    T* p = base + static_cast<std::size_t>(cur) * stride;
+    ++next;
+    if (++cur == kh) cur = 0;
+    return p;
   }
 
-  /// Compute virtual rows next .. v in order.
+  /// Compute virtual rows next .. v in order, each into its slot:
+  /// compute(v, slot).
   template <typename Compute>
   void fillTo(int v, Compute&& compute) {
-    while (next <= v) compute(next++);
+    while (next <= v) {
+      const int at = next;
+      compute(at, push());
+    }
   }
 
-  /// The kh column-pass taps for output row y, top to bottom, each offset by
-  /// `offset` elements into its slot.
-  void gather(int y, const T** taps, std::size_t offset = 0) const {
-    for (int r = 0; r < kh; ++r)
-      taps[static_cast<std::size_t>(r)] = slot(y - kh / 2 + r) + offset;
+  /// The column-pass taps over the kh newest rows, top to bottom: output
+  /// row y's window once virtual row y + kh/2 is in.
+  void gather(const T** taps) const {
+    int s = cur;
+    for (int r = 0; r < kh; ++r) {
+      taps[static_cast<std::size_t>(r)] =
+          base + static_cast<std::size_t>(s) * stride;
+      if (++s == kh) s = 0;
+    }
   }
 };
 
@@ -131,19 +148,19 @@ void runBanded(const char* kernel, KernelPath p, std::uint64_t bytes,
     T* spare = frame.allocN<T>(w);
     const T** taps = frame.allocN<const T*>(static_cast<std::size_t>(s.kh));
     Ring<T> ring(frame, s.kh, w, b.begin);
-    auto compute = [&](int v) {
+    auto compute = [&](int v, T* slot) {
       const int m = borderInterpolate(v, s.rows, s.border);
       if (m < 0) {
-        std::memcpy(ring.slot(v), constRow.data(), w * sizeof(T));
+        std::memcpy(slot, constRow.data(), w * sizeof(T));
         return;
       }
       load(m, padded + rx);
       padRow(padded, s.width, rx, s.border, bv);
-      row(padded, ring.slot(v));
+      row(padded, slot);
     };
     for (int y = b.begin; y < b.end; ++y) {
       ring.fillTo(y + s.kh / 2, compute);
-      ring.gather(y, taps);
+      ring.gather(taps);
       col(taps, y, spare);
     }
   };
@@ -153,7 +170,10 @@ void runBanded(const char* kernel, KernelPath p, std::uint64_t bytes,
                                           static_cast<double>(s.kw + s.kh)),
                s.kh);
   tune::GrainScope gs(kernel, p, bytes, s.rows, heuristic);
-  runtime::parallel_for({0, s.rows}, band, gs.grain());
+  // One captured reference fits std::function's inline buffer, so a call
+  // makes no heap allocation.
+  runtime::parallel_for(
+      {0, s.rows}, [&band](runtime::Range b) { band(b); }, gs.grain());
 }
 
 }  // namespace simdcv::imgproc::ring

@@ -47,17 +47,19 @@ void forEachRow(const Mat& src, Mat& dst, KernelPath p, Fn fn) {
   tune::GrainScope gs("threshold", p,
                       2 * static_cast<std::uint64_t>(src.rows()) * n * sizeof(T),
                       src.rows(), heuristic);
+  auto rows = [&](runtime::Range band) {
+    if (flat) {
+      fn(src.ptr<T>(band.begin), dst.ptr<T>(band.begin),
+         n * static_cast<std::size_t>(band.size()));
+    } else {
+      for (int r = band.begin; r < band.end; ++r)
+        fn(src.ptr<T>(r), dst.ptr<T>(r), n);
+    }
+  };
+  // One captured reference fits std::function's inline buffer, so a call
+  // makes no heap allocation.
   runtime::parallel_for(
-      {0, src.rows()},
-      [&](runtime::Range band) {
-        if (flat) {
-          fn(src.ptr<T>(band.begin), dst.ptr<T>(band.begin),
-             n * static_cast<std::size_t>(band.size()));
-        } else {
-          for (int r = band.begin; r < band.end; ++r)
-            fn(src.ptr<T>(r), dst.ptr<T>(r), n);
-        }
-      },
+      {0, src.rows()}, [&rows](runtime::Range band) { rows(band); },
       gs.grain());
 }
 

@@ -1,12 +1,16 @@
 // Pipeline-graph engine: builder validation, fusibility rules, fused-vs-
 // staged bit-exactness on edge-case geometries (1x1, 1xW, Hx1), all border
 // modes, ROI/non-contiguous sources, ksize-1 stages, adversarial band
-// heights, the fuse-decision model, and the exact integer lowering of u8 -> s16
+// heights over every factory graph, concurrent runs of one graph, the
+// fuse-decision model, and the exact integer lowering of u8 -> s16
 // convolutions (byte-equal to the float engine).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <random>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,8 +25,13 @@
 #include "simd/caps.hpp"
 #include "simd/features.hpp"
 
+#include "graph_test_support.hpp"
+
 namespace simdcv::graph {
 namespace {
+
+using testing::factoryGraphs;
+using testing::randomMat;
 
 std::vector<KernelPath> paths() { return caps::availablePaths(); }
 
@@ -30,28 +39,6 @@ std::vector<imgproc::BorderType> allBorders() {
   return {imgproc::BorderType::Constant, imgproc::BorderType::Replicate,
           imgproc::BorderType::Reflect, imgproc::BorderType::Reflect101,
           imgproc::BorderType::Wrap};
-}
-
-Mat randomMat(int rows, int cols, Depth d, unsigned seed) {
-  Mat m(rows, cols, PixelType(d, 1));
-  std::mt19937 rng(seed);
-  for (int r = 0; r < rows; ++r)
-    for (int c = 0; c < cols; ++c) {
-      const std::uint32_t v = rng();
-      switch (d) {
-        case Depth::U8:
-          m.at<std::uint8_t>(r, c) = static_cast<std::uint8_t>(v & 0xff);
-          break;
-        case Depth::S16:
-          m.at<std::int16_t>(r, c) = static_cast<std::int16_t>(v & 0xffff);
-          break;
-        default:
-          m.at<float>(r, c) =
-              static_cast<float>(static_cast<int>(v & 0xffff) - 32768) / 64.0f;
-          break;
-      }
-    }
-  return m;
 }
 
 // The test pipeline exercising every fused stage kind plus a multi-consumer
@@ -417,14 +404,64 @@ TEST(GraphExec, MixedKernelWidths1x5And5x1) {
 
 // ---- geometry edge cases ---------------------------------------------------
 
+/// A node read by several stages at different window radii: cvt F32 (a) ->
+/// 3x3 blur (b) -> {5x5 blur (c), pointwise (d)} -> blend(c, d) -> blend
+/// with a -> cvt U8.
+Graph multiConsumerGraph() {
+  const std::vector<float> k3 = {0.25f, 0.5f, 0.25f};
+  const std::vector<float> k5 = {0.0625f, 0.25f, 0.375f, 0.25f, 0.0625f};
+  Graph g;
+  const NodeId s = g.source(Depth::U8);
+  const NodeId a = g.convert(s, Depth::F32);
+  const NodeId b = g.sepConv(a, k3, k3, Depth::F32);
+  const NodeId c = g.sepConv(b, k5, k5, Depth::F32,
+                             imgproc::BorderType::Constant, 12.5);
+  const NodeId d = g.pointwise(b, Depth::F32, 1.5, -20.0);
+  const NodeId e = g.addWeighted(c, 0.5, d, 0.5, 0.0);
+  const NodeId f = g.addWeighted(e, 1.25, a, -0.25, 3.0);
+  g.sink(g.convert(f, Depth::U8));
+  return g;
+}
+
+/// Sibling windowed nodes that share padded source rows: a fixed-point
+/// Gaussian and a dilation (same 3x3 window, Replicate border, one shared
+/// consumer), and an fxSobel pair under a Constant border.
+Graph siblingWindowsGraph() {
+  const std::vector<std::uint16_t> q = {64, 128, 64};
+  const std::vector<std::int16_t> d = {-1, 0, 1}, sm = {1, 2, 1};
+  Graph g;
+  const NodeId s = g.source(Depth::U8);
+  const NodeId blur =
+      g.fxGaussian(s, q, q, imgproc::BorderType::Replicate, 0.0);
+  const NodeId dil = g.morph(s, /*dilate=*/true, 3, 3);
+  const NodeId soft = g.addWeighted(blur, 0.5, dil, 0.5, 0.0);
+  const NodeId gx = g.fxSobel(s, d, sm, imgproc::BorderType::Constant, 7.0);
+  const NodeId gy = g.fxSobel(s, sm, d, imgproc::BorderType::Constant, 7.0);
+  const NodeId mag = g.magnitude(gx, gy);
+  const NodeId mix = g.addWeighted(soft, 1.0, mag, 1.0, -40.0);
+  g.sink(g.threshold(mix, 100.0, 255.0, imgproc::ThresholdType::Binary));
+  return g;
+}
+
+// The factory graphs plus the two shapes the executor treats specially: a
+// node read at several radii and sibling windows sharing padded rows.
+std::vector<testing::NamedGraph> seamGraphs() {
+  std::vector<testing::NamedGraph> v = factoryGraphs();
+  v.push_back({"multi-consumer", multiConsumerGraph(), Depth::U8});
+  v.push_back({"sibling-windows", siblingWindowsGraph(), Depth::U8});
+  return v;
+}
+
 TEST(GraphExec, DegenerateGeometries) {
   for (const auto& [rows, cols] : std::vector<std::pair<int, int>>{
            {1, 1}, {1, 37}, {37, 1}, {2, 2}, {3, 5}}) {
-    const Mat src = randomMat(rows, cols, Depth::U8, 9);
-    expectFusedMatchesStaged(
-        makeEdgeGraph(Depth::U8, 90.0, 3, imgproc::BorderType::Reflect101),
-        src, "edge-geometry");
-    expectFusedMatchesStaged(photoGraph(), src, "photo-geometry");
+    for (const auto& [name, g, depth] : seamGraphs()) {
+      const Mat src = randomMat(rows, cols, depth, 9);
+      expectFusedMatchesStaged(
+          g, src,
+          (name + " " + std::to_string(rows) + "x" + std::to_string(cols))
+              .c_str());
+    }
   }
 }
 
@@ -463,21 +500,77 @@ TEST(GraphExec, InPlaceDstAliasingSrc) {
 
 // ---- band partitions -------------------------------------------------------
 
+// Every band of a forced partition primes its seam rows through the program
+// prefix; the prefix clamps at the image top and bottom, so 1-row, 1-column
+// and ROI sources run beside a plain one. Heights split inside the seam
+// (1, 2, seam-1), at it (seam), and leave one seam (rows-1) or none (rows).
 TEST(GraphExec, BandSeamsBitExactAllHeights) {
-  const Graph g = photoGraph();  // seam depth 5: deepest prebuilt chain
-  const Mat src = randomMat(23, 17, Depth::U8, 13);
-  Mat ref;
-  g.runStaged(src, ref, KernelPath::ScalarNoVec);
-  for (KernelPath p : paths()) {
-    if (!pathAvailable(p)) continue;
-    // Heights splitting inside the 7-row kernel footprint (1, 2, 6), at it
-    // (7), and a single seam (rows-1).
-    for (int bandRows : {1, 2, 6, 7, src.rows() - 1, src.rows()}) {
-      Mat got;
-      detail::runFusedBanded(g, src, got, p, bandRows);
-      EXPECT_EQ(countMismatches(ref, got), 0u)
-          << toString(p) << " bandRows=" << bandRows;
+  for (const auto& [name, g, depth] : seamGraphs()) {
+    const int seam = 2 * g.node(0).radius + 1;
+    const Mat parent = randomMat(30, 40, depth, 13);
+    const std::vector<std::pair<const char*, Mat>> sources = {
+        {"23x17", randomMat(23, 17, depth, 14)},
+        {"1-row", parent.roi({3, 5, 17, 1})},
+        {"1-col", parent.roi({6, 2, 1, 23})},
+        {"roi", parent.roi({5, 3, 21, 19})},
+    };
+    for (const auto& [what, src] : sources) {
+      Mat ref;
+      g.runStaged(src, ref, KernelPath::ScalarNoVec);
+      std::vector<int> heights;
+      for (int h : {1, 2, seam - 1, seam, src.rows() - 1, src.rows()})
+        if (h >= 1 && h <= src.rows() &&
+            std::find(heights.begin(), heights.end(), h) == heights.end())
+          heights.push_back(h);
+      for (KernelPath p : paths()) {
+        for (int bandRows : heights) {
+          Mat got;
+          detail::runFusedBanded(g, src, got, p, bandRows);
+          EXPECT_EQ(countMismatches(ref, got), 0u)
+              << name << " " << what << " " << toString(p)
+              << " bandRows=" << bandRows;
+        }
+      }
     }
+  }
+}
+
+TEST(GraphExec, BandedHookRejectsNonPositiveHeights) {
+  const Graph g = photoGraph();
+  const Mat src = randomMat(9, 11, Depth::U8, 17);
+  for (int bandRows : {0, -1, -7}) {
+    Mat dst;
+    EXPECT_THROW(detail::runFusedBanded(g, src, dst, KernelPath::Default,
+                                        bandRows),
+                 Error)
+        << bandRows;
+  }
+}
+
+// The serve presets share static const graphs between workers: run() must
+// be safe to call concurrently. Four threads run one graph at two
+// alternating geometries (run under ThreadSanitizer by scripts/verify.sh).
+TEST(GraphExec, ConcurrentRunsOfOneGraph) {
+  const Mat a = randomMat(48, 64, Depth::U8, 31);
+  const Mat b = randomMat(29, 97, Depth::U8, 32);
+  for (const auto& [name, g, depth] : factoryGraphs()) {
+    if (depth != Depth::U8) continue;
+    Mat refA, refB;
+    g.runStaged(a, refA);
+    g.runStaged(b, refB);
+    std::atomic<int> mismatched{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 4; ++t)
+      workers.emplace_back([&, t] {
+        Mat out;
+        for (int i = 0; i < 24; ++i) {
+          const bool useA = (i + t) % 2 == 0;
+          g.run(useA ? a : b, out);
+          if (countMismatches(useA ? refA : refB, out) != 0) ++mismatched;
+        }
+      });
+    for (std::thread& w : workers) w.join();
+    EXPECT_EQ(mismatched.load(), 0) << name;
   }
 }
 
