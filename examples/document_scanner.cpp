@@ -113,16 +113,17 @@ int main(int argc, char** argv) {
 
   // Stages 3-4 declared as a pipeline graph: a real threshold node (the
   // Otsu level is data-dependent, so the graph is built after measuring it)
-  // feeding an opaque morphology stage. Opaque stages keep the graph on the
-  // staged schedule; the point here is the declared form plus the identity
-  // guarantee, which we assert against the direct calls above.
+  // feeding the close as its two Morph nodes (dilate -> erode, the Replicate
+  // border morphClose uses). Every node is in the fusible vocabulary, so the
+  // graph streams threshold -> dilate -> erode through row rings without
+  // materializing the binary or dilated image; its output must equal the
+  // direct calls above byte for byte.
   graph::Graph g;
   const graph::NodeId src = g.source(Depth::U8);
   const graph::NodeId bin = g.threshold(src, t, 255.0, ThresholdType::BinaryInv);
-  g.sink(g.opaque(bin, "morph-close", Depth::U8,
-                  [](const Mat& a, Mat& d, KernelPath p) {
-                    morphClose(a, d, {9, 3}, p);
-                  }));
+  const graph::NodeId dil = g.morph(bin, /*dilate=*/true, 9, 3);
+  g.sink(g.morph(dil, /*dilate=*/false, 9, 3));
+  SIMDCV_REQUIRE(g.fusible(), "document_scanner: close graph should be fusible");
   Mat gblobs;
   g.run(deskewed, gblobs);
   SIMDCV_REQUIRE(countMismatches(blobs, gblobs) == 0,

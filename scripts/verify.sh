@@ -162,6 +162,13 @@ cmake --build build-asan -j --target test_graph
 ctest --test-dir build-asan -L graph --output-on-failure -j"$(nproc)"
 
 echo
+echo "== serving engine under AddressSanitizer (ctest -L serve) =="
+# Staged presets (scanner) reuse their graph's intermediate sets across
+# requests and workers: ASan watches every pooled Mat a request inherits.
+cmake --build build-asan -j --target test_serve
+ctest --test-dir build-asan -L serve --output-on-failure -j"$(nproc)"
+
+echo
 echo "== tune-cache round trip (SIMDCV_TUNE + SIMDCV_TUNE_CACHE) =="
 # First run measures and persists decisions; the file must exist, carry the
 # versioned header, and at least one committed decision. The second run

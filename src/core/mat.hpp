@@ -71,6 +71,12 @@ class Mat {
   bool sharesStorageWith(const Mat& other) const noexcept {
     return buf_ && buf_ == other.buf_;
   }
+  /// True if this Mat owns its buffer and no other Mat references it (not
+  /// wrapped caller memory, not shared with a copy or view), so writing into
+  /// it is visible to no one else.
+  bool ownsStorageAlone() const noexcept {
+    return buf_ && buf_.use_count() == 1;
+  }
 
   // -- raw access -------------------------------------------------------
   std::uint8_t* data() noexcept { return data_; }

@@ -1,5 +1,6 @@
-// Graph builder, validation, the staged (oracle) executor and the per-size
-// fuse decision. The fused streaming executor lives in graph_fused.cpp.
+// Graph builder, validation, the staged (oracle) executor with run()'s pool
+// of graph-owned intermediates, and the per-size fuse decision. The fused
+// streaming executor lives in graph_fused.cpp.
 #include "graph/graph.hpp"
 
 #include <algorithm>
@@ -447,6 +448,7 @@ void Graph::sink(NodeId node) {
   }
 
   if (fusible_ && sink_ != 0) program_ = detail::compileRowProgram(nodes_);
+  if (numNodes() > 2) stagedPool_ = std::make_shared<detail::StagedPool>();
 }
 
 // ---- fuse decision ----------------------------------------------------------
@@ -492,6 +494,12 @@ std::uint64_t Graph::ioBytes(const Mat& src) const {
 
 void Graph::runStaged(const Mat& src, Mat& dst, KernelPath path) const {
   requireRunnable(*this, src);
+  std::vector<Mat> vals(numNodes() > 2 ? nodes_.size() : 0);
+  runStagedInto(src, dst, path, vals);
+}
+
+void Graph::runStagedInto(const Mat& src, Mat& dst, KernelPath path,
+                          std::vector<Mat>& vals) const {
   const KernelPath p = resolvePath(path);
   SIMDCV_TRACE_SCOPE("graph.staged", p, ioBytes(src));
   if (sink_ == 0) {
@@ -502,9 +510,9 @@ void Graph::runStaged(const Mat& src, Mat& dst, KernelPath path) const {
   }
   // The sink writes into dst's storage unless dst aliases the source, so a
   // single-stage graph allocates nothing once dst has its shape. Each
-  // intermediate gets its own Mat.
+  // intermediate writes into its own slot of vals, which keeps its storage
+  // when it already has this geometry.
   Mat result = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
-  std::vector<Mat> vals(numNodes() > 2 ? nodes_.size() : 0);
   auto value = [&](NodeId id) -> const Mat& {
     return id == 0 ? src : vals[static_cast<std::size_t>(id)];
   };
@@ -554,6 +562,52 @@ void Graph::runStaged(const Mat& src, Mat& dst, KernelPath path) const {
   dst = std::move(result);
 }
 
+namespace detail {
+
+// The free intermediate sets of one graph. A caller takes one for the length
+// of a run and gives it back, so the pool holds at most as many sets as there
+// were concurrent callers; each keeps the geometry it last ran at.
+struct StagedPool {
+  std::mutex mu;
+  std::vector<std::vector<Mat>> free;
+
+  std::vector<Mat> take(std::size_t slots) {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      if (!free.empty()) {
+        std::vector<Mat> vals = std::move(free.back());
+        free.pop_back();
+        return vals;
+      }
+    }
+    return std::vector<Mat>(slots);
+  }
+
+  void give(std::vector<Mat> vals) {
+    // A slot that wraps or shares its buffer (an opaque stage that set
+    // dst = src, a view, or kept a copy of dst; a sink that passed an
+    // intermediate through to the caller) would let the next run write into
+    // memory someone else sees: drop it, the next run re-creates it.
+    for (Mat& m : vals)
+      if (!m.ownsStorageAlone()) m = Mat();
+    std::lock_guard<std::mutex> lk(mu);
+    free.push_back(std::move(vals));
+  }
+};
+
+}  // namespace detail
+
+void Graph::runPooled(const Mat& src, Mat& dst, KernelPath path) const {
+  if (!stagedPool_) {  // no intermediates: nothing to borrow
+    runStaged(src, dst, path);
+    return;
+  }
+  // A stage that throws drops the borrowed set with the exception.
+  std::vector<Mat> vals = stagedPool_->take(nodes_.size());
+  runStagedInto(src, dst, path, vals);
+  stagedPool_->give(std::move(vals));
+}
+
 void Graph::runFused(const Mat& src, Mat& dst, KernelPath path) const {
   detail::runFusedImpl(*this, src, dst, path, 0);
 }
@@ -561,7 +615,7 @@ void Graph::runFused(const Mat& src, Mat& dst, KernelPath path) const {
 void Graph::run(const Mat& src, Mat& dst, KernelPath path) const {
   requireRunnable(*this, src);
   if (!fusible_) {
-    runStaged(src, dst, path);
+    runPooled(src, dst, path);
     return;
   }
   // Fused and staged schedules are bit-exact, so this is pure scheduling.
@@ -577,13 +631,13 @@ void Graph::run(const Mat& src, Mat& dst, KernelPath path) const {
     if (fuse.choice() == 1)
       detail::runFusedImpl(*this, src, dst, p, 0);
     else
-      runStaged(src, dst, p);
+      runPooled(src, dst, p);
     return;
   }
   if (fuseProfitable(src.cols(), src.rows()))
     detail::runFusedImpl(*this, src, dst, path, 0);
   else
-    runStaged(src, dst, path);
+    runPooled(src, dst, path);
 }
 
 // ---- prebuilt graphs --------------------------------------------------------

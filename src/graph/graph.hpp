@@ -24,8 +24,10 @@
 //
 // run() fuses every fusible graph that has intermediates to save (see
 // fuseProfitable); under SIMDCV_TUNE=1 that rule seeds a measured tune:: fuse
-// axis keyed by the graph's signature string. imgproc::edgeDetect is
-// makeEdgeGraph run through here (edge_detect.cpp).
+// axis keyed by the graph's signature string. When run() takes the staged
+// schedule it borrows a graph-owned set of intermediates instead of
+// allocating them, so repeated runs at one geometry touch no fresh memory.
+// imgproc::edgeDetect is makeEdgeGraph run through here (edge_detect.cpp).
 #pragma once
 
 #include <cstddef>
@@ -48,7 +50,14 @@ namespace simdcv::graph {
 using NodeId = int;
 
 /// Whole-image stage for operations outside the fusible vocabulary (median,
-/// morphology, Otsu, warps...). Opaque stages always run staged.
+/// Otsu, warps...). Opaque stages always run staged.
+///
+/// Graph::run() reuses graph-owned intermediates across calls, so `dst` may
+/// arrive holding the previous run's image at the same geometry: a stage must
+/// write every pixel of its output or re-create it, and must not read what
+/// `dst` held. A stage may instead point `dst` at other memory (`dst = src`,
+/// a view, a Mat it keeps a copy of); run() drops such an intermediate before
+/// reusing the set, so the next run never writes into memory anyone else sees.
 using StageFn = std::function<void(const Mat& src, Mat& dst, KernelPath path)>;
 
 enum class NodeKind : std::uint8_t {
@@ -112,6 +121,8 @@ namespace detail {
 /// The fused schedule of a finalized fusible graph, compiled at sink()
 /// (graph_fused.cpp).
 struct RowProgram;
+/// Reusable intermediate sets for run()'s staged schedule (graph.cpp).
+struct StagedPool;
 std::shared_ptr<const RowProgram> compileRowProgram(
     const std::vector<Node>& nodes);
 void runFusedImpl(const Graph& g, const Mat& src, Mat& dst, KernelPath path,
@@ -229,11 +240,15 @@ class Graph {
 
   /// Schedule-and-run: fused or staged per fuseProfitable (or the measured
   /// tune:: fuse axis under SIMDCV_TUNE=1). Output is bit-identical either
-  /// way. `dst` may alias `src`.
+  /// way. `dst` may alias `src`. The staged schedule here writes into a
+  /// borrowed graph-owned intermediate set, so the graph keeps at most
+  /// (peak concurrent callers) sets, each at the geometry it last ran.
   void run(const Mat& src, Mat& dst,
            KernelPath path = KernelPath::Default) const;
 
-  /// Force the stage-by-stage schedule (the reference oracle).
+  /// Force the stage-by-stage schedule (the reference oracle). Allocates
+  /// its intermediates per call and keeps none, so an oracle run at a large
+  /// geometry leaves no memory behind.
   void runStaged(const Mat& src, Mat& dst,
                  KernelPath path = KernelPath::Default) const;
 
@@ -246,6 +261,12 @@ class Graph {
   void requireBuilding(const char* what) const;
   const detail::Node& inputNode(NodeId id, const char* what) const;
   std::uint64_t ioBytes(const Mat& src) const;
+  /// The staged body: intermediates go into `vals` (nodes_.size() slots, or
+  /// none for a graph without intermediates); the sink writes into dst.
+  void runStagedInto(const Mat& src, Mat& dst, KernelPath path,
+                     std::vector<Mat>& vals) const;
+  /// runStagedInto on a set borrowed from stagedPool_.
+  void runPooled(const Mat& src, Mat& dst, KernelPath path) const;
 
   std::vector<detail::Node> nodes_;
   NodeId sink_ = -1;
@@ -256,6 +277,9 @@ class Graph {
   double rowOpCost_ = 1.0; ///< per-row cost estimate for the band grain
   /// The fused row program (null unless fusible with a stage to run).
   std::shared_ptr<const detail::RowProgram> program_;
+  /// run()'s staged intermediate sets (null unless the graph has an
+  /// intermediate), shared by copies and concurrent callers.
+  std::shared_ptr<detail::StagedPool> stagedPool_;
 
   friend void detail::runFusedImpl(const Graph& g, const Mat& src, Mat& dst,
                                    KernelPath path, int forcedBandRows);

@@ -13,7 +13,6 @@
 #include "imgproc/filter.hpp"
 #include "imgproc/histogram.hpp"
 #include "imgproc/median.hpp"
-#include "imgproc/morphology.hpp"
 #include "imgproc/threshold.hpp"
 #include "serve/serve.hpp"
 
@@ -75,9 +74,11 @@ void ensurePresets() {
       // Document binarization: impulse denoise, automatic threshold (text is
       // dark -> BinaryInv), then a morphological close to merge dashes into
       // word blobs — the document_scanner chain minus its search stages.
-      // Every stage is outside the fusible vocabulary (median is a rank
-      // filter, Otsu's level is data-dependent, close is two rank passes), so
-      // the graph declares them opaque and always runs staged.
+      // Median (a rank filter) and the Otsu binarize (its level is
+      // data-dependent) are opaque, so the graph runs staged; the close is
+      // declared as its two Morph nodes (dilate -> erode, Replicate border,
+      // byte-equal to morphClose), so the dilated image is one more
+      // graph-owned intermediate and a request allocates only its response.
       static const graph::Graph g = [] {
         graph::Graph b;
         const graph::NodeId s = b.source(Depth::U8);
@@ -92,10 +93,8 @@ void ensurePresets() {
               imgproc::threshold(a, d, t, 255.0,
                                  imgproc::ThresholdType::BinaryInv, p);
             });
-        b.sink(b.opaque(bin, "morph-close", Depth::U8,
-                        [](const Mat& a, Mat& d, KernelPath p) {
-                          imgproc::morphClose(a, d, {9, 3}, p);
-                        }));
+        const graph::NodeId dil = b.morph(bin, /*dilate=*/true, 9, 3);
+        b.sink(b.morph(dil, /*dilate=*/false, 9, 3));
         return b;
       }();
       g.run(src, dst, path);

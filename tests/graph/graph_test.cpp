@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,6 +32,7 @@ namespace simdcv::graph {
 namespace {
 
 using testing::factoryGraphs;
+using testing::makeScannerShapedGraph;
 using testing::randomMat;
 
 std::vector<KernelPath> paths() { return caps::availablePaths(); }
@@ -550,10 +552,14 @@ TEST(GraphExec, BandedHookRejectsNonPositiveHeights) {
 // The serve presets share static const graphs between workers: run() must
 // be safe to call concurrently. Four threads run one graph at two
 // alternating geometries (run under ThreadSanitizer by scripts/verify.sh).
+// The scanner-shaped graph runs staged, so the threads also share its pool
+// of intermediate sets, which the geometry change forces to re-create.
 TEST(GraphExec, ConcurrentRunsOfOneGraph) {
   const Mat a = randomMat(48, 64, Depth::U8, 31);
   const Mat b = randomMat(29, 97, Depth::U8, 32);
-  for (const auto& [name, g, depth] : factoryGraphs()) {
+  std::vector<testing::NamedGraph> graphs = factoryGraphs();
+  graphs.push_back({"scanner-shaped", makeScannerShapedGraph(), Depth::U8});
+  for (const auto& [name, g, depth] : graphs) {
     if (depth != Depth::U8) continue;
     Mat refA, refB;
     g.runStaged(a, refA);
@@ -572,6 +578,52 @@ TEST(GraphExec, ConcurrentRunsOfOneGraph) {
     for (std::thread& w : workers) w.join();
     EXPECT_EQ(mismatched.load(), 0) << name;
   }
+}
+
+// run() reuses one intermediate set across calls. A stage may point its
+// output at memory the caller sees — here a pass-through of the source
+// (dst = src, taken only when the top-left pixel is 0), a kept copy of its
+// output, and a sink that passes its input through to the caller — and the
+// next run must not write into that memory.
+TEST(GraphExec, PooledIntermediatesNeverWriteCallerMemory) {
+  auto kept = std::make_shared<Mat>();
+  Graph g;
+  const NodeId s = g.source(Depth::U8);
+  const NodeId pass = g.opaque(
+      s, "pass-if-dark", Depth::U8, [](const Mat& a, Mat& d, KernelPath p) {
+        if (a.at<std::uint8_t>(0, 0) == 0)
+          d = a;
+        else
+          core::convertTo(a, d, Depth::U8, 1.0, 1.0, p);
+      });
+  const NodeId inv = g.opaque(
+      pass, "invert-keep", Depth::U8, [kept](const Mat& a, Mat& d, KernelPath p) {
+        core::convertTo(a, d, Depth::U8, -1.0, 255.0, p);
+        *kept = d;
+      });
+  g.sink(g.opaque(inv, "pass", Depth::U8,
+                  [](const Mat& a, Mat& d, KernelPath) { d = a; }));
+  ASSERT_FALSE(g.fusible());
+
+  Mat a = randomMat(23, 37, Depth::U8, 51);
+  Mat b = randomMat(23, 37, Depth::U8, 52);
+  a.at<std::uint8_t>(0, 0) = 0;
+  b.at<std::uint8_t>(0, 0) = 1;
+  const Mat aBefore = a.clone();
+  Mat refA, refB;
+  g.runStaged(a, refA);
+  const Mat keptA = kept->clone();
+  g.runStaged(b, refB);
+
+  Mat outA, outB;
+  g.run(a, outA);
+  const Mat keptByRunA = *kept;
+  g.run(b, outB);
+  EXPECT_EQ(countMismatches(a, aBefore), 0u) << "source A was written";
+  EXPECT_EQ(countMismatches(outA, refA), 0u) << "output A was overwritten";
+  EXPECT_EQ(countMismatches(keptByRunA, keptA), 0u)
+      << "a stage's kept copy was overwritten";
+  EXPECT_EQ(countMismatches(outB, refB), 0u);
 }
 
 TEST(GraphExec, ThresholdDegenerateLevels) {

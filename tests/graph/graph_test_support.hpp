@@ -9,6 +9,9 @@
 
 #include "core/mat.hpp"
 #include "graph/graph.hpp"
+#include "imgproc/histogram.hpp"
+#include "imgproc/median.hpp"
+#include "imgproc/threshold.hpp"
 
 namespace simdcv::graph::testing {
 
@@ -68,6 +71,26 @@ inline std::vector<NamedGraph> factoryGraphs() {
                Depth::U8});
   v.push_back({"morphgrad", makeMorphGradientGraph(5, 1.2, 5, 3), Depth::U8});
   return v;
+}
+
+/// The serve "scanner" preset's shape: two opaque stages (median 3, Otsu
+/// binarize) and the close as two Morph nodes. Never fusible, so run()
+/// takes the staged schedule on graph-owned intermediates.
+inline Graph makeScannerShapedGraph() {
+  Graph g;
+  const NodeId s = g.source(Depth::U8);
+  const NodeId den =
+      g.opaque(s, "median3", Depth::U8, [](const Mat& a, Mat& d, KernelPath p) {
+        imgproc::medianBlur(a, d, 3, p);
+      });
+  const NodeId bin = g.opaque(
+      den, "otsu-binarize", Depth::U8, [](const Mat& a, Mat& d, KernelPath p) {
+        imgproc::threshold(a, d, imgproc::otsuThreshold(a, p), 255.0,
+                           imgproc::ThresholdType::BinaryInv, p);
+      });
+  const NodeId dil = g.morph(bin, /*dilate=*/true, 9, 3);
+  g.sink(g.morph(dil, /*dilate=*/false, 9, 3));
+  return g;
 }
 
 }  // namespace simdcv::graph::testing
