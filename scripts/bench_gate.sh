@@ -32,9 +32,9 @@
 #     attempt. Structural failures (parse error, no row overlap, missing
 #     baseline) never retry.
 #   - gate_compare refuses to vouch across machines (exit 5, host-mismatch:
-#     the baseline's "host" block differs — same policy as the tune cache's
-#     fingerprint). Default is skip-with-warning so forks are not gated by
-#     our hardware; SIMDCV_GATE_STRICT=1 turns that into a failure.
+#     the baseline's "host" block differs). Default is skip-with-warning so
+#     forks are not gated by our hardware; SIMDCV_GATE_STRICT=1 turns that
+#     into a failure.
 #
 # Overrides: SIMDCV_GATE_TOL_SERVE, SIMDCV_GATE_TOL_FIG6, SIMDCV_GATE_TOL_FIGS
 # (fig2-5), SIMDCV_GATE_TOL_B6, SIMDCV_GATE_ATTEMPTS, SIMDCV_GATE_BASELINES

@@ -91,26 +91,27 @@ cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSIMDCV_BUILD_BENCH=OFF \
   -DSIMDCV_BUILD_EXAMPLES=OFF
-cmake --build build-asan -j --target check_all test_check test_io test_tune \
+cmake --build build-asan -j --target check_all test_check test_io \
   test_fixedpt test_morph test_prof test_runtime
 # Fixed seeds: the run must be reproducible in CI; a failure prints a
 # one-line reproducer (see DESIGN.md, "simdcv::check").
 ./build-asan/src/check/check_all --seed=0x51dc5eed --iters=200
 ./build-asan/src/check/check_all --seed=0xa5a11ced --iters=100
-# The edge family again, deeper: edge.detect and tuned.edge-detect run
-# edgeDetect through the edge graph, graph.edge diffs its fused schedule
-# against the staged one, and graph.edge-float diffs run() against
-# edgeDetectUnfused, the float chain it is byte-equal to (its U8 Sobel pair
-# lowers to the exact 16-bit engine; see DESIGN.md section 13).
+# The edge family again, deeper: edge.detect runs edgeDetect through the
+# edge graph, graph.edge diffs its fused schedule against the staged one,
+# and graph.edge-float diffs run() against edgeDetectUnfused, the float
+# chain it is byte-equal to (its U8 Sobel pair lowers to the exact 16-bit
+# engine; see DESIGN.md section 13).
 ./build-asan/src/check/check_all --only=edge --seed=0xed6ef05e --iters=400
 ./build-asan/src/check/check_all --only=graph.edge --seed=0xed6ef05e --iters=400
 # The graph engine's fused-vs-staged contract across chains, band partitions
-# and tuned dispatch (see DESIGN.md, "Pipeline graphs"), with ASan watching
-# the per-band ring buffers and seam re-priming.
+# and run()'s schedule choice (see DESIGN.md, "Pipeline graphs"), with ASan
+# watching the per-band ring buffers and seam re-priming.
 ./build-asan/src/check/check_all --only=graph --seed=0x9ed6ef05 --iters=200
-# Tuned dispatch vs fixed-path oracles: trials time candidates on live calls,
-# so ASan watches the tuner's scopes, registry, and cache I/O too.
-./build-asan/src/check/check_all --only=tuned --seed=0x7a5ed15b --iters=150
+# run() vs the staged scalar oracle, deeper: the fuse rule and the pooled
+# staged schedule it falls back to, with ASan watching the borrowed
+# intermediate sets.
+./build-asan/src/check/check_all --only=graph.run --seed=0x7a5ed15b --iters=150
 # The integer kernel tier (fixedpt.* under the MaxAbsLsb/Exact tolerance
 # policy, morph.* bit-exact, graph.morph-fx through the fused window rings):
 # ASan watches the u8/i16 rings, pads, and seam re-priming on adversarial
@@ -149,9 +150,6 @@ echo "== profiler under AddressSanitizer (ctest -L prof) =="
 # bounds and lifetime checking armed.
 ctest --test-dir build-asan -L prof --output-on-failure -j"$(nproc)"
 
-echo
-echo "== autotuner under AddressSanitizer (ctest -L tune) =="
-ctest --test-dir build-asan -L tune --output-on-failure -j"$(nproc)"
 
 echo
 echo "== pipeline graphs under AddressSanitizer (ctest -L graph) =="
@@ -168,20 +166,6 @@ echo "== serving engine under AddressSanitizer (ctest -L serve) =="
 cmake --build build-asan -j --target test_serve
 ctest --test-dir build-asan -L serve --output-on-failure -j"$(nproc)"
 
-echo
-echo "== tune-cache round trip (SIMDCV_TUNE + SIMDCV_TUNE_CACHE) =="
-# First run measures and persists decisions; the file must exist, carry the
-# versioned header, and at least one committed decision. The second run
-# reloads it (same fingerprint) and serves tuned dispatch from the cache.
-TUNE_CACHE="build-asan/tune_cache_roundtrip.txt"
-rm -f "$TUNE_CACHE"
-SIMDCV_TUNE=1 SIMDCV_TUNE_CACHE="$TUNE_CACHE" \
-  ./build-asan/src/check/check_all --only=tuned --seed=0xcac4ed15 --iters=60
-test -s "$TUNE_CACHE"
-head -1 "$TUNE_CACHE" | grep -q '^simdcv-tune-cache v1$'
-grep -q '^decide ' "$TUNE_CACHE"
-SIMDCV_TUNE=1 SIMDCV_TUNE_CACHE="$TUNE_CACHE" \
-  ./build-asan/src/check/check_all --only=tuned --seed=0xcac4ed15 --iters=60
 
 echo
 echo "== trace-on: check label with live tracing (SIMDCV_TRACE=1) =="

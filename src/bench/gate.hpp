@@ -22,8 +22,7 @@
 //                   drift: renamed fields would otherwise pass vacuously)
 //   HostMismatch    the files carry different "host" blocks — a perf
 //                   baseline recorded on another machine cannot gate this
-//                   one (the same policy the tune cache applies via its
-//                   fingerprint); re-record the baseline to arm the gate
+//                   one; re-record the baseline to arm the gate
 #pragma once
 
 #include <string>

@@ -16,7 +16,6 @@
 #include "imgproc/kernels.hpp"
 #include "imgproc/morphology.hpp"
 #include "imgproc/threshold.hpp"
-#include "tune/tune.hpp"
 
 namespace simdcv::check {
 
@@ -232,56 +231,6 @@ Mat runEdgeDetect(const CaseSpec& c, KernelPath p) {
   return dst;
 }
 
-// Tuned dispatch must be bit-exact with fixed-path dispatch: every tuning
-// axis (path selection, fuse choice, band grain) only reschedules work whose
-// candidates all compute the same function. The ScalarNoVec leg runs with
-// tuning OFF — the oracle's reference stays the untuned heuristic pipeline —
-// while every other leg runs under tune::ScopedEnable, so live trials (the
-// tuner cycling through candidates) are themselves compared bit-exactly
-// against the untuned scalar reference.
-Mat runEdgeDetectTuned(const CaseSpec& c, KernelPath p) {
-  Mat src = genMat(c, kSrcA, U8C1);
-  Rng r(c.seed ^ 0xed6ede7ull);  // same salt as runEdgeDetect
-  const double thresh = r.real(0.0, 400.0);
-  const imgproc::BorderType border = borderFor(r);
-  Mat dst;
-  if (p == KernelPath::ScalarNoVec) {
-    imgproc::edgeDetect(src, dst, thresh, 3, border, p);
-  } else {
-    // The Auto leg goes through Default so the tuner's path axis (which only
-    // engages for Default requests) gets differential coverage too; concrete
-    // paths exercise the fuse/grain axes at that path.
-    tune::ScopedEnable tuned(true);
-    imgproc::edgeDetect(src, dst, thresh, 3, border,
-                        p == KernelPath::Auto ? KernelPath::Default : p);
-  }
-  return dst;
-}
-
-Mat runThresholdTuned(const CaseSpec& c, KernelPath p) {
-  static const Depth depths[] = {Depth::U8, Depth::S16, Depth::F32};
-  const Depth d = depths[c.variant % 3];
-  Mat src = genMat(c, kSrcA, PixelType(d, channelsFor(c)));
-  Rng r(c.seed ^ 0x7445e5401dull);  // same salt/draws as runThreshold
-  const double thresh = d == Depth::U8    ? r.real(-40.0, 300.0)
-                        : d == Depth::S16 ? r.real(-40000.0, 40000.0)
-                                          : r.real(-1e4, 1e4);
-  const double maxval = d == Depth::U8    ? r.real(-40.0, 300.0)
-                        : d == Depth::S16 ? r.real(-40000.0, 40000.0)
-                                          : r.real(-1e4, 1e4);
-  Mat dst;
-  if (p == KernelPath::ScalarNoVec) {
-    imgproc::threshold(src, dst, thresh, maxval,
-                       imgproc::ThresholdType::Binary, p);
-  } else {
-    // Auto -> Default for path-axis coverage, as in runEdgeDetectTuned.
-    tune::ScopedEnable tuned(true);
-    imgproc::threshold(src, dst, thresh, maxval, imgproc::ThresholdType::Binary,
-                       p == KernelPath::Auto ? KernelPath::Default : p);
-  }
-  return dst;
-}
-
 // ---- pipeline graphs -------------------------------------------------------
 // Differential contract of simdcv::graph: the fused streaming schedule is
 // bit-exact with the staged whole-image schedule. The oracle's reference leg
@@ -389,18 +338,34 @@ Mat runGraphBanded(const CaseSpec& c, KernelPath p) {
   return dst;
 }
 
-// run()'s scheduling (heuristic or measured fuse axis under SIMDCV_TUNE)
-// must be invisible too: tuned run() vs the untuned staged scalar reference.
-Mat runGraphTuned(const CaseSpec& c, KernelPath p) {
+// run()'s scheduling must be invisible too: run() vs the staged scalar
+// reference. Even variants run the edge graph, which run() fuses; odd ones
+// binarize through an opaque stage into a morphology stage (the serve
+// scanner's shape), which cannot fuse, so run() takes its pooled staged
+// schedule. The Auto leg goes through Default, so the default-path
+// resolution is covered.
+Mat runGraphRun(const CaseSpec& c, KernelPath p) {
   Mat src = genMat(c, kSrcA, U8C1);
-  const graph::Graph g = genEdgeGraph(c);
-  Mat dst;
-  if (p == KernelPath::ScalarNoVec) {
-    g.runStaged(src, dst, p);
+  graph::Graph g;
+  if (c.variant % 2 == 0) {
+    g = genEdgeGraph(c);
   } else {
-    tune::ScopedEnable tuned(true);
-    g.run(src, dst, p == KernelPath::Auto ? KernelPath::Default : p);
+    Rng r(c.seed ^ 0x9007edull);
+    const double t = r.real(-10.0, 300.0);
+    const graph::NodeId bin = g.opaque(
+        g.source(Depth::U8), "binarize", Depth::U8,
+        [t](const Mat& a, Mat& d, KernelPath q) {
+          imgproc::threshold(a, d, t, 255.0, imgproc::ThresholdType::BinaryInv,
+                             q);
+        });
+    g.sink(g.morph(bin, r.chance(50), 1 + 2 * r.uniform(0, 4),
+                   1 + 2 * r.uniform(0, 2)));
   }
+  Mat dst;
+  if (p == KernelPath::ScalarNoVec)
+    g.runStaged(src, dst, p);
+  else
+    g.run(src, dst, p == KernelPath::Auto ? KernelPath::Default : p);
   return dst;
 }
 
@@ -434,33 +399,6 @@ Mat runGraphMorphFx(const CaseSpec& c, KernelPath p) {
     graph::detail::runFusedBanded(g, src, dst, p, bandRows);
   } else {
     g.runFused(src, dst, p);
-  }
-  return dst;
-}
-
-// Band-parallel morphology vs the serial scalar reference, with the tuner's
-// grain axis live on the non-reference legs (morphRect shares the
-// measured-grain axis with convertTo/threshold/sepFilter2D/
-// gradientMagnitude and the graph executor).
-Mat runMorphRectTuned(const CaseSpec& c, KernelPath p) {
-  Mat src = genMat(c, kSrcA, U8C1);
-  Rng r(c.seed ^ 0x3030e47ull);
-  const int kw = 1 + 2 * r.uniform(0, 4);  // 1..9
-  const int kh = 1 + 2 * r.uniform(0, 2);  // 1..5
-  const bool er = r.chance(50);
-  Mat dst;
-  if (p == KernelPath::ScalarNoVec) {
-    if (er)
-      imgproc::erode(src, dst, {kw, kh}, p);
-    else
-      imgproc::dilate(src, dst, {kw, kh}, p);
-  } else {
-    tune::ScopedEnable tuned(true);
-    const KernelPath q = p == KernelPath::Auto ? KernelPath::Default : p;
-    if (er)
-      imgproc::erode(src, dst, {kw, kh}, q);
-    else
-      imgproc::dilate(src, dst, {kw, kh}, q);
   }
   return dst;
 }
@@ -550,10 +488,10 @@ Mat runFxSobelVsFloat(const CaseSpec& c, KernelPath p) {
 }
 
 // ---- morphology (B6) -------------------------------------------------------
-// Cross-path bit-exactness for the separable rect structuring element. Wider
-// apertures than tuned.morph-rect (up to 9x7) so the sliding-window SIMD
-// horizontal pass sees every overlap pattern; open/close covers the two-pass
-// composition on a shared intermediate.
+// Cross-path bit-exactness for the separable rect structuring element.
+// Apertures up to 9x7 so the sliding-window SIMD horizontal pass sees every
+// overlap pattern; open/close covers the two-pass composition on a shared
+// intermediate.
 
 Size morphKsize(Rng& r) {
   return {1 + 2 * r.uniform(0, 4), 1 + 2 * r.uniform(0, 3)};  // 1..9 x 1..7
@@ -693,13 +631,8 @@ const std::vector<KernelCheck>& kernelRegistry() {
     reg.push_back({"graph.blur-sobel-thr", &runGraphBlurSobelThreshold, Tolerance::Exact()});
     reg.push_back({"graph.photo", &runGraphPhoto, Tolerance::Exact()});
     reg.push_back({"graph.banded", &runGraphBanded, Tolerance::Exact()});
-    reg.push_back({"graph.run-tuned", &runGraphTuned, Tolerance::Exact()});
+    reg.push_back({"graph.run", &runGraphRun, Tolerance::Exact()});
     reg.push_back({"graph.morph-fx", &runGraphMorphFx, Tolerance::Exact()});
-    // Tuned dispatch vs the untuned fixed-path oracle (scheduling-only
-    // contract of simdcv::tune).
-    reg.push_back({"tuned.edge-detect", &runEdgeDetectTuned, Tolerance::Exact()});
-    reg.push_back({"tuned.threshold", &runThresholdTuned, Tolerance::Exact()});
-    reg.push_back({"tuned.morph-rect", &runMorphRectTuned, Tolerance::Exact()});
     return reg;
   }();
   return registry;

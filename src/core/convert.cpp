@@ -7,7 +7,6 @@
 #include "core/saturate.hpp"
 #include "prof/prof.hpp"
 #include "runtime/parallel.hpp"
-#include "tune/tune.hpp"
 
 namespace simdcv::core {
 
@@ -184,10 +183,7 @@ void convertTo(const Mat& src, Mat& dst, Depth ddepth, double alpha,
   const std::uint64_t bytes = static_cast<std::uint64_t>(src.rows()) *
                               src.cols() * src.channels() *
                               (depthSize(src.depth()) + depthSize(ddepth));
-  // Default-path requests resolve through the tuner when it is enabled;
-  // concrete requests pass through untouched.
-  tune::PathScope ps("convertTo", path, bytes);
-  const KernelPath p = ps.path();
+  const KernelPath p = resolvePath(path);
   SIMDCV_TRACE_SCOPE("convertTo", p, bytes);
   Mat out;
   // Writing in place (dst sharing storage with src) is safe only for
@@ -202,9 +198,8 @@ void convertTo(const Mat& src, Mat& dst, Depth ddepth, double alpha,
   // Per-element conversion: bands are pure row partitions, so banded output
   // is bit-identical to the single-threaded walk.
   const bool flat = src.isContinuous() && out.isContinuous();
-  const int heuristic = runtime::parallelThreshold(
+  const int grain = runtime::parallelThreshold(
       n * std::max(depthSize(src.depth()), depthSize(ddepth)), src.rows());
-  tune::GrainScope gs("convertTo", p, bytes, src.rows(), heuristic);
   runtime::parallel_for(
       {0, src.rows()},
       [&](runtime::Range band) {
@@ -218,7 +213,7 @@ void convertTo(const Mat& src, Mat& dst, Depth ddepth, double alpha,
                    out.ptr<std::uint8_t>(r), n, alpha, beta, p);
         }
       },
-      gs.grain());
+      grain);
   dst = std::move(out);
 }
 

@@ -19,8 +19,7 @@
 namespace simdcv::core::detail {
 
 /// dst[i] = saturate_cast<dd>(src[i] * alpha + beta) over one flat row.
-/// `path` must be resolved (not Default/Auto-with-tuning); convertTo resolves
-/// before calling.
+/// `path` must be resolved (not Default); convertTo resolves before calling.
 void cvtRow(Depth sd, Depth dd, const void* src, void* dst, std::size_t n,
             double alpha, double beta, KernelPath path);
 

@@ -3,7 +3,7 @@
 // Declared in imgproc/edge.hpp (the public API is unchanged) but defined
 // here, because the graph layer sits above imgproc. The graph executor's
 // fused schedule is bit-exact with edgeDetectUnfused, and Graph::run owns the
-// fuse decision and the tune:: axes (keyed by the graph signature).
+// fuse decision.
 #include "graph/graph.hpp"
 #include "imgproc/edge.hpp"
 

@@ -18,7 +18,6 @@
 #include "imgproc/kernels.hpp"
 #include "imgproc/morphology.hpp"
 #include "prof/prof.hpp"
-#include "tune/tune.hpp"
 
 namespace simdcv::graph {
 
@@ -432,7 +431,7 @@ void Graph::sink(NodeId node) {
       case NodeKind::Source: break;
     }
     // Wiring: unary stages off the chain and all binary stages name inputs,
-    // so structurally different graphs never share a tune/prof key.
+    // so structurally different graphs never share a signature or prof key.
     if (n.in1 >= 0)
       code += "@" + std::to_string(n.in0) + "-" + std::to_string(n.in1);
     else if (n.in0 != id - 1)
@@ -619,21 +618,6 @@ void Graph::run(const Mat& src, Mat& dst, KernelPath path) const {
     return;
   }
   // Fused and staged schedules are bit-exact, so this is pure scheduling.
-  // Under SIMDCV_TUNE the rule only seeds the trial: the path (for Default
-  // requests) and the fuse choice are measured per graph signature and
-  // size-class.
-  const std::uint64_t bytes = ioBytes(src);
-  if (tune::enabled()) {
-    tune::PathScope ps(signature_.c_str(), path, bytes);
-    const KernelPath p = ps.path();
-    const int fallback = fuseProfitable(src.cols(), src.rows()) ? 1 : 0;
-    tune::ChoiceScope fuse(signature_.c_str(), "fuse", p, bytes, 2, fallback);
-    if (fuse.choice() == 1)
-      detail::runFusedImpl(*this, src, dst, p, 0);
-    else
-      runPooled(src, dst, p);
-    return;
-  }
   if (fuseProfitable(src.cols(), src.rows()))
     detail::runFusedImpl(*this, src, dst, path, 0);
   else

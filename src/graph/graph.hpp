@@ -23,9 +23,8 @@
 // the contract the `graph.*` entries in simdcv::check enforce.
 //
 // run() fuses every fusible graph that has intermediates to save (see
-// fuseProfitable); under SIMDCV_TUNE=1 that rule seeds a measured tune:: fuse
-// axis keyed by the graph's signature string. When run() takes the staged
-// schedule it borrows a graph-owned set of intermediates instead of
+// fuseProfitable); that rule is the whole decision. When run() takes the
+// staged schedule it borrows a graph-owned set of intermediates instead of
 // allocating them, so repeated runs at one geometry touch no fresh memory.
 // imgproc::edgeDetect is makeEdgeGraph run through here (edge_detect.cpp).
 #pragma once
@@ -218,8 +217,8 @@ class Graph {
   /// which ring buffers cannot stream for interior stages).
   bool fusible() const noexcept { return fusible_; }
 
-  /// Stable per-structure identifier ("g.fxs3x3.fxs3x3@0.mag...") used as the
-  /// tune:: kernel key for the fuse/path axes and as the prof label stem.
+  /// Stable per-structure identifier ("g.fxs3x3.fxs3x3@0.mag..."), the
+  /// graph's name in examples, benches and test failure messages.
   const std::string& signature() const { return signature_; }
 
   /// Bytes of intermediate Mats the staged schedule materializes at this
@@ -227,8 +226,8 @@ class Graph {
   /// counted) — the traffic the fused schedule keeps out of memory.
   std::size_t stagedBytes(int width, int rows) const;
 
-  /// The scheduling decision run() uses when tuning is off, the same on
-  /// every path: fused when fusible() and stagedBytes(width, rows) > 0.
+  /// The scheduling decision run() makes, the same on every path: fused
+  /// when fusible() and stagedBytes(width, rows) > 0.
   bool fuseProfitable(int width, int rows) const;
 
   int numNodes() const noexcept { return static_cast<int>(nodes_.size()); }
@@ -238,11 +237,11 @@ class Graph {
 
   // ---- execution -----------------------------------------------------------
 
-  /// Schedule-and-run: fused or staged per fuseProfitable (or the measured
-  /// tune:: fuse axis under SIMDCV_TUNE=1). Output is bit-identical either
-  /// way. `dst` may alias `src`. The staged schedule here writes into a
-  /// borrowed graph-owned intermediate set, so the graph keeps at most
-  /// (peak concurrent callers) sets, each at the geometry it last ran.
+  /// Schedule-and-run: fused or staged per fuseProfitable. Output is
+  /// bit-identical either way. `dst` may alias `src`. The staged schedule
+  /// here writes into a borrowed graph-owned intermediate set, so the graph
+  /// keeps at most (peak concurrent callers) sets, each at the geometry it
+  /// last ran.
   void run(const Mat& src, Mat& dst,
            KernelPath path = KernelPath::Default) const;
 

@@ -54,7 +54,6 @@
 #include "platform/platform.hpp"
 #include "prof/prof.hpp"
 #include "runtime/parallel.hpp"
-#include "tune/tune.hpp"
 
 namespace simdcv::graph {
 namespace detail {
@@ -925,10 +924,9 @@ void runFusedImpl(const Graph& g, const Mat& src, Mat& dst, KernelPath path,
                                : 512u * 1024u;
     if (ctx.bandBytes > l2 / 2) grain = std::max(grain, 32 * seam);
     grain = std::min(grain, std::max(rows, 1));
-    tune::GrainScope gs(g.signature_.c_str(), p, g.ioBytes(src), rows, grain);
     runtime::parallel_for(
         {0, rows}, [&ctx](runtime::Range band) { runBand(ctx, band); },
-        gs.grain());
+        grain);
   }
   dst = std::move(out);
 }

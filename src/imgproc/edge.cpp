@@ -12,7 +12,6 @@
 #include "prof/prof.hpp"
 #include "runtime/parallel.hpp"
 #include "simd/neon_compat.hpp"
-#include "tune/tune.hpp"
 
 #if defined(__SSE2__)
 #include "simd/vec_sse2.hpp"
@@ -85,11 +84,10 @@ void gradientMagnitude(const Mat& gx, const Mat& gy, Mat& dst,
   const std::size_t n = static_cast<std::size_t>(gx.cols());
   // Element-wise over (gx, gy): banding rows cannot change the result. The
   // fork decision prices a row via magnitudeRowBytes — the same traffic the
-  // trace scope above accounts — and tuning may rescale it per size-class.
-  const int heuristic = runtime::parallelThreshold(
+  // trace scope above accounts.
+  const int grain = runtime::parallelThreshold(
       static_cast<std::size_t>(detail::magnitudeRowBytes(gx.cols())),
       gx.rows());
-  tune::GrainScope gs("gradientMagnitude", p, bytes, gx.rows(), heuristic);
   runtime::parallel_for(
       {0, gx.rows()},
       [&](runtime::Range band) {
@@ -97,7 +95,7 @@ void gradientMagnitude(const Mat& gx, const Mat& gy, Mat& dst,
           fn(gx.ptr<std::int16_t>(r), gy.ptr<std::int16_t>(r),
              out.ptr<std::uint8_t>(r), n);
       },
-      gs.grain());
+      grain);
   dst = std::move(out);
 }
 

@@ -29,7 +29,6 @@
 #include "prof/prof.hpp"
 #include "runtime/parallel.hpp"
 #include "simd/features.hpp"
-#include "tune/tune.hpp"
 
 namespace simdcv::imgproc::ring {
 
@@ -125,11 +124,10 @@ struct Shape {
 ///                                     the column pass into output row y;
 ///                                     `spare` is a per-band T row for steps
 ///                                     that narrow after the pass.
-/// `kernel` names the trace span and the band-grain tune axis; `bytes` is
-/// the traffic both are charged with. The grain is the fork threshold for
-/// one T row per output row at (kw + kh) ops, floored at kh so a band is at
-/// least one window tall; bands re-prime their seams, so the grain is pure
-/// scheduling and tunable around that heuristic.
+/// `kernel` names the trace span and `bytes` is the traffic it is charged
+/// with. The grain is the fork threshold for one T row per output row at
+/// (kw + kh) ops, floored at kh so a band is at least one window tall; bands
+/// re-prime their seams, so the grain is pure scheduling.
 template <typename T, typename P, typename Load, typename RowStep,
           typename ColStep>
 void runBanded(const char* kernel, KernelPath p, std::uint64_t bytes,
@@ -165,15 +163,14 @@ void runBanded(const char* kernel, KernelPath p, std::uint64_t bytes,
     }
   };
 
-  const int heuristic =
+  const int grain =
       std::max(runtime::parallelThreshold(w * sizeof(T), s.rows,
                                           static_cast<double>(s.kw + s.kh)),
                s.kh);
-  tune::GrainScope gs(kernel, p, bytes, s.rows, heuristic);
   // One captured reference fits std::function's inline buffer, so a call
   // makes no heap allocation.
   runtime::parallel_for(
-      {0, s.rows}, [&band](runtime::Range b) { band(b); }, gs.grain());
+      {0, s.rows}, [&band](runtime::Range b) { band(b); }, grain);
 }
 
 }  // namespace simdcv::imgproc::ring

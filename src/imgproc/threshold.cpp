@@ -5,7 +5,6 @@
 #include "core/saturate.hpp"
 #include "prof/prof.hpp"
 #include "runtime/parallel.hpp"
-#include "tune/tune.hpp"
 
 namespace simdcv::imgproc {
 
@@ -40,13 +39,10 @@ namespace {
 // Element-wise, so any row partition yields bit-identical output; bands just
 // split the flat range (continuous case) or the row loop (ROI case).
 template <typename T, typename Fn>
-void forEachRow(const Mat& src, Mat& dst, KernelPath p, Fn fn) {
+void forEachRow(const Mat& src, Mat& dst, Fn fn) {
   const std::size_t n = static_cast<std::size_t>(src.cols()) * src.channels();
   const bool flat = src.isContinuous() && dst.isContinuous();
-  const int heuristic = runtime::parallelThreshold(n * sizeof(T), src.rows());
-  tune::GrainScope gs("threshold", p,
-                      2 * static_cast<std::uint64_t>(src.rows()) * n * sizeof(T),
-                      src.rows(), heuristic);
+  const int grain = runtime::parallelThreshold(n * sizeof(T), src.rows());
   auto rows = [&](runtime::Range band) {
     if (flat) {
       fn(src.ptr<T>(band.begin), dst.ptr<T>(band.begin),
@@ -60,7 +56,7 @@ void forEachRow(const Mat& src, Mat& dst, KernelPath p, Fn fn) {
   // makes no heap allocation.
   runtime::parallel_for(
       {0, src.rows()}, [&rows](runtime::Range band) { rows(band); },
-      gs.grain());
+      grain);
 }
 
 }  // namespace
@@ -73,10 +69,7 @@ double threshold(const Mat& src, Mat& dst, double thresh, double maxval,
                  "threshold: supported depths are u8, s16, f32");
   const std::uint64_t bytes = 2 * static_cast<std::uint64_t>(src.rows()) *
                               src.cols() * src.elemSize();
-  // Default-path requests resolve through the tuner when it is enabled (the
-  // scope also times trial calls); concrete requests pass through untouched.
-  tune::PathScope ps("threshold", path, bytes);
-  const KernelPath p = ps.path();
+  const KernelPath p = resolvePath(path);
   SIMDCV_TRACE_SCOPE("threshold", p, bytes);
   // Element-wise op: in-place (dst aliasing src) is safe.
   Mat out = std::move(dst);
@@ -114,8 +107,8 @@ double threshold(const Mat& src, Mat& dst, double thresh, double maxval,
       }
       const std::uint8_t t8 = saturate_cast<std::uint8_t>(it);
       const detail::ThreshU8Fn fn8 = detail::threshU8For(p);
-      forEachRow<std::uint8_t>(src, out, p, [&](const std::uint8_t* s,
-                                                std::uint8_t* d, std::size_t n) {
+      forEachRow<std::uint8_t>(src, out, [&](const std::uint8_t* s,
+                                             std::uint8_t* d, std::size_t n) {
         fn8(s, d, n, t8, imax, type);
       });
       dst = std::move(out);
@@ -124,8 +117,8 @@ double threshold(const Mat& src, Mat& dst, double thresh, double maxval,
     case Depth::S16: {
       const std::int16_t t16 = saturate_cast<std::int16_t>(cvFloor(thresh));
       const std::int16_t imax = saturate_cast<std::int16_t>(cvRound(maxval));
-      forEachRow<std::int16_t>(src, out, p, [&](const std::int16_t* s,
-                                                std::int16_t* d, std::size_t n) {
+      forEachRow<std::int16_t>(src, out, [&](const std::int16_t* s,
+                                             std::int16_t* d, std::size_t n) {
         if (p == KernelPath::ScalarNoVec)
           novec::threshS16(s, d, n, t16, imax, type);
         else
@@ -138,7 +131,7 @@ double threshold(const Mat& src, Mat& dst, double thresh, double maxval,
     default: {
       const float tf = static_cast<float>(thresh);
       const float mf = static_cast<float>(maxval);
-      forEachRow<float>(src, out, p,
+      forEachRow<float>(src, out,
                         [&](const float* s, float* d, std::size_t n) {
         switch (p) {
           case KernelPath::Avx512: avx512::threshF32(s, d, n, tf, mf, type); break;

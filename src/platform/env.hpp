@@ -1,5 +1,5 @@
 // Hardened environment-variable parsing, shared by every subsystem that
-// reads a numeric knob (SIMDCV_NUM_THREADS, SIMDCV_SERVE_*, SIMDCV_TUNE*).
+// reads a numeric knob (SIMDCV_NUM_THREADS, SIMDCV_SERVE_*, SIMDCV_TRACE*).
 //
 // Contract: an unset variable silently yields the fallback; a set-but-
 // malformed value (garbage text, trailing junk, a negative number where a

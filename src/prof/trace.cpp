@@ -11,8 +11,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -26,6 +24,7 @@
 #include <chrono>
 #endif
 
+#include "platform/env.hpp"
 #include "prof/export_internal.hpp"
 #include "prof/perf_counters.hpp"
 
@@ -208,11 +207,9 @@ namespace {
 // Honour SIMDCV_TRACE / SIMDCV_TRACE_PERF before main() runs.
 struct EnvInit {
   EnvInit() {
-    const char* t = std::getenv("SIMDCV_TRACE");
-    if (kCompiledIn && t != nullptr && std::strcmp(t, "1") == 0)
+    if (kCompiledIn && platform::envFlag("SIMDCV_TRACE", false))
       setEnabled(true);
-    const char* p = std::getenv("SIMDCV_TRACE_PERF");
-    if (p != nullptr && std::strcmp(p, "1") == 0)
+    if (platform::envFlag("SIMDCV_TRACE_PERF", false))
       g_hw_requested.store(true, std::memory_order_relaxed);
   }
 } g_env_init;

@@ -70,7 +70,7 @@ struct Registry {
 
 Registry buildRegistry() {
   Registry r;
-  // Widest first; this order is the degrade chain and tune/check iteration
+  // Widest first; this order is the degrade chain and check iteration
   // order.
   const struct {
     KernelPath path;

@@ -2,7 +2,7 @@
 //
 // This is the one place that answers "which SIMD backends exist in this
 // binary, which can run on this CPU, and which may the dispatcher pick?".
-// hostinfo, tune::, check:: and the graph executor all consume it instead
+// hostinfo, check:: and the graph executor all consume it instead
 // of keeping private hard-coded path lists; KernelPath itself survives as
 // the (thin, stable) identifier each backend registers under.
 //
@@ -67,8 +67,7 @@ bool selectable(KernelPath path) noexcept;
 /// bench path axis iterate exactly this).
 std::vector<KernelPath> availablePaths();
 
-/// The selectable hand-written backends only, widest first (tune::'s path
-/// axis appends these to {Auto}).
+/// The selectable hand-written backends only, widest first.
 std::vector<KernelPath> handPaths();
 
 /// The widest selectable hand-written backend the host runs natively, or

@@ -78,11 +78,6 @@
 #include "platform/platform.hpp"
 #include "platform/env.hpp"
 
-// tune: measurement-driven dispatch — first calls at a decision point run a
-// short timed trial, the winner is cached (optionally on disk, keyed by a
-// host fingerprint) and served to every later call. Opt-in via SIMDCV_TUNE=1.
-#include "tune/tune.hpp"
-
 // serve: the batched image-service engine — bounded MPMC ingress queue,
 // request workers with deadlines and drain/abort shutdown, and the
 // pipeline-template registry (edge / blur / threshold / scanner presets).
