@@ -1,7 +1,6 @@
 // Benchmark family B6: the integer kernel tier.
 //
-// Two halves, both ratio-metrics (within-process, so clock drift cancels —
-// the property that makes a suite gateable, DESIGN.md section 12):
+// Two halves, both ratio-metrics (within-process, so clock drift cancels):
 //
 //   morph   erode/dilate/open/close with a rect SE at the paper resolutions,
 //           per SIMD path, speedup over the scalar-novec walk of the same
@@ -11,9 +10,6 @@
 //           path — the fixed-point-vs-float ablation. Both sides run the
 //           identical banded ring schedule; the ratio isolates the
 //           8/16-bit-lane tier against the widen-to-float32 tier.
-//
-// Emits BENCH_b6.json (one row per measurement with a "speedup" field),
-// gated by scripts/bench_gate.sh against bench/baselines/BENCH_b6_smoke.json.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -26,15 +22,13 @@ namespace {
 using namespace simdcv;
 using namespace simdcv::bench;
 
-struct Row {
-  std::string family;  // "morph" | "fixedpt"
-  std::string op;      // "erode3x3", ..., "gaussian5", "sobel3"
-  std::string resolution;
-  std::string path;
-  double base_s = 0;  // scalar-novec (morph) or float engine (fixedpt)
-  double this_s = 0;  // the measured variant
-  double speedup() const { return this_s > 0 ? base_s / this_s : 0.0; }
-};
+// One table row: `base_s` is the scalar-novec walk (morph) or the float
+// engine (fixedpt), `this_s` the measured variant.
+void addSpeedupRow(Table& t, const char* resolution, const char* op,
+                   const std::string& path, double base_s, double this_s) {
+  t.addRow({resolution, op, path, fmtSeconds(base_s), fmtSeconds(this_s),
+            fmtSpeedup(this_s > 0 ? base_s / this_s : 0.0)});
+}
 
 Measurement measureOp(const std::function<void(const Mat&, Mat&)>& op,
                       Size size, const Protocol& proto) {
@@ -57,8 +51,6 @@ Measurement measureOp(const std::function<void(const Mat&, Mat&)>& op,
 int main(int argc, char** argv) {
   printHostBanner("Family B6: morphology + fixed-point kernel tier");
   const auto proto = Protocol::fromArgs(argc, argv);
-  const auto host = platform::queryHost();
-  std::vector<Row> rows;
 
   // -- morphology: SIMD path vs scalar-novec, same engine ---------------------
   struct MorphOp {
@@ -86,11 +78,8 @@ int main(int argc, char** argv) {
         const auto m = measureOp(
             [&](const Mat& s, Mat& d) { op.fn(s, d, op.se, p); }, r.size,
             proto);
-        Row row{"morph", op.name, r.label, pathLabel(p), base.stats.mean,
-                m.stats.mean};
-        mt.addRow({r.label, op.name, row.path, fmtSeconds(row.base_s),
-                   fmtSeconds(row.this_s), fmtSpeedup(row.speedup())});
-        rows.push_back(std::move(row));
+        addSpeedupRow(mt, r.label, op.name, pathLabel(p), base.stats.mean,
+                      m.stats.mean);
       }
     }
   }
@@ -115,11 +104,8 @@ int main(int argc, char** argv) {
                                       imgproc::BorderType::Reflect101, p);
             },
             r.size, proto);
-        Row row{"fixedpt", "gaussian5", r.label, pathLabel(p), fl.stats.mean,
-                fx.stats.mean};
-        ft.addRow({r.label, "gaussian5", row.path, fmtSeconds(row.base_s),
-                   fmtSeconds(row.this_s), fmtSpeedup(row.speedup())});
-        rows.push_back(std::move(row));
+        addSpeedupRow(ft, r.label, "gaussian5", pathLabel(p), fl.stats.mean,
+                      fx.stats.mean);
       }
       {  // Sobel 3x3 dx: u8->s16 exact i16 vs the f32 engine (bit-exact pair).
         const auto fl = measureOp(
@@ -134,11 +120,8 @@ int main(int argc, char** argv) {
                                imgproc::BorderType::Reflect101, p);
             },
             r.size, proto);
-        Row row{"fixedpt", "sobel3", r.label, pathLabel(p), fl.stats.mean,
-                fx.stats.mean};
-        ft.addRow({r.label, "sobel3", row.path, fmtSeconds(row.base_s),
-                   fmtSeconds(row.this_s), fmtSpeedup(row.speedup())});
-        rows.push_back(std::move(row));
+        addSpeedupRow(ft, r.label, "sobel3", pathLabel(p), fl.stats.mean,
+                      fx.stats.mean);
       }
     }
   }
@@ -148,32 +131,5 @@ int main(int argc, char** argv) {
       "fixed-point Gaussian is within +/-1 LSB of the float engine on the\n"
       "quantized taps, and the fixed-point Sobel is bit-exact with it.)\n");
 
-  std::FILE* f = std::fopen("BENCH_b6.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_b6.json\n");
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"fig_b6_morphology\",\n");
-  std::fprintf(f,
-               "  \"host\": {\"brand\": \"%s\", \"logical_cpus\": %d, "
-               "\"l1d_kb\": %d, \"l2_kb\": %d, \"l3_kb\": %d},\n",
-               host.brand.c_str(), host.logical_cpus, host.l1d_kb, host.l2_kb,
-               host.l3_kb);
-  std::fprintf(f, "  \"protocol\": {\"images\": %d, \"cycles\": %d},\n",
-               proto.images, proto.cycles);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    std::fprintf(f,
-                 "    {\"family\": \"%s\", \"op\": \"%s\", \"resolution\": "
-                 "\"%s\", \"path\": \"%s\", \"base_s\": %.6e, \"this_s\": "
-                 "%.6e, \"speedup\": %.3f}%s\n",
-                 row.family.c_str(), row.op.c_str(), row.resolution.c_str(),
-                 row.path.c_str(), row.base_s, row.this_s, row.speedup(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_b6.json\n");
   return 0;
 }

@@ -12,14 +12,6 @@
 
 namespace simdcv::bench {
 
-/// One host-measured speedup series: label plus one ratio per resolution.
-/// Kept numeric so the driver can both format the table row and emit the
-/// machine-readable BENCH_<slug>.json consumed by scripts/bench_gate.sh.
-struct SpeedupSeries {
-  std::string label;
-  std::vector<double> speedups;
-};
-
 inline int runSpeedupFigure(const char* figureName, const char* csvSlug,
                             platform::BenchKernel kernel, int argc,
                             char** argv) {
@@ -27,79 +19,32 @@ inline int runSpeedupFigure(const char* figureName, const char* csvSlug,
   const auto proto = Protocol::fromArgs(argc, argv);
   const auto& resolutions = paperResolutions();
 
-  // Host-measured speedup series, kept numeric for the JSON gate artifact.
+  // Host-measured speedup series: each hand path against AUTO, then the
+  // 2012-style baseline: the speedup against a compiler that vectorizes
+  // nothing (paper-era gcc on these loops).
   std::printf("-- host-measured HAND/AUTO speedups --\n");
   std::vector<std::string> header{"series"};
   for (const auto& r : resolutions) header.push_back(r.label);
-  std::vector<SpeedupSeries> host;
-  for (KernelPath hand : {KernelPath::Sse2, KernelPath::Neon}) {
-    if (!pathAvailable(hand)) continue;
-    SpeedupSeries series{std::string("host ") + pathLabel(hand), {}};
+  std::vector<std::vector<std::string>> csv;
+  auto addSeries = [&](std::string label, KernelPath base, KernelPath hand) {
+    std::vector<std::string> row{std::move(label)};
     for (const auto& r : resolutions) {
-      const auto a = measureKernel(kernel, KernelPath::Auto, r.size, proto);
+      const auto a = measureKernel(kernel, base, r.size, proto);
       const auto h = measureKernel(kernel, hand, r.size, proto);
-      series.speedups.push_back(speedupOf(a, h));
+      row.push_back(fmtSpeedup(speedupOf(a, h)));
     }
-    host.push_back(std::move(series));
-  }
-  // The 2012-style baseline: what the speedup looks like against a compiler
-  // that vectorizes nothing (paper-era gcc on these loops).
-  {
-    SpeedupSeries series{"host HAND vs scalar-novec", {}};
-    const KernelPath hand =
-        pathAvailable(KernelPath::Sse2) ? KernelPath::Sse2 : KernelPath::Neon;
-    for (const auto& r : resolutions) {
-      const auto a = measureKernel(kernel, KernelPath::ScalarNoVec, r.size, proto);
-      const auto h = measureKernel(kernel, hand, r.size, proto);
-      series.speedups.push_back(speedupOf(a, h));
-    }
-    host.push_back(std::move(series));
-  }
+    csv.push_back(std::move(row));
+  };
+  for (KernelPath hand : {KernelPath::Sse2, KernelPath::Neon})
+    if (pathAvailable(hand))
+      addSeries(std::string("host ") + pathLabel(hand), KernelPath::Auto, hand);
+  addSeries("host HAND vs scalar-novec", KernelPath::ScalarNoVec,
+            pathAvailable(KernelPath::Sse2) ? KernelPath::Sse2
+                                            : KernelPath::Neon);
 
   Table t(header);
-  std::vector<std::vector<std::string>> csv;
-  for (const auto& series : host) {
-    std::vector<std::string> row{series.label};
-    for (double s : series.speedups) row.push_back(fmtSpeedup(s));
-    csv.push_back(row);
-    t.addRow(std::move(row));
-  }
+  for (const auto& row : csv) t.addRow(row);
   t.print();
-
-  // Machine-readable speedup artifact for the perf-regression gate
-  // (scripts/bench_gate.sh): one row per (series, resolution). Speedups are
-  // within-process ratios, so clock drift mostly cancels, which is what
-  // makes them gateable.
-  {
-    const auto hostInfo = platform::queryHost();
-    const std::string jsonPath = std::string("BENCH_") + csvSlug + ".json";
-    std::FILE* f = std::fopen(jsonPath.c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f, "{\n  \"bench\": \"%s\",\n", csvSlug);
-      std::fprintf(f,
-                   "  \"host\": {\"brand\": \"%s\", \"logical_cpus\": %d, "
-                   "\"l1d_kb\": %d, \"l2_kb\": %d, \"l3_kb\": %d},\n",
-                   hostInfo.brand.c_str(), hostInfo.logical_cpus,
-                   hostInfo.l1d_kb, hostInfo.l2_kb, hostInfo.l3_kb);
-      std::fprintf(f, "  \"protocol\": {\"images\": %d, \"cycles\": %d},\n",
-                   proto.images, proto.cycles);
-      std::fprintf(f, "  \"results\": [\n");
-      bool first = true;
-      for (const auto& series : host) {
-        for (std::size_t i = 0; i < series.speedups.size(); ++i) {
-          std::fprintf(f,
-                       "%s    {\"series\": \"%s\", \"resolution\": \"%s\", "
-                       "\"speedup\": %.3f}",
-                       first ? "" : ",\n", series.label.c_str(),
-                       resolutions[i].label, series.speedups[i]);
-          first = false;
-        }
-      }
-      std::fprintf(f, "\n  ]\n}\n");
-      std::fclose(f);
-      std::printf("wrote %s\n", jsonPath.c_str());
-    }
-  }
 
   // Simulated per-platform series (the figure's ten curves).
   std::printf("\n-- model-simulated speedups (paper platforms) --\n");

@@ -203,37 +203,12 @@ grep -q '"chain": "photo"' build/BENCH_graph.json
 test -s build/fig6_edge_speedup_trace.json
 
 echo
-echo "== serve smoke (fixed-size load matrix end to end) =="
-cmake --build build -j --target ext_serve
-(cd build && SIMDCV_BENCH_SMOKE=1 ./bench/ext_serve)
-# The smoke JSON must carry real latency/throughput rows for both presets.
-grep -q '"images_per_sec"' build/BENCH_serve.json
-grep -q '"p99_ms"' build/BENCH_serve.json
-grep -q '"pipeline": "edge"' build/BENCH_serve.json
-grep -q '"pipeline": "scanner"' build/BENCH_serve.json
-
-echo
-echo "== bench gate (smoke runs vs committed baselines) =="
-scripts/bench_gate.sh
-
-echo
-echo "== bench gate: synthetic regression must fail with the metric named =="
-# Deterministic negative control: clamp every speedup in a copy of the
-# fig6 baseline to a floor far below tolerance and gate the copy against
-# the original. The gate must exit 1 (Regression) and name `speedup` —
-# proving the guardrail trips on a real regression, not only on happy paths.
-sed -E 's/"speedup": [0-9.eE+-]+/"speedup": 0.01/g' \
-  bench/baselines/BENCH_fig6_smoke.json > build/BENCH_fig6_degraded.json
-grep -q '"speedup": 0.01' build/BENCH_fig6_degraded.json
-rc=0
-./build/bench/gate_compare \
-  --baseline bench/baselines/BENCH_fig6_smoke.json \
-  --candidate build/BENCH_fig6_degraded.json \
-  --metrics speedup --tolerance 0.25 2> build/gate_synth.err || rc=$?
-test "$rc" -eq 1 || { echo "expected exit 1 (regression), got $rc"; exit 1; }
-grep -q 'REGRESSION' build/gate_synth.err
-grep -q 'speedup' build/gate_synth.err
-echo "synthetic regression correctly rejected"
+echo "== A/B verdicts: a recorded pair table (ctest -L bench) =="
+# Deterministic negative control for scripts/ab.py, the same-host perf A/B:
+# a metric 40% past its bound must read `regression` and be named, one
+# exactly at its bound must pass, 8/10 better pairs must not read `gain`,
+# and a higher failed share or a malformed table must fail.
+ctest --test-dir build -L bench --output-on-failure --no-tests=error
 
 echo
 echo "verify: OK"

@@ -434,7 +434,9 @@ TEST_F(ProfTest, FusedEdgeEmitsStageBreakdown) {
       const bool windowed = n.kind == graph::NodeKind::Morph ||
                             n.kind == graph::NodeKind::FxGaussian ||
                             n.kind == graph::NodeKind::FxSobel;
-      if (windowed) EXPECT_NE(findKernel(s, n.rowLabel), nullptr) << n.label;
+      if (windowed) {
+        EXPECT_NE(findKernel(s, n.rowLabel), nullptr) << n.label;
+      }
     }
     EXPECT_NE(findKernel(s, g.node(1).rowLabel), nullptr);
     EXPECT_GT(stageSum, 0u);
