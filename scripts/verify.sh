@@ -189,14 +189,8 @@ echo
 echo "== bench smoke (SIMDCV_BENCH_SMOKE=1: 2 images x 1 cycle) =="
 # Run from inside build/ so the smoke CSV/JSON artifacts do not clobber the
 # committed full-protocol results at the repo root.
-cmake --build build -j --target fig6_edge_speedup ablation_graph
+cmake --build build -j --target fig6_edge_speedup
 (cd build && SIMDCV_BENCH_SMOKE=1 ./bench/fig6_edge_speedup)
-# Graph fused-vs-staged over three chains; the smoke JSON must carry rows
-# for every declared chain.
-(cd build && SIMDCV_BENCH_SMOKE=1 ./bench/ablation_graph)
-grep -q '"chain": "edge"' build/BENCH_graph.json
-grep -q '"chain": "blur-sobel"' build/BENCH_graph.json
-grep -q '"chain": "photo"' build/BENCH_graph.json
 # Traced smoke: per-stage breakdown summary + chrome trace JSON next to the
 # CSV (fig6_edge_speedup_trace.json).
 (cd build && SIMDCV_TRACE=1 SIMDCV_BENCH_SMOKE=1 ./bench/fig6_edge_speedup)

@@ -1,9 +1,6 @@
 // Public array-op API: geometry checks, path resolution, row iteration.
 #include "core/array_ops.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "core/array_ops_detail.hpp"
 #include "core/saturate.hpp"
 #include "prof/prof.hpp"
@@ -17,7 +14,7 @@ using detail::BinOp;
 
 // Band-parallel row walk for the element-wise ops below. Bands partition
 // output rows, so results are bit-identical to the serial walk; reductions
-// (sum/norm/minMax) deliberately stay serial to keep their accumulation
+// (sum/minMax) deliberately stay serial to keep their accumulation
 // order — and thus their float results — unchanged.
 template <typename Fn>
 void forEachBand(int rows, std::size_t bytesPerRow, const Fn& fn) {
@@ -287,69 +284,7 @@ double mean(const Mat& a, KernelPath path) {
          (static_cast<double>(a.total()) * static_cast<double>(a.channels()));
 }
 
-std::size_t countNonZero(const Mat& a, KernelPath path) {
-  SIMDCV_REQUIRE(!a.empty(), "countNonZero: empty input");
-  const KernelPath p = resolvePath(path);
-  SIMDCV_TRACE_SCOPE("countNonZero", p,
-                     static_cast<std::uint64_t>(a.rows()) * a.cols() *
-                         a.channels() * depthSize(a.depth()));
-  const std::size_t n = static_cast<std::size_t>(a.cols()) * a.channels();
-  std::size_t total = 0;
-  for (int r = 0; r < a.rows(); ++r) {
-    const void* row = a.ptr<std::uint8_t>(r);
-    total += p == KernelPath::ScalarNoVec
-                 ? detail::aops_novec::countNonZeroRange(a.depth(), row, n)
-                 : detail::aops_autovec::countNonZeroRange(a.depth(), row, n);
-  }
-  return total;
-}
-
 namespace {
-
-template <typename T>
-void normRows(const Mat& a, NormType type, double& acc) {
-  const int n = a.cols() * a.channels();
-  for (int row = 0; row < a.rows(); ++row) {
-    const T* p = a.ptr<T>(row);
-    for (int c = 0; c < n; ++c) {
-      const double v = std::abs(static_cast<double>(p[c]));
-      switch (type) {
-        case NormType::L1: acc += v; break;
-        case NormType::L2: acc += v * v; break;
-        case NormType::Inf: acc = std::max(acc, v); break;
-      }
-    }
-  }
-}
-
-template <typename T>
-void normDiffRows(const Mat& a, const Mat& b, NormType type, double& acc) {
-  const int n = a.cols() * a.channels();
-  for (int row = 0; row < a.rows(); ++row) {
-    const T* pa = a.ptr<T>(row);
-    const T* pb = b.ptr<T>(row);
-    for (int c = 0; c < n; ++c) {
-      const double v = std::abs(static_cast<double>(pa[c]) - static_cast<double>(pb[c]));
-      switch (type) {
-        case NormType::L1: acc += v; break;
-        case NormType::L2: acc += v * v; break;
-        case NormType::Inf: acc = std::max(acc, v); break;
-      }
-    }
-  }
-}
-
-void normDispatch(const Mat& a, const Mat* b, NormType type, double& acc) {
-  switch (a.depth()) {
-    case Depth::U8: b ? normDiffRows<std::uint8_t>(a, *b, type, acc) : normRows<std::uint8_t>(a, type, acc); break;
-    case Depth::S8: b ? normDiffRows<std::int8_t>(a, *b, type, acc) : normRows<std::int8_t>(a, type, acc); break;
-    case Depth::U16: b ? normDiffRows<std::uint16_t>(a, *b, type, acc) : normRows<std::uint16_t>(a, type, acc); break;
-    case Depth::S16: b ? normDiffRows<std::int16_t>(a, *b, type, acc) : normRows<std::int16_t>(a, type, acc); break;
-    case Depth::S32: b ? normDiffRows<std::int32_t>(a, *b, type, acc) : normRows<std::int32_t>(a, type, acc); break;
-    case Depth::F32: b ? normDiffRows<float>(a, *b, type, acc) : normRows<float>(a, type, acc); break;
-    case Depth::F64: b ? normDiffRows<double>(a, *b, type, acc) : normRows<double>(a, type, acc); break;
-  }
-}
 
 template <typename T>
 void minMaxRows(const Mat& a, MinMaxResult& r) {
@@ -372,34 +307,6 @@ void minMaxRows(const Mat& a, MinMaxResult& r) {
 }
 
 }  // namespace
-
-double norm(const Mat& a, NormType type, KernelPath /*path*/) {
-  SIMDCV_REQUIRE(!a.empty(), "norm: empty input");
-  SIMDCV_TRACE_SCOPE("norm", prof::kNoPath,
-                     static_cast<std::uint64_t>(a.rows()) * a.cols() *
-                         a.channels() * depthSize(a.depth()));
-  double acc = 0;
-  normDispatch(a, nullptr, type, acc);
-  return type == NormType::L2 ? std::sqrt(acc) : acc;
-}
-
-double normDiff(const Mat& a, const Mat& b, NormType type, KernelPath /*path*/) {
-  checkPair(a, b, "normDiff");
-  double acc = 0;
-  normDispatch(a, &b, type, acc);
-  return type == NormType::L2 ? std::sqrt(acc) : acc;
-}
-
-MeanStdDev meanStdDev(const Mat& a, KernelPath path) {
-  SIMDCV_REQUIRE(!a.empty(), "meanStdDev: empty input");
-  const double n = static_cast<double>(a.total()) * a.channels();
-  MeanStdDev r;
-  r.mean = sum(a, path) / n;
-  const double l2 = norm(a, NormType::L2, path);
-  const double var = std::max(0.0, l2 * l2 / n - r.mean * r.mean);
-  r.stddev = std::sqrt(var);
-  return r;
-}
 
 MinMaxResult minMaxLoc(const Mat& a, KernelPath /*path*/) {
   SIMDCV_REQUIRE(!a.empty(), "minMaxLoc: empty input");

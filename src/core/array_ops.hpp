@@ -1,7 +1,7 @@
 // Element-wise array arithmetic and reductions over Mat — the slice of
 // OpenCV's Core module the imgproc pipelines sit on: add/subtract/absdiff
 // (saturating), scalar scaling, bitwise ops, min/max, and the reductions
-// sum / mean / minMaxLoc / countNonZero.
+// sum / mean / minMaxLoc.
 //
 // Supported depths: U8, S16, F32 (the depths the paper's pipelines use).
 // All binary ops require matching geometry and type; all have scalar (AUTO),
@@ -52,24 +52,6 @@ void addWeighted(const Mat& a, double alpha, const Mat& b, double beta,
 double sum(const Mat& a, KernelPath path = KernelPath::Default);
 /// Arithmetic mean of all elements.
 double mean(const Mat& a, KernelPath path = KernelPath::Default);
-/// Number of non-zero elements.
-std::size_t countNonZero(const Mat& a, KernelPath path = KernelPath::Default);
-
-/// Norms over a single Mat (channels pooled): L1 = sum|x|, L2 = sqrt(sum x^2),
-/// Linf = max|x|.
-enum class NormType : std::uint8_t { L1, L2, Inf };
-double norm(const Mat& a, NormType type = NormType::L2,
-            KernelPath path = KernelPath::Default);
-/// Norm of the difference a - b (exact in double; no saturation).
-double normDiff(const Mat& a, const Mat& b, NormType type = NormType::L2,
-                KernelPath path = KernelPath::Default);
-
-/// Mean and standard deviation (population) of all elements.
-struct MeanStdDev {
-  double mean = 0;
-  double stddev = 0;
-};
-MeanStdDev meanStdDev(const Mat& a, KernelPath path = KernelPath::Default);
 
 struct MinMaxResult {
   double min_val = 0;

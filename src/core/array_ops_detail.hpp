@@ -21,7 +21,6 @@ void scaleRange(Depth d, const void* a, void* dst, std::size_t n, double alpha,
 void weightedRange(Depth d, const void* a, const void* b, void* dst,
                    std::size_t n, double alpha, double beta, double gamma);
 double sumRange(Depth d, const void* a, std::size_t n);
-std::size_t countNonZeroRange(Depth d, const void* a, std::size_t n);
 }  // namespace aops_autovec
 namespace aops_novec {
 void binRange(BinOp op, Depth d, const void* a, const void* b, void* dst,
@@ -32,7 +31,6 @@ void scaleRange(Depth d, const void* a, void* dst, std::size_t n, double alpha,
 void weightedRange(Depth d, const void* a, const void* b, void* dst,
                    std::size_t n, double alpha, double beta, double gamma);
 double sumRange(Depth d, const void* a, std::size_t n);
-std::size_t countNonZeroRange(Depth d, const void* a, std::size_t n);
 }  // namespace aops_novec
 
 // SIMD arms; return false when the (op, depth) pair has no hand kernel so

@@ -33,7 +33,7 @@ void cvt32f16s(const float* src, std::int16_t* dst, std::size_t n,
 void cvt32f16sNeonPaper(const float* src, std::int16_t* dst, std::size_t n);
 
 /// Returns true if a HAND kernel exists for this depth pair on `path`
-/// (identity scale). Used by benchmarks to label results honestly.
+/// (identity scale).
 bool hasHandKernel(Depth sdepth, Depth ddepth, KernelPath path);
 
 // -- per-path scalar entry points (exposed for the ablation benches) -------

@@ -5,18 +5,6 @@
 
 namespace simdcv::imgproc {
 
-const char* toString(ColorCode c) noexcept {
-  switch (c) {
-    case ColorCode::BGR2GRAY: return "bgr2gray";
-    case ColorCode::RGB2GRAY: return "rgb2gray";
-    case ColorCode::GRAY2BGR: return "gray2bgr";
-    case ColorCode::BGR2RGB: return "bgr2rgb";
-    case ColorCode::BGRA2BGR: return "bgra2bgr";
-    case ColorCode::BGR2BGRA: return "bgr2bgra";
-  }
-  return "?";
-}
-
 namespace {
 
 void grayRow(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,

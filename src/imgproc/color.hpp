@@ -24,8 +24,6 @@ enum class ColorCode : std::uint8_t {
   BGR2BGRA,
 };
 
-const char* toString(ColorCode c) noexcept;
-
 /// Convert between color representations (U8 images).
 void cvtColor(const Mat& src, Mat& dst, ColorCode code,
               KernelPath path = KernelPath::Default);

@@ -1,5 +1,5 @@
 // sepFilter2D, the float separable convolution (paper B3/B4), and the
-// filters built on it (GaussianBlur, Sobel, Scharr, boxFilter).
+// filters built on it (GaussianBlur, Sobel, boxFilter).
 //
 // Per output row (ring_engine.hpp runs the loop):
 //   source row --convert-to-float--> padded row --rowConv(kx)--> ring row
@@ -181,18 +181,6 @@ void Sobel(const Mat& src, Mat& dst, Depth ddepth, int dx, int dy, int ksize,
                  "Sobel: need at least one derivative order");
   std::vector<float> kx, ky;
   getDerivKernels(kx, ky, dx, dy, ksize, /*normalize=*/false);
-  if (scale != 1.0) {
-    for (auto& v : kx) v = static_cast<float>(v * scale);
-  }
-  sepFilter2D(src, dst, ddepth, kx, ky, border, 0.0, path);
-}
-
-void Scharr(const Mat& src, Mat& dst, Depth ddepth, int dx, int dy,
-            double scale, BorderType border, KernelPath path) {
-  SIMDCV_REQUIRE((dx == 1 && dy == 0) || (dx == 0 && dy == 1),
-                 "Scharr: (dx,dy) must be (1,0) or (0,1)");
-  std::vector<float> kx = getScharrKernel(dx);
-  std::vector<float> ky = getScharrKernel(dy);
   if (scale != 1.0) {
     for (auto& v : kx) v = static_cast<float>(v * scale);
   }

@@ -38,11 +38,6 @@ void Sobel(const Mat& src, Mat& dst, Depth ddepth, int dx, int dy,
            BorderType border = BorderType::Reflect101,
            KernelPath path = KernelPath::Default);
 
-/// Scharr 3x3 derivative (more rotationally symmetric than Sobel 3x3).
-void Scharr(const Mat& src, Mat& dst, Depth ddepth, int dx, int dy,
-            double scale = 1.0, BorderType border = BorderType::Reflect101,
-            KernelPath path = KernelPath::Default);
-
 /// Dense (non-separable) 2-D correlation with an arbitrary kernel.
 /// Scalar reference implementation used by tests to validate the separable
 /// engine; kernel is row-major kh x kw.

@@ -1,16 +1,21 @@
-// Harris corner response — the gradient-autocorrelation complement to the
-// FAST segment test: R = det(M) - k * trace(M)^2 over a smoothed structure
-// tensor M = sum_w [Ix^2 IxIy; IxIy Iy^2]. Composed entirely from the
-// library's Sobel + box-filter substrates.
+// Harris corner response — gradient autocorrelation:
+// R = det(M) - k * trace(M)^2 over a smoothed structure tensor
+// M = sum_w [Ix^2 IxIy; IxIy Iy^2]. Composed entirely from the library's
+// Sobel + box-filter substrates.
 #pragma once
 
 #include <vector>
 
 #include "core/mat.hpp"
-#include "imgproc/fast.hpp"  // KeyPoint
 #include "simd/features.hpp"
 
 namespace simdcv::imgproc {
+
+struct KeyPoint {
+  int x = 0;
+  int y = 0;
+  int score = 0;  ///< Harris response, truncated to int
+};
 
 /// Dense Harris response map (F32C1) of a U8C1 image.
 /// blockSize: structure-tensor window; apertureSize: Sobel kernel; k: the

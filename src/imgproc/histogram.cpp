@@ -1,7 +1,5 @@
 #include "imgproc/histogram.hpp"
 
-#include <cstring>
-
 namespace simdcv::imgproc {
 
 std::array<std::uint32_t, 256> calcHist(const Mat& src, KernelPath /*path*/) {
@@ -30,44 +28,6 @@ std::array<std::uint32_t, 256> calcHist(const Mat& src, KernelPath /*path*/) {
   return out;
 }
 
-void equalizeHist(const Mat& src, Mat& dst, KernelPath path) {
-  SIMDCV_REQUIRE(!src.empty(), "equalizeHist: empty source");
-  SIMDCV_REQUIRE(src.type() == U8C1, "equalizeHist: u8c1 only");
-  const auto hist = calcHist(src, path);
-
-  // Build the LUT from the CDF, ignoring leading zero bins (OpenCV rule).
-  std::array<std::uint8_t, 256> lut{};
-  std::uint64_t cdf = 0;
-  std::uint64_t total = 0;
-  std::uint32_t firstNonZero = 0;
-  for (int v = 0; v < 256; ++v) total += hist[static_cast<std::size_t>(v)];
-  int v0 = 0;
-  while (v0 < 256 && hist[static_cast<std::size_t>(v0)] == 0) ++v0;
-  if (v0 == 256 || total == hist[static_cast<std::size_t>(v0)]) {
-    // Constant image: identity mapping.
-    src.copyTo(dst);
-    return;
-  }
-  firstNonZero = hist[static_cast<std::size_t>(v0)];
-  const double scale = 255.0 / static_cast<double>(total - firstNonZero);
-  for (int v = 0; v < 256; ++v) {
-    cdf += hist[static_cast<std::size_t>(v)];
-    const double mapped =
-        (static_cast<double>(cdf) - firstNonZero) * scale;
-    lut[static_cast<std::size_t>(v)] = static_cast<std::uint8_t>(
-        mapped < 0 ? 0 : (mapped > 255 ? 255 : mapped + 0.5));
-  }
-
-  Mat out = std::move(dst);
-  out.create(src.rows(), src.cols(), U8C1);
-  for (int r = 0; r < src.rows(); ++r) {
-    const std::uint8_t* s = src.ptr<std::uint8_t>(r);
-    std::uint8_t* d = out.ptr<std::uint8_t>(r);
-    for (int c = 0; c < src.cols(); ++c) d[c] = lut[s[c]];
-  }
-  dst = std::move(out);
-}
-
 double otsuThreshold(const Mat& src, KernelPath path) {
   SIMDCV_REQUIRE(!src.empty(), "otsuThreshold: empty source");
   SIMDCV_REQUIRE(src.type() == U8C1, "otsuThreshold: u8c1 only");
@@ -92,60 +52,6 @@ double otsuThreshold(const Mat& src, KernelPath path) {
     }
   }
   return best;
-}
-
-void integral(const Mat& src, Mat& dst) {
-  SIMDCV_REQUIRE(!src.empty(), "integral: empty source");
-  SIMDCV_REQUIRE(src.channels() == 1, "integral: single channel only");
-  SIMDCV_REQUIRE(src.depth() == Depth::U8 || src.depth() == Depth::F32,
-                 "integral: u8/f32 only");
-  const int rows = src.rows(), cols = src.cols();
-  const bool isU8 = src.depth() == Depth::U8;
-  Mat out = std::move(dst);
-  out.create(rows + 1, cols + 1, isU8 ? S32C1 : F64C1);
-
-  if (isU8) {
-    std::memset(out.ptr<std::uint8_t>(0), 0, (static_cast<std::size_t>(cols) + 1) * 4);
-    for (int y = 0; y < rows; ++y) {
-      const std::uint8_t* s = src.ptr<std::uint8_t>(y);
-      const std::int32_t* up = out.ptr<std::int32_t>(y);
-      std::int32_t* d = out.ptr<std::int32_t>(y + 1);
-      d[0] = 0;
-      std::int32_t rowSum = 0;
-      for (int x = 0; x < cols; ++x) {
-        rowSum += s[x];
-        d[x + 1] = up[x + 1] + rowSum;
-      }
-    }
-  } else {
-    for (int x = 0; x <= cols; ++x) out.at<double>(0, x) = 0;
-    for (int y = 0; y < rows; ++y) {
-      const float* s = src.ptr<float>(y);
-      const double* up = out.ptr<double>(y);
-      double* d = out.ptr<double>(y + 1);
-      d[0] = 0;
-      double rowSum = 0;
-      for (int x = 0; x < cols; ++x) {
-        rowSum += s[x];
-        d[x + 1] = up[x + 1] + rowSum;
-      }
-    }
-  }
-  dst = std::move(out);
-}
-
-double integralRectSum(const Mat& ii, int x0, int y0, int x1, int y1) {
-  SIMDCV_REQUIRE(ii.depth() == Depth::S32 || ii.depth() == Depth::F64,
-                 "integralRectSum: not an integral image");
-  SIMDCV_REQUIRE(0 <= x0 && x0 <= x1 && x1 < ii.cols() && 0 <= y0 &&
-                     y0 <= y1 && y1 < ii.rows(),
-                 "integralRectSum: rectangle out of range");
-  auto at = [&](int y, int x) -> double {
-    return ii.depth() == Depth::S32
-               ? static_cast<double>(ii.at<std::int32_t>(y, x))
-               : ii.at<double>(y, x);
-  };
-  return at(y1, x1) - at(y0, x1) - at(y1, x0) + at(y0, x0);
 }
 
 }  // namespace simdcv::imgproc

@@ -1,5 +1,4 @@
-// Histograms, histogram equalization and integral images — Core-module
-// staples used by thresholding and feature pipelines.
+// 256-bin histograms and Otsu's threshold.
 #pragma once
 
 #include <array>
@@ -14,21 +13,7 @@ namespace simdcv::imgproc {
 std::array<std::uint32_t, 256> calcHist(const Mat& src,
                                         KernelPath path = KernelPath::Default);
 
-/// Global histogram equalization of a U8C1 image (cv::equalizeHist
-/// semantics: CDF scaled over the non-zero range).
-void equalizeHist(const Mat& src, Mat& dst,
-                  KernelPath path = KernelPath::Default);
-
 /// Otsu's threshold value for a U8C1 image (maximizes inter-class variance).
 double otsuThreshold(const Mat& src, KernelPath path = KernelPath::Default);
-
-/// Integral image: dst(y, x) = sum of src over [0..y) x [0..x), with the
-/// conventional extra zero row/column (dst is (rows+1) x (cols+1), S32 for
-/// U8 input, F64 for F32 input).
-void integral(const Mat& src, Mat& dst);
-
-/// Sum of the rectangle [x0, x1) x [y0, y1) using an integral image
-/// produced by integral().
-double integralRectSum(const Mat& integralImg, int x0, int y0, int x1, int y1);
 
 }  // namespace simdcv::imgproc

@@ -63,13 +63,6 @@ void getDerivKernels(std::vector<float>& kx, std::vector<float>& ky, int dx,
   ky = getDerivKernel(dy, ksize, normalize);
 }
 
-std::vector<float> getScharrKernel(int order, bool normalize) {
-  SIMDCV_REQUIRE(order == 0 || order == 1, "Scharr order must be 0 or 1");
-  if (order == 1) return {-1.0f, 0.0f, 1.0f};
-  const float s = normalize ? 1.0f / 16.0f : 1.0f;
-  return {3.0f * s, 10.0f * s, 3.0f * s};
-}
-
 const char* toString(BorderType b) noexcept {
   switch (b) {
     case BorderType::Constant: return "constant";

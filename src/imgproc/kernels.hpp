@@ -1,4 +1,4 @@
-// 1-D filter kernel generators: Gaussian and Sobel/Scharr derivative kernels.
+// 1-D filter kernel generators: Gaussian and Sobel derivative kernels.
 #pragma once
 
 #include <vector>
@@ -27,8 +27,5 @@ std::vector<float> getDerivKernel(int order, int ksize, bool normalize = false);
 /// ky along columns.
 void getDerivKernels(std::vector<float>& kx, std::vector<float>& ky, int dx,
                      int dy, int ksize, bool normalize = false);
-
-/// Scharr 3-tap kernels: derivative [-1 0 1], smoothing [3 10 3].
-std::vector<float> getScharrKernel(int order, bool normalize = false);
 
 }  // namespace simdcv::imgproc

@@ -64,7 +64,7 @@ std::uint64_t sadRange(const std::uint8_t* a, const std::uint8_t* b,
 namespace {
 
 // PSADBW already saturates the port, so SAD has no AVX2/AVX-512 arm; the
-// callers resolve their path with widest=Sse2.
+// caller resolves its path with widest=Sse2.
 std::uint64_t sadRow(const std::uint8_t* a, const std::uint8_t* b,
                      std::size_t n, KernelPath p) {
   switch (p) {
@@ -75,56 +75,14 @@ std::uint64_t sadRow(const std::uint8_t* a, const std::uint8_t* b,
   }
 }
 
-void checkInputs(const Mat& img, const Mat& tmpl, const char* what) {
-  SIMDCV_REQUIRE(!img.empty() && !tmpl.empty(), std::string(what) + ": empty input");
-  SIMDCV_REQUIRE(img.type() == U8C1 && tmpl.type() == U8C1,
-                 std::string(what) + ": u8c1 only");
-  SIMDCV_REQUIRE(tmpl.cols() <= img.cols() && tmpl.rows() <= img.rows(),
-                 std::string(what) + ": template larger than image");
-}
-
 }  // namespace
 
-std::uint64_t sadAt(const Mat& img, const Mat& tmpl, int x, int y,
-                    KernelPath path) {
-  checkInputs(img, tmpl, "sadAt");
-  SIMDCV_REQUIRE(x >= 0 && y >= 0 && x + tmpl.cols() <= img.cols() &&
-                     y + tmpl.rows() <= img.rows(),
-                 "sadAt: window out of range");
-  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
-  std::uint64_t acc = 0;
-  for (int r = 0; r < tmpl.rows(); ++r) {
-    acc += sadRow(img.ptr<std::uint8_t>(y + r) + x, tmpl.ptr<std::uint8_t>(r),
-                  static_cast<std::size_t>(tmpl.cols()), p);
-  }
-  return acc;
-}
-
-void matchTemplateSad(const Mat& img, const Mat& tmpl, Mat& result,
-                      KernelPath path) {
-  checkInputs(img, tmpl, "matchTemplateSad");
-  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
-  const int rw = img.cols() - tmpl.cols() + 1;
-  const int rh = img.rows() - tmpl.rows() + 1;
-  Mat out = std::move(result);
-  out.create(rh, rw, F32C1);
-  for (int y = 0; y < rh; ++y) {
-    float* d = out.ptr<float>(y);
-    for (int x = 0; x < rw; ++x) {
-      std::uint64_t acc = 0;
-      for (int r = 0; r < tmpl.rows(); ++r) {
-        acc += sadRow(img.ptr<std::uint8_t>(y + r) + x,
-                      tmpl.ptr<std::uint8_t>(r),
-                      static_cast<std::size_t>(tmpl.cols()), p);
-      }
-      d[x] = static_cast<float>(acc);
-    }
-  }
-  result = std::move(out);
-}
-
 MatchResult findBestMatch(const Mat& img, const Mat& tmpl, KernelPath path) {
-  checkInputs(img, tmpl, "findBestMatch");
+  SIMDCV_REQUIRE(!img.empty() && !tmpl.empty(), "findBestMatch: empty input");
+  SIMDCV_REQUIRE(img.type() == U8C1 && tmpl.type() == U8C1,
+                 "findBestMatch: u8c1 only");
+  SIMDCV_REQUIRE(tmpl.cols() <= img.cols() && tmpl.rows() <= img.rows(),
+                 "findBestMatch: template larger than image");
   const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
   MatchResult best;
   best.sad = std::numeric_limits<std::uint64_t>::max();

@@ -9,16 +9,6 @@
 
 namespace simdcv::imgproc {
 
-/// SAD between a template and an equally-sized window of `img` at (x, y).
-std::uint64_t sadAt(const Mat& img, const Mat& tmpl, int x, int y,
-                    KernelPath path = KernelPath::Default);
-
-/// Dense SAD map: result(y, x) = SAD of tmpl against img at (x, y).
-/// result size is (img.cols - tmpl.cols + 1) x (img.rows - tmpl.rows + 1),
-/// depth F32 (exact for SAD values below 2^24). U8C1 inputs.
-void matchTemplateSad(const Mat& img, const Mat& tmpl, Mat& result,
-                      KernelPath path = KernelPath::Default);
-
 struct MatchResult {
   int x = -1, y = -1;
   std::uint64_t sad = 0;

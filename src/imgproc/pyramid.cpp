@@ -1,6 +1,5 @@
 #include "imgproc/pyramid.hpp"
 
-#include "core/convert.hpp"
 #include "imgproc/filter.hpp"
 
 namespace simdcv::imgproc {
@@ -34,52 +33,6 @@ void pyrDown(const Mat& src, Mat& dst, KernelPath path) {
                   s + static_cast<std::size_t>(2 * x) * esz, esz);
   }
   dst = std::move(out);
-}
-
-void pyrUp(const Mat& src, Mat& dst, KernelPath path) {
-  SIMDCV_REQUIRE(!src.empty(), "pyrUp: empty source");
-  SIMDCV_REQUIRE(src.channels() == 1, "pyrUp: single channel only");
-  const int dw = src.cols() * 2;
-  const int dh = src.rows() * 2;
-  // Zero-stuffed upsample in float (so the x4 gain stays exact for u8).
-  Mat stuffed = zeros(dh, dw, F32C1);
-  for (int y = 0; y < src.rows(); ++y) {
-    float* d = stuffed.ptr<float>(2 * y);
-    if (src.depth() == Depth::U8) {
-      const std::uint8_t* s = src.ptr<std::uint8_t>(y);
-      for (int x = 0; x < src.cols(); ++x) d[2 * x] = static_cast<float>(s[x]);
-    } else {
-      const float* s = src.ptr<float>(y);
-      for (int x = 0; x < src.cols(); ++x) d[2 * x] = s[x];
-    }
-  }
-  // Interpolating filter: pyramid kernel scaled by 2 per axis (4 total)
-  // compensates the 3/4 zeros.
-  std::vector<float> k = pyrKernel();
-  for (auto& v : k) v *= 2.0f;
-  Mat up;
-  sepFilter2D(stuffed, up, Depth::F32, k, k, BorderType::Reflect101, 0.0, path);
-  if (src.depth() == Depth::U8) {
-    Mat out;
-    core::convertTo(up, out, Depth::U8, 1.0, 0.0, path);
-    dst = std::move(out);
-  } else {
-    dst = std::move(up);
-  }
-}
-
-std::vector<Mat> buildPyramid(const Mat& src, int maxLevels, KernelPath path) {
-  SIMDCV_REQUIRE(maxLevels >= 1, "buildPyramid: need at least one level");
-  std::vector<Mat> levels;
-  levels.push_back(src);
-  for (int l = 1; l < maxLevels; ++l) {
-    const Mat& prev = levels.back();
-    if (prev.cols() < 2 || prev.rows() < 2) break;
-    Mat next;
-    pyrDown(prev, next, path);
-    levels.push_back(std::move(next));
-  }
-  return levels;
 }
 
 }  // namespace simdcv::imgproc

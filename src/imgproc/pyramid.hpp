@@ -1,9 +1,6 @@
-// Gaussian image pyramids (pyrDown / pyrUp / buildPyramid), composed from
-// the separable filter engine with OpenCV's 5-tap pyramid kernel
-// [1 4 6 4 1] / 16.
+// Gaussian pyramid downsampling (pyrDown), composed from the separable
+// filter engine with OpenCV's 5-tap pyramid kernel [1 4 6 4 1] / 16.
 #pragma once
-
-#include <vector>
 
 #include "core/mat.hpp"
 #include "imgproc/border.hpp"
@@ -14,13 +11,5 @@ namespace simdcv::imgproc {
 /// Blur with the 5-tap pyramid kernel and downsample by 2 (ceil halving,
 /// like cv::pyrDown). U8C1 / F32C1.
 void pyrDown(const Mat& src, Mat& dst, KernelPath path = KernelPath::Default);
-
-/// Upsample by 2 (zero-stuff) and blur with the pyramid kernel scaled by 4.
-void pyrUp(const Mat& src, Mat& dst, KernelPath path = KernelPath::Default);
-
-/// Full pyramid: levels[0] is src (shared storage), each next level is
-/// pyrDown of the previous. Stops early if a dimension would reach zero.
-std::vector<Mat> buildPyramid(const Mat& src, int maxLevels,
-                              KernelPath path = KernelPath::Default);
 
 }  // namespace simdcv::imgproc

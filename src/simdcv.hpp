@@ -41,7 +41,9 @@
 #include "runtime/thread_pool.hpp"
 
 // imgproc: the paper's kernel set (filters, threshold, edge pipeline) plus
-// the supporting image operations grown around it.
+// the image operations the examples, serve presets and related-work
+// benchmark (E1) call; `split`/`merge` and the flip/transpose/rotate/
+// copyMakeBorder rearrangements are reached only by their unit tests.
 #include "imgproc/border.hpp"
 #include "imgproc/kernels.hpp"
 #include "imgproc/filter.hpp"
@@ -54,16 +56,11 @@
 #include "imgproc/morphology.hpp"
 #include "imgproc/fixedpoint.hpp"
 #include "imgproc/median.hpp"
-#include "imgproc/adaptive.hpp"
 #include "imgproc/histogram.hpp"
 #include "imgproc/geometry.hpp"
-#include "imgproc/moments.hpp"
 #include "imgproc/match.hpp"
 #include "imgproc/harris.hpp"
-#include "imgproc/fast.hpp"
 #include "imgproc/connected.hpp"
-#include "imgproc/distance.hpp"
-#include "imgproc/iir.hpp"
 
 // graph: the pipeline-graph fusion engine — declare a DAG of stages once,
 // execute it staged (whole-image kernels) or fused (cache-blocked single-pass

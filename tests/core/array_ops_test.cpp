@@ -247,18 +247,6 @@ TEST(ArrayOps, MeanOfConstant) {
   EXPECT_DOUBLE_EQ(mean(full(3, 3, F32C1, -2.5)), -2.5);
 }
 
-TEST(ArrayOps, CountNonZero) {
-  Mat a = zeros(10, 10, U8C1);
-  EXPECT_EQ(countNonZero(a), 0u);
-  a.at<std::uint8_t>(3, 4) = 1;
-  a.at<std::uint8_t>(9, 9) = 255;
-  EXPECT_EQ(countNonZero(a), 2u);
-  Mat f = zeros(4, 4, F32C1);
-  f.at<float>(0, 0) = -0.0f;  // negative zero counts as zero
-  f.at<float>(1, 1) = 1e-30f;
-  EXPECT_EQ(countNonZero(f), 1u);
-}
-
 TEST(ArrayOps, MinMaxLoc) {
   Mat a = full(8, 8, S16C1, 5);
   a.at<std::int16_t>(2, 3) = -100;

@@ -1,9 +1,8 @@
-// Histogram, equalization, Otsu and integral image.
+// Histogram and Otsu threshold.
 #include "imgproc/histogram.hpp"
 
 #include <gtest/gtest.h>
 
-#include <numeric>
 #include <random>
 
 namespace simdcv::imgproc {
@@ -50,50 +49,6 @@ TEST(CalcHist, WorksOnRoi) {
   EXPECT_EQ(h[0], 0u);
 }
 
-TEST(EqualizeHist, FlattensTheCdf) {
-  // Heavily skewed image: values concentrated in [0, 64).
-  Mat src(64, 64, U8C1);
-  std::mt19937 rng(2);
-  for (int r = 0; r < 64; ++r)
-    for (int c = 0; c < 64; ++c)
-      src.at<std::uint8_t>(r, c) = static_cast<std::uint8_t>(rng() % 64);
-  Mat eq;
-  equalizeHist(src, eq);
-  double mn = 255, mx = 0;
-  for (int r = 0; r < 64; ++r)
-    for (int c = 0; c < 64; ++c) {
-      mn = std::min<double>(mn, eq.at<std::uint8_t>(r, c));
-      mx = std::max<double>(mx, eq.at<std::uint8_t>(r, c));
-    }
-  EXPECT_EQ(mn, 0);          // lowest occupied bin maps to 0
-  EXPECT_GT(mx, 250);        // highest occupied bin maps to ~255
-}
-
-TEST(EqualizeHist, MonotoneNonDecreasingMapping) {
-  const Mat src = randomU8(32, 32, 3);
-  Mat eq;
-  equalizeHist(src, eq);
-  // Build the implied LUT and verify monotonicity w.r.t. source value.
-  std::array<int, 256> lut;
-  lut.fill(-1);
-  for (int r = 0; r < 32; ++r)
-    for (int c = 0; c < 32; ++c)
-      lut[src.at<std::uint8_t>(r, c)] = eq.at<std::uint8_t>(r, c);
-  int prev = -1;
-  for (int v = 0; v < 256; ++v) {
-    if (lut[static_cast<std::size_t>(v)] < 0) continue;
-    EXPECT_GE(lut[static_cast<std::size_t>(v)], prev) << v;
-    prev = lut[static_cast<std::size_t>(v)];
-  }
-}
-
-TEST(EqualizeHist, ConstantImageUnchanged) {
-  const Mat src = full(8, 8, U8C1, 99);
-  Mat eq;
-  equalizeHist(src, eq);
-  EXPECT_EQ(countMismatches(src, eq), 0u);
-}
-
 TEST(Otsu, SeparatesBimodalImage) {
   // Two well-separated modes around 50 and 200.
   Mat src(64, 64, U8C1);
@@ -119,57 +74,6 @@ TEST(Otsu, DegenerateImages) {
   const double t = otsuThreshold(twoVal);
   EXPECT_GE(t, 0);
   EXPECT_LT(t, 255);
-}
-
-TEST(Integral, MatchesBruteForceU8) {
-  const Mat src = randomU8(13, 17, 5);
-  Mat ii;
-  integral(src, ii);
-  ASSERT_EQ(ii.size(), Size(18, 14));
-  ASSERT_EQ(ii.depth(), Depth::S32);
-  for (int y = 0; y <= 13; ++y)
-    for (int x = 0; x <= 17; ++x) {
-      std::int32_t manual = 0;
-      for (int r = 0; r < y; ++r)
-        for (int c = 0; c < x; ++c) manual += src.at<std::uint8_t>(r, c);
-      ASSERT_EQ(ii.at<std::int32_t>(y, x), manual) << y << "," << x;
-    }
-}
-
-TEST(Integral, F32Variant) {
-  Mat src = full(4, 4, F32C1, 0.5);
-  Mat ii;
-  integral(src, ii);
-  ASSERT_EQ(ii.depth(), Depth::F64);
-  EXPECT_DOUBLE_EQ(ii.at<double>(4, 4), 8.0);
-  EXPECT_DOUBLE_EQ(ii.at<double>(2, 2), 2.0);
-}
-
-TEST(Integral, RectSumMatchesDirect) {
-  const Mat src = randomU8(21, 33, 6);
-  Mat ii;
-  integral(src, ii);
-  std::mt19937 rng(7);
-  for (int iter = 0; iter < 50; ++iter) {
-    int x0 = static_cast<int>(rng() % 33), x1 = static_cast<int>(rng() % 34);
-    int y0 = static_cast<int>(rng() % 21), y1 = static_cast<int>(rng() % 22);
-    if (x0 > x1) std::swap(x0, x1);
-    if (y0 > y1) std::swap(y0, y1);
-    double manual = 0;
-    for (int r = y0; r < y1; ++r)
-      for (int c = x0; c < x1; ++c) manual += src.at<std::uint8_t>(r, c);
-    EXPECT_DOUBLE_EQ(integralRectSum(ii, x0, y0, x1, y1), manual);
-  }
-}
-
-TEST(Integral, Validation) {
-  Mat c3(4, 4, U8C3), dst;
-  EXPECT_THROW(integral(c3, dst), Error);
-  Mat ii;
-  integral(full(4, 4, U8C1, 1), ii);
-  EXPECT_THROW(integralRectSum(ii, 0, 0, 99, 1), Error);
-  Mat notIi(4, 4, U8C1);
-  EXPECT_THROW(integralRectSum(notIi, 0, 0, 1, 1), Error);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Kernel generators: Gaussian normalization/symmetry, Sobel/Scharr taps,
+// Kernel generators: Gaussian normalization/symmetry, Sobel taps,
 // and border index mapping.
 #include "imgproc/kernels.hpp"
 
@@ -92,14 +92,6 @@ TEST(DerivKernel, GetDerivKernelsPairs) {
   getDerivKernels(kx, ky, 0, 1, 3);
   EXPECT_EQ(kx, (std::vector<float>{1, 2, 1}));
   EXPECT_EQ(ky, (std::vector<float>{-1, 0, 1}));
-}
-
-TEST(ScharrKernel, Taps) {
-  EXPECT_EQ(getScharrKernel(1), (std::vector<float>{-1, 0, 1}));
-  EXPECT_EQ(getScharrKernel(0), (std::vector<float>{3, 10, 3}));
-  const auto n = getScharrKernel(0, true);
-  EXPECT_NEAR(n[0] + n[1] + n[2], 1.0, 1e-6);
-  EXPECT_THROW(getScharrKernel(2), Error);
 }
 
 // ---- border mapping ----------------------------------------------------------

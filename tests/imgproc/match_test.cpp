@@ -50,22 +50,6 @@ TEST(SadRange, ExtremesAndAccumulatorHeadroom) {
   EXPECT_EQ(sse2::sadRange(a.data(), a.data(), n), 0u);
 }
 
-TEST(SadAt, MatchesManualWindow) {
-  const Mat img = randomU8(24, 31, 2);
-  const Mat tmpl = randomU8(5, 7, 3);
-  for (KernelPath p : paths()) {
-    if (!pathAvailable(p)) continue;
-    const auto got = sadAt(img, tmpl, 11, 9, p);
-    std::uint64_t want = 0;
-    for (int r = 0; r < 5; ++r)
-      for (int c = 0; c < 7; ++c)
-        want += static_cast<std::uint64_t>(
-            std::abs(static_cast<int>(img.at<std::uint8_t>(9 + r, 11 + c)) -
-                     tmpl.at<std::uint8_t>(r, c)));
-    EXPECT_EQ(got, want) << toString(p);
-  }
-}
-
 TEST(MatchTemplate, FindsEmbeddedPatch) {
   Mat img = randomU8(64, 80, 4);
   const Rect where(37, 22, 12, 9);
@@ -96,34 +80,11 @@ TEST(MatchTemplate, FindsPatchUnderNoise) {
   EXPECT_GT(best.sad, 0u);
 }
 
-TEST(MatchTemplate, SadMapGeometryAndContent) {
-  const Mat img = randomU8(20, 26, 7);
-  const Mat tmpl = randomU8(6, 5, 8);
-  Mat map;
-  matchTemplateSad(img, tmpl, map);
-  ASSERT_EQ(map.size(), Size(26 - 5 + 1, 20 - 6 + 1));
-  ASSERT_EQ(map.depth(), Depth::F32);
-  // Spot-check against sadAt.
-  for (int y : {0, 7, 14})
-    for (int x : {0, 11, 21})
-      EXPECT_EQ(static_cast<std::uint64_t>(map.at<float>(y, x)),
-                sadAt(img, tmpl, x, y));
-}
-
-TEST(MatchTemplate, WholeImageTemplate) {
-  const Mat img = randomU8(9, 9, 9);
-  Mat map;
-  matchTemplateSad(img, img, map);
-  ASSERT_EQ(map.size(), Size(1, 1));
-  EXPECT_EQ(map.at<float>(0, 0), 0.0f);
-}
-
 TEST(MatchTemplate, Validation) {
-  Mat img = randomU8(8, 8, 10), big = randomU8(10, 10, 11), dst;
-  EXPECT_THROW(matchTemplateSad(img, big, dst), Error);
-  EXPECT_THROW(sadAt(img, randomU8(4, 4, 12), 6, 6), Error);
+  Mat img = randomU8(8, 8, 10), big = randomU8(10, 10, 11);
+  EXPECT_THROW(findBestMatch(img, big), Error);
   Mat f(4, 4, F32C1);
-  EXPECT_THROW(matchTemplateSad(f, f, dst), Error);
+  EXPECT_THROW(findBestMatch(f, f), Error);
 }
 
 }  // namespace

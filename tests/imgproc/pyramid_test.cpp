@@ -1,4 +1,4 @@
-// Image pyramids: geometry, smoothing behaviour, round trips.
+// pyrDown: geometry, smoothing behaviour, path agreement.
 #include "imgproc/pyramid.hpp"
 
 #include <gtest/gtest.h>
@@ -53,53 +53,6 @@ TEST(PyrDown, SmoothsBeforeDecimating) {
     }
 }
 
-TEST(PyrUp, DoublesAndPreservesConstant) {
-  Mat dst;
-  pyrUp(full(7, 5, U8C1, 77), dst);
-  EXPECT_EQ(dst.size(), Size(10, 14));
-  // Interior must stay at the constant level (gain-4 kernel compensates the
-  // zero stuffing); borders can deviate slightly via reflection.
-  for (int r = 2; r < 12; ++r)
-    for (int c = 2; c < 8; ++c)
-      EXPECT_NEAR(dst.at<std::uint8_t>(r, c), 77, 1);
-}
-
-TEST(PyrUp, F32RoundTripApproximatesOriginal) {
-  // down-then-up of a smooth image approximates the original.
-  Mat smooth(32, 32, F32C1);
-  for (int r = 0; r < 32; ++r)
-    for (int c = 0; c < 32; ++c)
-      smooth.at<float>(r, c) = static_cast<float>(r + c);
-  Mat down, up;
-  pyrDown(smooth, down);
-  pyrUp(down, up);
-  ASSERT_EQ(up.size(), smooth.size());
-  double err = 0;
-  for (int r = 4; r < 28; ++r)
-    for (int c = 4; c < 28; ++c)
-      err = std::max(
-          err, static_cast<double>(
-                   std::abs(up.at<float>(r, c) - smooth.at<float>(r, c))));
-  EXPECT_LT(err, 1.5);
-}
-
-TEST(BuildPyramid, LevelGeometry) {
-  const Mat src = randomU8(64, 48, 4);
-  const auto levels = buildPyramid(src, 5);
-  ASSERT_EQ(levels.size(), 5u);
-  EXPECT_TRUE(levels[0].sharesStorageWith(src));
-  EXPECT_EQ(levels[1].size(), Size(24, 32));
-  EXPECT_EQ(levels[2].size(), Size(12, 16));
-  EXPECT_EQ(levels[4].size(), Size(3, 4));
-}
-
-TEST(BuildPyramid, StopsAtTinyLevels) {
-  const auto levels = buildPyramid(randomU8(8, 8, 5), 10);
-  // 8 -> 4 -> 2 -> 1, then stop (can't halve a 1px dimension).
-  ASSERT_EQ(levels.size(), 4u);
-  EXPECT_EQ(levels.back().size(), Size(1, 1));
-}
-
 TEST(Pyramid, PathsAgreeBitExact) {
   const Mat src = randomU8(33, 47, 6);
   Mat ref;
@@ -115,8 +68,6 @@ TEST(Pyramid, PathsAgreeBitExact) {
 TEST(Pyramid, Validation) {
   Mat c3(4, 4, U8C3), dst;
   EXPECT_THROW(pyrDown(c3, dst), Error);
-  EXPECT_THROW(pyrUp(c3, dst), Error);
-  EXPECT_THROW(buildPyramid(Mat(4, 4, U8C1), 0), Error);
 }
 
 }  // namespace

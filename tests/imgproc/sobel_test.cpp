@@ -1,4 +1,4 @@
-// Sobel / Scharr: analytic gradients on ramps, direction selectivity,
+// Sobel: analytic gradients on ramps, direction selectivity,
 // path agreement.
 #include <gtest/gtest.h>
 
@@ -149,16 +149,6 @@ TEST(Sobel, PathsAgreeBitExact) {
 TEST(Sobel, RejectsZeroOrder) {
   Mat src = rampX(8, 8), dst;
   EXPECT_THROW(Sobel(src, dst, Depth::S16, 0, 0), Error);
-}
-
-TEST(Scharr, RampGradientUsesScharrWeights) {
-  Mat src = rampX(16, 24, 2);
-  Mat gx;
-  Scharr(src, gx, Depth::S16, 1, 0);
-  // Scharr smoothing sums to 16; derivative of slope-2 ramp -> 2*2*16/2=...
-  // interior value = slope * 2 * (3+10+3) = 2 * 2 * 16 = 64.
-  EXPECT_EQ(gx.at<std::int16_t>(8, 8), 64);
-  EXPECT_THROW(Scharr(src, gx, Depth::S16, 1, 1), Error);
 }
 
 }  // namespace
