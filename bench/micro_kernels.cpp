@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "core/array_ops_detail.hpp"
 #include "simdcv.hpp"
 
 using namespace simdcv;
@@ -192,9 +193,13 @@ void BM_Bgr2Gray(benchmark::State& state) {
   for (auto _ : state) {
     switch (p) {
       case KernelPath::Avx512:
+        imgproc::fx_avx512::bgr2grayU8(bgr.data(), gray.data(), n, false);
+        break;
       case KernelPath::Avx2:
+        imgproc::fx_avx2::bgr2grayU8(bgr.data(), gray.data(), n, false);
+        break;
       case KernelPath::Sse2:
-        imgproc::sse2::bgr2grayU8(bgr.data(), gray.data(), n, false);
+        imgproc::fx_sse2::bgr2grayU8(bgr.data(), gray.data(), n, false);
         break;
       case KernelPath::Neon:
         imgproc::neon::bgr2grayU8(bgr.data(), gray.data(), n, false);
@@ -227,11 +232,20 @@ void BM_Sad(benchmark::State& state) {
     return;
   }
   for (auto _ : state) {
-    std::uint64_t s;
+    std::uint64_t s = 0;
+    const int w = static_cast<int>(n);
+    const std::uint64_t bound = ~std::uint64_t{0};
+    namespace cd = core::detail;
     switch (p) {
       case KernelPath::Avx512:
+        s = cd::aops_avx512::sadBlock(a.data(), n, b.data(), n, w, 1, bound);
+        break;
       case KernelPath::Avx2:
-      case KernelPath::Sse2: s = imgproc::sse2::sadRange(a.data(), b.data(), n); break;
+        s = cd::aops_avx2::sadBlock(a.data(), n, b.data(), n, w, 1, bound);
+        break;
+      case KernelPath::Sse2:
+        s = cd::aops_sse2::sadBlock(a.data(), n, b.data(), n, w, 1, bound);
+        break;
       case KernelPath::Neon: s = imgproc::neon::sadRange(a.data(), b.data(), n); break;
       case KernelPath::ScalarNoVec:
         s = imgproc::novec::sadRange(a.data(), b.data(), n);

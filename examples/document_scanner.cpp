@@ -52,7 +52,7 @@ Mat synthesizePage() {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const std::string input = argc > 1 ? argv[1] : "";
   const std::string dir = argc > 2 ? argv[2] : ".";
 
@@ -148,4 +148,7 @@ int main(int argc, char** argv) {
 
   std::printf("wrote scan_{0_input,1_median,2_deskew,3_binary,4_blobs}.bmp\n");
   return 0;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -20,16 +20,8 @@ Mat loadOrSynthesize(int argc, char** argv) {
   if (argc > 1 && std::string(argv[1]).find('.') != std::string::npos) {
     Mat img = io::readImage(argv[1]);
     if (img.channels() == 3) {
-      // Quick BGR -> gray: fixed-point BT.601 luma.
-      Mat gray(img.rows(), img.cols(), U8C1);
-      for (int r = 0; r < img.rows(); ++r) {
-        const std::uint8_t* s = img.ptr<std::uint8_t>(r);
-        std::uint8_t* d = gray.ptr<std::uint8_t>(r);
-        for (int c = 0; c < img.cols(); ++c) {
-          const int b = s[3 * c], g = s[3 * c + 1], rr = s[3 * c + 2];
-          d[c] = static_cast<std::uint8_t>((1868 * b + 9617 * g + 4899 * rr + 8192) >> 14);
-        }
-      }
+      Mat gray;
+      imgproc::cvtColor(img, gray, imgproc::ColorCode::BGR2GRAY);
       return gray;
     }
     return img;
@@ -39,7 +31,7 @@ Mat loadOrSynthesize(int argc, char** argv) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Mat src = loadOrSynthesize(argc, argv);
   const double thresh = argc > 2 ? std::atof(argv[2]) : 120.0;
   const std::string dir = argc > 3 ? argv[3] : ".";
@@ -90,4 +82,7 @@ int main(int argc, char** argv) {
   io::writeBmp(dir + "/edge_onecall.bmp", onecall);
   std::printf("wrote edge_{gx,gy,magnitude,tNNN,onecall}.bmp\n");
   return 0;
+} catch (const Error& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

@@ -128,6 +128,14 @@ cmake --build build-asan -j --target check_all test_check test_io \
 # loads and the whole-vector/scalar-tail hand-off at ragged row lengths.
 ./build-asan/src/check/check_all --only=arrayops --seed=0xaff1ae64 --iters=300
 ./build-asan/src/check/check_all --only=convertTo --seed=0xc0f64a5e --iters=300
+# medianBlur, the gray row, resize's vertical blend and the SAD row: one
+# VecTraits body per width, at widths around one and two vectors of every
+# backend. ASan watches the median's overlapped last vector, the
+# deinterleave's 3-vector loads and the blends' tails.
+./build-asan/src/check/check_all --only=median --seed=0x3ed1a9b1 --iters=300
+./build-asan/src/check/check_all --only=color --seed=0xc0104a5e --iters=300
+./build-asan/src/check/check_all --only=resize --seed=0x2e512e00 --iters=300
+./build-asan/src/check/check_all --only=match --seed=0x5ad5ad00 --iters=300
 ctest --test-dir build-asan -L check --output-on-failure -j"$(nproc)"
 
 echo

@@ -5,16 +5,22 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "check/check.hpp"
 #include "core/array_ops.hpp"
 #include "core/convert.hpp"
 #include "graph/graph.hpp"
+#include "imgproc/color.hpp"
 #include "imgproc/edge.hpp"
 #include "imgproc/filter.hpp"
 #include "imgproc/fixedpoint.hpp"
 #include "imgproc/kernels.hpp"
+#include "imgproc/match.hpp"
+#include "imgproc/median.hpp"
 #include "imgproc/morphology.hpp"
+#include "imgproc/resize.hpp"
 #include "imgproc/threshold.hpp"
 
 namespace simdcv::check {
@@ -536,6 +542,67 @@ Mat runMagnitude(const CaseSpec& c, KernelPath p) {
   return dst;
 }
 
+// ---- median, gray row, resize blend, SAD ------------------------------------
+// One VecTraits body each at every x86 width. kDims misses most vector seams,
+// so half the cases redraw the width from one below to three above one and
+// two vectors of every backend (16/32/64 u8 lanes; the median's vectors
+// cover cols - 2 interior columns).
+int seamWidth(const CaseSpec& c, Rng& r) {
+  static const std::vector<int> seams = {15,  16,  17,  18,  19, 31, 32,
+                                         33,  34,  35,  63,  64, 65, 66,
+                                         67,  127, 128, 129, 130};
+  return r.chance(50) ? r.pick(seams) : c.cols;
+}
+
+Mat runMedian(const CaseSpec& c, KernelPath p, int ksize) {
+  Rng r(c.seed ^ 0x3ed1a9ull);
+  CaseSpec s = c;
+  s.cols = seamWidth(c, r);
+  Mat dst;
+  imgproc::medianBlur(genMat(s, kSrcA, U8C1), dst, ksize, p);
+  return dst;
+}
+
+Mat runGray(const CaseSpec& c, KernelPath p, imgproc::ColorCode code) {
+  Rng r(c.seed ^ 0x96a7ull);
+  CaseSpec s = c;
+  s.cols = seamWidth(c, r);
+  Mat dst;
+  imgproc::cvtColor(genMat(s, kSrcA, U8C3), dst, code, p);
+  return dst;
+}
+
+// Up- and downscales; the vertical blend runs over dst.cols * channels
+// elements, so the seams apply to the destination width.
+Mat runResize(const CaseSpec& c, KernelPath p, PixelType type) {
+  Rng r(c.seed ^ 0x2e512eull);
+  const int dw = r.chance(50) ? seamWidth(c, r) : r.uniform(1, 2 * c.cols + 3);
+  const Size dsize{dw, r.uniform(1, 2 * c.rows + 2)};
+  Mat dst;
+  imgproc::resize(genMat(c, kSrcA, type), dst, dsize, imgproc::Interp::Linear,
+                  p);
+  return dst;
+}
+
+// findBestMatch's placement and SAD as one S32 row {x, y, sad}: a template
+// 1..4 rows high, searched in an image up to 6 px larger each way.
+Mat runMatch(const CaseSpec& c, KernelPath p) {
+  Rng r(c.seed ^ 0x5ad5adull);
+  CaseSpec t = c;
+  t.cols = seamWidth(c, r);
+  t.rows = r.uniform(1, 4);
+  CaseSpec s = c;
+  s.cols = t.cols + r.uniform(0, 6);
+  s.rows = t.rows + r.uniform(0, 6);
+  const imgproc::MatchResult m =
+      imgproc::findBestMatch(genMat(s, kSrcA, U8C1), genMat(t, kSrcB, U8C1), p);
+  Mat out(1, 3, S32C1);
+  out.at<std::int32_t>(0, 0) = m.x;
+  out.at<std::int32_t>(0, 1) = m.y;
+  out.at<std::int32_t>(0, 2) = static_cast<std::int32_t>(m.sad);
+  return out;
+}
+
 // ---- capability-factory pipeline -------------------------------------------
 // One chained case through the "big five" families the caps registry gates
 // (convertTo, threshold, array ops, sepFilter2D, gradientMagnitude), run
@@ -621,6 +688,24 @@ const std::vector<KernelCheck>& kernelRegistry() {
     reg.push_back({"morph.dilate", &runMorphDilate, Tolerance::Exact()});
     reg.push_back({"morph.open-close", &runMorphOpenClose, Tolerance::Exact()});
     reg.push_back({"edge.magnitude", &runMagnitude, Tolerance::Exact()});
+    for (int k : {3, 5})
+      reg.push_back({"median." + std::to_string(k),
+                     [k](const CaseSpec& c, KernelPath p) {
+                       return runMedian(c, p, k);
+                     }});
+    using imgproc::ColorCode;
+    for (auto [name, code] : {std::pair{"color.bgr2gray", ColorCode::BGR2GRAY},
+                              std::pair{"color.rgb2gray", ColorCode::RGB2GRAY}})
+      reg.push_back({name, [code](const CaseSpec& c, KernelPath p) {
+                       return runGray(c, p, code);
+                     }});
+    for (auto [name, type] : {std::pair{"resize.linear-u8c1", U8C1},
+                              std::pair{"resize.linear-u8c3", U8C3},
+                              std::pair{"resize.linear-f32c1", F32C1}})
+      reg.push_back({name, [type](const CaseSpec& c, KernelPath p) {
+                       return runResize(c, p, type);
+                     }});
+    reg.push_back({"match.sad", &runMatch});
     // caps: the big-five families chained end-to-end on one path (the
     // backend-registry smoke case; see simd/caps.hpp).
     reg.push_back({"caps.pipeline", &runCapsPipeline, Tolerance::Exact()});

@@ -33,6 +33,12 @@ std::size_t weightedRange(Depth d, const void* a, const void* b, void* dst,
   return aops_vker::weightedRange<B>(d, a, b, dst, n, alpha, beta, gamma);
 }
 
+std::uint64_t sadBlock(const std::uint8_t* a, std::size_t astep,
+                       const std::uint8_t* b, std::size_t bstep, int w, int h,
+                       std::uint64_t bound) {
+  return aops_vker::sadBlock<B>(a, astep, b, bstep, w, h, bound);
+}
+
 }  // namespace simdcv::core::detail::aops_avx2
 
 #else  // TU built without -mavx2: report no hand kernel, caller degrades.
@@ -49,6 +55,11 @@ std::size_t scaleRange(Depth, const void*, void*, std::size_t, double,
 std::size_t weightedRange(Depth, const void*, const void*, void*, std::size_t,
                           double, double, double) {
   return 0;
+}
+std::uint64_t sadBlock(const std::uint8_t* a, std::size_t astep,
+                       const std::uint8_t* b, std::size_t bstep, int w, int h,
+                       std::uint64_t bound) {
+  return aops_sse2::sadBlock(a, astep, b, bstep, w, h, bound);
 }
 }  // namespace simdcv::core::detail::aops_avx2
 

@@ -36,8 +36,9 @@ double sumRange(Depth d, const void* a, std::size_t n);
 // SIMD arms; return false when the (op, depth) pair has no hand kernel so
 // the caller falls back to the scalar arm. scaleRange/weightedRange return
 // the number of leading elements done (whole vectors of U8/S16/F32; 0 for
-// other depths) and leave the rest to the scalar arm. NEON has no f64
-// lanes in its traits and keeps the scalar arm for those two.
+// other depths) and leave the rest to the scalar arm; NEON has no f64 lanes
+// in its traits and keeps the scalar arm for those two. sadBlock is
+// imgproc::findBestMatch's SAD of one placement, tail included.
 namespace aops_sse2 {
 bool binRange(BinOp op, Depth d, const void* a, const void* b, void* dst,
               std::size_t n);
@@ -47,6 +48,9 @@ std::size_t scaleRange(Depth d, const void* a, void* dst, std::size_t n,
 std::size_t weightedRange(Depth d, const void* a, const void* b, void* dst,
                           std::size_t n, double alpha, double beta,
                           double gamma);
+std::uint64_t sadBlock(const std::uint8_t* a, std::size_t astep,
+                       const std::uint8_t* b, std::size_t bstep, int w, int h,
+                       std::uint64_t bound);
 }  // namespace aops_sse2
 namespace aops_avx2 {
 bool binRange(BinOp op, Depth d, const void* a, const void* b, void* dst,
@@ -57,6 +61,9 @@ std::size_t scaleRange(Depth d, const void* a, void* dst, std::size_t n,
 std::size_t weightedRange(Depth d, const void* a, const void* b, void* dst,
                           std::size_t n, double alpha, double beta,
                           double gamma);
+std::uint64_t sadBlock(const std::uint8_t* a, std::size_t astep,
+                       const std::uint8_t* b, std::size_t bstep, int w, int h,
+                       std::uint64_t bound);
 }  // namespace aops_avx2
 namespace aops_avx512 {
 bool binRange(BinOp op, Depth d, const void* a, const void* b, void* dst,
@@ -67,6 +74,9 @@ std::size_t scaleRange(Depth d, const void* a, void* dst, std::size_t n,
 std::size_t weightedRange(Depth d, const void* a, const void* b, void* dst,
                           std::size_t n, double alpha, double beta,
                           double gamma);
+std::uint64_t sadBlock(const std::uint8_t* a, std::size_t astep,
+                       const std::uint8_t* b, std::size_t bstep, int w, int h,
+                       std::uint64_t bound);
 }  // namespace aops_avx512
 namespace aops_neon {
 bool binRange(BinOp op, Depth d, const void* a, const void* b, void* dst,

@@ -1,7 +1,9 @@
-// Color conversion dispatch + channel split/merge.
+// Color conversion dispatch. The gray row's x86 arms are the fixed-point
+// family's width-generic body (fixedpoint_kernels.inl); the NEON arm is the
+// hand-written vld3 kernel in color_neon.cpp.
 #include "imgproc/color.hpp"
 
-#include "simd/neon_compat.hpp"
+#include "imgproc/fixedpoint.hpp"
 
 namespace simdcv::imgproc {
 
@@ -10,7 +12,9 @@ namespace {
 void grayRow(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
              bool rgbOrder, KernelPath p) {
   switch (p) {
-    case KernelPath::Sse2: sse2::bgr2grayU8(bgr, gray, n, rgbOrder); break;
+    case KernelPath::Avx512: fx_avx512::bgr2grayU8(bgr, gray, n, rgbOrder); break;
+    case KernelPath::Avx2: fx_avx2::bgr2grayU8(bgr, gray, n, rgbOrder); break;
+    case KernelPath::Sse2: fx_sse2::bgr2grayU8(bgr, gray, n, rgbOrder); break;
     case KernelPath::Neon: neon::bgr2grayU8(bgr, gray, n, rgbOrder); break;
     case KernelPath::ScalarNoVec: novec::bgr2grayU8(bgr, gray, n, rgbOrder); break;
     default: autovec::bgr2grayU8(bgr, gray, n, rgbOrder); break;
@@ -30,7 +34,7 @@ void swapRb(const std::uint8_t* src, std::uint8_t* dst, std::size_t n) {
 void cvtColor(const Mat& src, Mat& dst, ColorCode code, KernelPath path) {
   SIMDCV_REQUIRE(!src.empty(), "cvtColor: empty source");
   SIMDCV_REQUIRE(src.depth() == Depth::U8, "cvtColor: u8 images only");
-  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
+  const KernelPath p = resolvePath(path);
   const int rows = src.rows();
   const int cols = src.cols();
 
@@ -82,91 +86,6 @@ void cvtColor(const Mat& src, Mat& dst, ColorCode code, KernelPath path) {
           d[4 * i + 3] = 255;
         }
         break;
-    }
-  }
-  dst = std::move(out);
-}
-
-void split(const Mat& src, std::vector<Mat>& planes, KernelPath path) {
-  SIMDCV_REQUIRE(!src.empty(), "split: empty source");
-  SIMDCV_REQUIRE(src.depth() == Depth::U8 || src.depth() == Depth::F32,
-                 "split: u8/f32 only");
-  const KernelPath p = resolvePath(path);
-  const int ch = src.channels();
-  planes.assign(static_cast<std::size_t>(ch), Mat());
-  for (auto& m : planes) m.create(src.rows(), src.cols(), PixelType(src.depth(), 1));
-  const std::size_t esz = src.elemSize1();
-  for (int r = 0; r < src.rows(); ++r) {
-    const std::uint8_t* s = src.ptr<std::uint8_t>(r);
-    if (src.depth() == Depth::U8 && ch == 3 && p == KernelPath::Neon) {
-      // Structured load does the deinterleave in one instruction on ARM.
-      std::uint8_t* d0 = planes[0].ptr<std::uint8_t>(r);
-      std::uint8_t* d1 = planes[1].ptr<std::uint8_t>(r);
-      std::uint8_t* d2 = planes[2].ptr<std::uint8_t>(r);
-      int c = 0;
-      for (; c + 16 <= src.cols(); c += 16) {
-        const uint8x16x3_t v = vld3q_u8(s + 3 * c);
-        vst1q_u8(d0 + c, v.val[0]);
-        vst1q_u8(d1 + c, v.val[1]);
-        vst1q_u8(d2 + c, v.val[2]);
-      }
-      for (; c < src.cols(); ++c) {
-        d0[c] = s[3 * c];
-        d1[c] = s[3 * c + 1];
-        d2[c] = s[3 * c + 2];
-      }
-      continue;
-    }
-    for (int k = 0; k < ch; ++k) {
-      std::uint8_t* d = planes[static_cast<std::size_t>(k)].ptr<std::uint8_t>(r);
-      for (int c = 0; c < src.cols(); ++c) {
-        std::memcpy(d + static_cast<std::size_t>(c) * esz,
-                    s + (static_cast<std::size_t>(c) * ch + k) * esz, esz);
-      }
-    }
-  }
-}
-
-void merge(const std::vector<Mat>& planes, Mat& dst, KernelPath path) {
-  SIMDCV_REQUIRE(!planes.empty() && planes.size() <= 4, "merge: 1..4 planes");
-  const Mat& first = planes[0];
-  for (const auto& m : planes) {
-    SIMDCV_REQUIRE(m.size() == first.size() && m.type() == first.type() &&
-                       m.channels() == 1,
-                   "merge: planes must be same-size single-channel");
-  }
-  const KernelPath p = resolvePath(path);
-  const int ch = static_cast<int>(planes.size());
-  Mat out = std::move(dst);
-  out.create(first.rows(), first.cols(), PixelType(first.depth(), ch));
-  const std::size_t esz = first.elemSize1();
-  for (int r = 0; r < first.rows(); ++r) {
-    std::uint8_t* d = out.ptr<std::uint8_t>(r);
-    if (first.depth() == Depth::U8 && ch == 3 && p == KernelPath::Neon) {
-      const std::uint8_t* s0 = planes[0].ptr<std::uint8_t>(r);
-      const std::uint8_t* s1 = planes[1].ptr<std::uint8_t>(r);
-      const std::uint8_t* s2 = planes[2].ptr<std::uint8_t>(r);
-      int c = 0;
-      for (; c + 16 <= first.cols(); c += 16) {
-        uint8x16x3_t v;
-        v.val[0] = vld1q_u8(s0 + c);
-        v.val[1] = vld1q_u8(s1 + c);
-        v.val[2] = vld1q_u8(s2 + c);
-        vst3q_u8(d + 3 * c, v);
-      }
-      for (; c < first.cols(); ++c) {
-        d[3 * c] = s0[c];
-        d[3 * c + 1] = s1[c];
-        d[3 * c + 2] = s2[c];
-      }
-      continue;
-    }
-    for (int k = 0; k < ch; ++k) {
-      const std::uint8_t* s = planes[static_cast<std::size_t>(k)].ptr<std::uint8_t>(r);
-      for (int c = 0; c < first.cols(); ++c) {
-        std::memcpy(d + (static_cast<std::size_t>(c) * ch + k) * esz,
-                    s + static_cast<std::size_t>(c) * esz, esz);
-      }
     }
   }
   dst = std::move(out);

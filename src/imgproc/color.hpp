@@ -1,6 +1,5 @@
-// Color space conversion and channel manipulation — the OpenCV routines the
-// paper's related work reports NEON speedups for (color conversion: 9.5x on
-// Tegra 3 in [23]).
+// Color space conversion — the OpenCV routine the paper's related work
+// reports NEON speedups for (color conversion: 9.5x on Tegra 3 in [23]).
 //
 // BGR->Gray uses the OpenCV fixed-point BT.601 weights (B:1868, G:9617,
 // R:4899, 14 fractional bits) so every path is bit-exact with cv::cvtColor.
@@ -8,7 +7,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "core/mat.hpp"
 #include "simd/features.hpp"
@@ -28,24 +26,13 @@ enum class ColorCode : std::uint8_t {
 void cvtColor(const Mat& src, Mat& dst, ColorCode code,
               KernelPath path = KernelPath::Default);
 
-/// Split an interleaved image into single-channel planes.
-void split(const Mat& src, std::vector<Mat>& planes,
-           KernelPath path = KernelPath::Default);
-
-/// Merge single-channel planes into an interleaved image.
-void merge(const std::vector<Mat>& planes, Mat& dst,
-           KernelPath path = KernelPath::Default);
-
-// Flat-range gray kernels per path (row pointers, n pixels).
+// Flat-range gray kernels per path (row pointers, n pixels); the x86 arms
+// are fx_sse2/fx_avx2/fx_avx512::bgr2grayU8 (fixedpoint.hpp).
 namespace autovec {
 void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
                 bool rgbOrder);
 }
 namespace novec {
-void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
-                bool rgbOrder);
-}
-namespace sse2 {
 void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
                 bool rgbOrder);
 }

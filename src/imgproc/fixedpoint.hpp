@@ -28,6 +28,7 @@
 // the float engine.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -84,7 +85,8 @@ void SobelFx(const Mat& src, Mat& dst, int dx, int dy, int ksize = 3,
 // Same shape as the float engine's rowConv/colConv, in integer lanes. All
 // paths compute the identical function (wrap-free by the bounds above), so
 // cross-path outputs are bit-exact. Exposed for the micro-benchmarks and the
-// graph fused executor.
+// graph fused executor. Also here: cvtColor's 14-bit gray row (x86 arms)
+// and resize's 7-bit u16 vertical blend.
 
 namespace detail {
 
@@ -117,6 +119,8 @@ void rowConvS16(const std::uint8_t* padded, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
 void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy);
 }  // namespace fx_novec
 namespace fx_autovec {
 void rowConvU8(const std::uint8_t* padded, std::uint8_t* out, int width,
@@ -127,6 +131,8 @@ void rowConvS16(const std::uint8_t* padded, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
 void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy);
 }  // namespace fx_autovec
 namespace fx_sse2 {
 void rowConvU8(const std::uint8_t* padded, std::uint8_t* out, int width,
@@ -137,6 +143,10 @@ void rowConvS16(const std::uint8_t* padded, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
 void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
+void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
+                bool rgbOrder);
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy);
 }  // namespace fx_sse2
 namespace fx_avx2 {
 void rowConvU8(const std::uint8_t* padded, std::uint8_t* out, int width,
@@ -147,6 +157,10 @@ void rowConvS16(const std::uint8_t* padded, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
 void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
+void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
+                bool rgbOrder);
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy);
 }  // namespace fx_avx2
 namespace fx_avx512 {
 void rowConvU8(const std::uint8_t* padded, std::uint8_t* out, int width,
@@ -157,6 +171,10 @@ void rowConvS16(const std::uint8_t* padded, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
 void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize);
+void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
+                bool rgbOrder);
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy);
 }  // namespace fx_avx512
 namespace fx_neon {
 void rowConvU8(const std::uint8_t* padded, std::uint8_t* out, int width,

@@ -32,6 +32,15 @@ void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
   fx_vker::colConvS16<B>(rows, out, width, k, ksize);
 }
 
+void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
+                bool rgbOrder) {
+  fx_vker::bgr2grayU8<B>(bgr, gray, n, rgbOrder);
+}
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy) {
+  fx_vker::vblendU16<B>(r0, r1, dst, n, wy);
+}
+
 }  // namespace simdcv::imgproc::fx_avx512
 
 #else
@@ -52,6 +61,14 @@ void rowConvS16(const std::uint8_t* padded, std::int16_t* out, int width,
 void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize) {
   fx_avx2::colConvS16(rows, out, width, k, ksize);
+}
+void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
+                bool rgbOrder) {
+  fx_avx2::bgr2grayU8(bgr, gray, n, rgbOrder);
+}
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy) {
+  fx_avx2::vblendU16(r0, r1, dst, n, wy);
 }
 }  // namespace simdcv::imgproc::fx_avx512
 

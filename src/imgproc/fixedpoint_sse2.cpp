@@ -4,6 +4,8 @@
 // rowConv.
 #include "imgproc/fixedpoint.hpp"
 
+#include "imgproc/color.hpp"
+
 #if defined(__SSE2__)
 
 #include "simd/vec_sse2.hpp"
@@ -31,6 +33,15 @@ void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
   fx_vker::colConvS16<B>(rows, out, width, k, ksize);
 }
 
+void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
+                bool rgbOrder) {
+  fx_vker::bgr2grayU8<B>(bgr, gray, n, rgbOrder);
+}
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy) {
+  fx_vker::vblendU16<B>(r0, r1, dst, n, wy);
+}
+
 }  // namespace simdcv::imgproc::fx_sse2
 
 #else
@@ -51,6 +62,14 @@ void rowConvS16(const std::uint8_t* padded, std::int16_t* out, int width,
 void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize) {
   fx_autovec::colConvS16(rows, out, width, k, ksize);
+}
+void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
+                bool rgbOrder) {
+  autovec::bgr2grayU8(bgr, gray, n, rgbOrder);
+}
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy) {
+  fx_autovec::vblendU16(r0, r1, dst, n, wy);
 }
 }  // namespace simdcv::imgproc::fx_sse2
 

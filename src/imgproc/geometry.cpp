@@ -7,128 +7,6 @@
 
 namespace simdcv::imgproc {
 
-namespace {
-
-// All rearrangements move whole elements; operate on raw bytes of elemSize.
-void moveElem(std::uint8_t* dst, const std::uint8_t* src, std::size_t esz) {
-  std::memcpy(dst, src, esz);
-}
-
-}  // namespace
-
-void flip(const Mat& src, Mat& dst, FlipAxis axis) {
-  SIMDCV_REQUIRE(!src.empty(), "flip: empty source");
-  const int rows = src.rows(), cols = src.cols();
-  const std::size_t esz = src.elemSize();
-  Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
-  out.create(rows, cols, src.type());
-  for (int y = 0; y < rows; ++y) {
-    const int sy = (axis == FlipAxis::Vertical || axis == FlipAxis::Both)
-                       ? rows - 1 - y
-                       : y;
-    const std::uint8_t* s = src.ptr<std::uint8_t>(sy);
-    std::uint8_t* d = out.ptr<std::uint8_t>(y);
-    if (axis == FlipAxis::Vertical) {
-      std::memcpy(d, s, static_cast<std::size_t>(cols) * esz);
-    } else {
-      for (int x = 0; x < cols; ++x)
-        moveElem(d + static_cast<std::size_t>(x) * esz,
-                 s + static_cast<std::size_t>(cols - 1 - x) * esz, esz);
-    }
-  }
-  dst = std::move(out);
-}
-
-void transpose(const Mat& src, Mat& dst) {
-  SIMDCV_REQUIRE(!src.empty(), "transpose: empty source");
-  const int rows = src.rows(), cols = src.cols();
-  const std::size_t esz = src.elemSize();
-  Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
-  out.create(cols, rows, src.type());
-  // Blocked traversal keeps both access streams cache-friendly.
-  constexpr int kBlock = 32;
-  for (int by = 0; by < rows; by += kBlock) {
-    for (int bx = 0; bx < cols; bx += kBlock) {
-      const int ey = std::min(by + kBlock, rows);
-      const int ex = std::min(bx + kBlock, cols);
-      for (int y = by; y < ey; ++y) {
-        const std::uint8_t* s = src.ptr<std::uint8_t>(y);
-        for (int x = bx; x < ex; ++x) {
-          moveElem(out.ptr<std::uint8_t>(x) + static_cast<std::size_t>(y) * esz,
-                   s + static_cast<std::size_t>(x) * esz, esz);
-        }
-      }
-    }
-  }
-  dst = std::move(out);
-}
-
-void rotate(const Mat& src, Mat& dst, Rotation rot) {
-  switch (rot) {
-    case Rotation::R180:
-      flip(src, dst, FlipAxis::Both);
-      break;
-    case Rotation::Cw90: {
-      Mat t;
-      transpose(src, t);
-      flip(t, dst, FlipAxis::Horizontal);
-      break;
-    }
-    case Rotation::Ccw90: {
-      Mat t;
-      transpose(src, t);
-      flip(t, dst, FlipAxis::Vertical);
-      break;
-    }
-  }
-}
-
-void copyMakeBorder(const Mat& src, Mat& dst, int top, int bottom, int left,
-                    int right, BorderType border, double value) {
-  SIMDCV_REQUIRE(!src.empty(), "copyMakeBorder: empty source");
-  SIMDCV_REQUIRE(top >= 0 && bottom >= 0 && left >= 0 && right >= 0,
-                 "copyMakeBorder: negative margins");
-  const int rows = src.rows(), cols = src.cols();
-  const std::size_t esz = src.elemSize();
-  Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
-  out.create(rows + top + bottom, cols + left + right, src.type());
-
-  // Fill value for Constant border: one element rendered via setTo on a 1x1.
-  Mat fill(1, 1, src.type());
-  fill.setTo(value);
-  const std::uint8_t* fillPx = fill.ptr<std::uint8_t>(0);
-
-  for (int y = 0; y < out.rows(); ++y) {
-    const int sy = borderInterpolate(y - top, rows, border);
-    std::uint8_t* d = out.ptr<std::uint8_t>(y);
-    if (sy < 0) {
-      for (int x = 0; x < out.cols(); ++x)
-        moveElem(d + static_cast<std::size_t>(x) * esz, fillPx, esz);
-      continue;
-    }
-    const std::uint8_t* s = src.ptr<std::uint8_t>(sy);
-    for (int x = 0; x < left; ++x) {
-      const int sx = borderInterpolate(x - left, cols, border);
-      if (sx < 0)
-        moveElem(d + static_cast<std::size_t>(x) * esz, fillPx, esz);
-      else
-        moveElem(d + static_cast<std::size_t>(x) * esz,
-                 s + static_cast<std::size_t>(sx) * esz, esz);
-    }
-    std::memcpy(d + static_cast<std::size_t>(left) * esz, s,
-                static_cast<std::size_t>(cols) * esz);
-    for (int x = left + cols; x < out.cols(); ++x) {
-      const int sx = borderInterpolate(x - left, cols, border);
-      if (sx < 0)
-        moveElem(d + static_cast<std::size_t>(x) * esz, fillPx, esz);
-      else
-        moveElem(d + static_cast<std::size_t>(x) * esz,
-                 s + static_cast<std::size_t>(sx) * esz, esz);
-    }
-  }
-  dst = std::move(out);
-}
-
 AffineMat affineIdentity() { return {1, 0, 0, 0, 1, 0}; }
 
 AffineMat getRotationMatrix2D(double cx, double cy, double angleDeg,

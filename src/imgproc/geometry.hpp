@@ -1,5 +1,4 @@
-// Geometric rearrangements: flip, transpose, 90-degree rotations,
-// copyMakeBorder, and affine warping with bilinear sampling.
+// Affine warping with bilinear sampling.
 #pragma once
 
 #include <array>
@@ -9,25 +8,6 @@
 #include "simd/features.hpp"
 
 namespace simdcv::imgproc {
-
-enum class FlipAxis : std::uint8_t { Horizontal, Vertical, Both };
-
-/// Mirror the image. Horizontal flips columns (around the vertical axis),
-/// Vertical flips rows, Both rotates 180 degrees. Any depth, C1..C4.
-void flip(const Mat& src, Mat& dst, FlipAxis axis);
-
-/// Transpose rows/columns. Any depth, C1..C4.
-void transpose(const Mat& src, Mat& dst);
-
-enum class Rotation : std::uint8_t { Cw90, Ccw90, R180 };
-
-/// Rotate by a multiple of 90 degrees (composed from transpose + flip).
-void rotate(const Mat& src, Mat& dst, Rotation rot);
-
-/// Pad the image with `top/bottom/left/right` border pixels, extrapolated by
-/// `border` (Constant uses `value`). Any depth, C1..C4.
-void copyMakeBorder(const Mat& src, Mat& dst, int top, int bottom, int left,
-                    int right, BorderType border, double value = 0.0);
 
 /// 2x3 affine matrix, row-major: dst(x,y) samples src at
 ///   (m[0]*x + m[1]*y + m[2], m[3]*x + m[4]*y + m[5]).

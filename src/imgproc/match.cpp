@@ -1,38 +1,15 @@
-// Template matching implementation + SIMD SAD kernels.
+// Template matching implementation. The SAD's x86 arms are the
+// width-generic array-op body (core/array_ops_kernels.inl: saturating
+// subtracts, then the traits' PSADBW reduction), one call per placement;
+// the NEON arm is hand-written below.
 #include "imgproc/match.hpp"
 
 #include <limits>
 
+#include "core/array_ops_detail.hpp"
 #include "simd/neon_compat.hpp"
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 namespace simdcv::imgproc {
-
-namespace sse2 {
-
-std::uint64_t sadRange(const std::uint8_t* a, const std::uint8_t* b,
-                       std::size_t n) {
-#if defined(__SSE2__)
-  std::uint64_t acc = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i va = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i));
-    const __m128i sad = _mm_sad_epu8(va, vb);  // two u16 sums in u64 lanes
-    acc += static_cast<std::uint64_t>(_mm_cvtsi128_si64(sad)) +
-           static_cast<std::uint64_t>(
-               _mm_cvtsi128_si64(_mm_srli_si128(sad, 8)));
-  }
-  return acc + autovec::sadRange(a + i, b + i, n - i);
-#else
-  return autovec::sadRange(a, b, n);
-#endif
-}
-
-}  // namespace sse2
 
 namespace neon {
 
@@ -63,15 +40,32 @@ std::uint64_t sadRange(const std::uint8_t* a, const std::uint8_t* b,
 
 namespace {
 
-// PSADBW already saturates the port, so SAD has no AVX2/AVX-512 arm; the
-// caller resolves its path with widest=Sse2.
-std::uint64_t sadRow(const std::uint8_t* a, const std::uint8_t* b,
-                     std::size_t n, KernelPath p) {
+using SadBlockFn = std::uint64_t (*)(const std::uint8_t* a, std::size_t astep,
+                                     const std::uint8_t* b, std::size_t bstep,
+                                     int w, int h, std::uint64_t bound);
+
+// The scalar and NEON arms of core's sadBlock: one row kernel per template
+// row, with the same early exit once the sum reaches `bound`.
+template <std::uint64_t (*Row)(const std::uint8_t*, const std::uint8_t*,
+                               std::size_t)>
+std::uint64_t sadRows(const std::uint8_t* a, std::size_t astep,
+                      const std::uint8_t* b, std::size_t bstep, int w, int h,
+                      std::uint64_t bound) {
+  std::uint64_t acc = 0;
+  for (int r = 0; r < h && acc < bound; ++r)
+    acc += Row(a + r * astep, b + r * bstep, static_cast<std::size_t>(w));
+  return acc;
+}
+
+SadBlockFn sadBlockFor(KernelPath p) {
+  namespace cd = core::detail;
   switch (p) {
-    case KernelPath::Sse2: return sse2::sadRange(a, b, n);
-    case KernelPath::Neon: return neon::sadRange(a, b, n);
-    case KernelPath::ScalarNoVec: return novec::sadRange(a, b, n);
-    default: return autovec::sadRange(a, b, n);
+    case KernelPath::Avx512: return &cd::aops_avx512::sadBlock;
+    case KernelPath::Avx2: return &cd::aops_avx2::sadBlock;
+    case KernelPath::Sse2: return &cd::aops_sse2::sadBlock;
+    case KernelPath::Neon: return &sadRows<&neon::sadRange>;
+    case KernelPath::ScalarNoVec: return &sadRows<&novec::sadRange>;
+    default: return &sadRows<&autovec::sadRange>;
   }
 }
 
@@ -83,17 +77,15 @@ MatchResult findBestMatch(const Mat& img, const Mat& tmpl, KernelPath path) {
                  "findBestMatch: u8c1 only");
   SIMDCV_REQUIRE(tmpl.cols() <= img.cols() && tmpl.rows() <= img.rows(),
                  "findBestMatch: template larger than image");
-  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
+  const SadBlockFn sad = sadBlockFor(resolvePath(path));
   MatchResult best;
   best.sad = std::numeric_limits<std::uint64_t>::max();
   for (int y = 0; y + tmpl.rows() <= img.rows(); ++y) {
     for (int x = 0; x + tmpl.cols() <= img.cols(); ++x) {
-      std::uint64_t acc = 0;
-      for (int r = 0; r < tmpl.rows() && acc < best.sad; ++r) {
-        acc += sadRow(img.ptr<std::uint8_t>(y + r) + x,
-                      tmpl.ptr<std::uint8_t>(r),
-                      static_cast<std::size_t>(tmpl.cols()), p);
-      }
+      const std::uint64_t acc =
+          sad(img.ptr<std::uint8_t>(y) + x, img.step(),
+              tmpl.ptr<std::uint8_t>(0), tmpl.step(), tmpl.cols(),
+              tmpl.rows(), best.sad);
       if (acc < best.sad) {
         best.sad = acc;
         best.x = x;

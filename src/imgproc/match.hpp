@@ -17,16 +17,14 @@ struct MatchResult {
 MatchResult findBestMatch(const Mat& img, const Mat& tmpl,
                           KernelPath path = KernelPath::Default);
 
-// Per-path flat SAD kernels over n bytes.
+// Per-path flat SAD kernels over n bytes; the x86 arms are
+// core::detail::aops_{sse2,avx2,avx512}::sadBlock, one whole placement
+// (core/array_ops_detail.hpp).
 namespace autovec {
 std::uint64_t sadRange(const std::uint8_t* a, const std::uint8_t* b,
                        std::size_t n);
 }
 namespace novec {
-std::uint64_t sadRange(const std::uint8_t* a, const std::uint8_t* b,
-                       std::size_t n);
-}
-namespace sse2 {
 std::uint64_t sadRange(const std::uint8_t* a, const std::uint8_t* b,
                        std::size_t n);
 }

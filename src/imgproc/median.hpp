@@ -14,4 +14,16 @@ namespace simdcv::imgproc {
 void medianBlur(const Mat& src, Mat& dst, int ksize = 3,
                 KernelPath path = KernelPath::Default);
 
+// Scalar 3x3 median rows per build: dst[x] for the interior columns
+// x in [1, width - 1), from the replicate-clamped rows above, at and below.
+// The x86 arms are morph_vker::median3Row (morph_kernels.inl).
+namespace autovec {
+void median3Row(const std::uint8_t* r0, const std::uint8_t* r1,
+                const std::uint8_t* r2, std::uint8_t* dst, int width);
+}
+namespace novec {
+void median3Row(const std::uint8_t* r0, const std::uint8_t* r1,
+                const std::uint8_t* r2, std::uint8_t* dst, int width);
+}
+
 }  // namespace simdcv::imgproc

@@ -1,6 +1,7 @@
-// AVX2 morphology workers: the width-generic bodies from morph_kernels.inl
-// at 256 bits — 32 pixels per min/max op. Sole -mavx2 TU of this family;
-// execution is runtime-guarded by simdcv::caps.
+// AVX2 morphology and 3x3 median workers: the width-generic bodies from
+// morph_kernels.inl at 256 bits — 32 pixels per min/max op. Sole -mavx2 TU
+// of this family; execution is runtime-guarded by simdcv::caps.
+#include "imgproc/median.hpp"
 #include "imgproc/morph_detail.hpp"
 
 #if defined(__AVX2__)
@@ -23,37 +24,31 @@ void horizontalMinMax(const std::uint8_t* padded, std::uint8_t* out, int width,
   morph_vker::horizontalMinMax<B>(padded, out, width, kw, mode);
 }
 
+void median3Row(const std::uint8_t* r0, const std::uint8_t* r1,
+                const std::uint8_t* r2, std::uint8_t* dst, int width) {
+  morph_vker::median3Row<B>(r0, r1, r2, dst, width);
+}
+
 }  // namespace simdcv::imgproc::morph_avx2
 
-#else  // scalar fallback: the runtime never selects Avx2 here, but keep the
-       // symbols defined so the engine links on every platform.
+#else  // the runtime never selects Avx2 here, but keep the symbols defined
+       // so the engine links on every platform: the scalar arms.
 
 namespace simdcv::imgproc::morph_avx2 {
 
 void verticalMinMax(const std::uint8_t* const* rows, std::uint8_t* out,
                     int width, int kh, detail::MinMax mode) {
-  for (int x = 0; x < width; ++x) {
-    std::uint8_t acc = rows[0][x];
-    for (int r = 1; r < kh; ++r) {
-      const std::uint8_t v = rows[r][x];
-      acc = mode == detail::MinMax::Min ? (v < acc ? v : acc)
-                                        : (v > acc ? v : acc);
-    }
-    out[x] = acc;
-  }
+  detail::morphVerticalMinMax(rows, out, width, kh, mode, KernelPath::Auto);
 }
 
 void horizontalMinMax(const std::uint8_t* padded, std::uint8_t* out, int width,
                       int kw, detail::MinMax mode) {
-  for (int i = 0; i < width; ++i) {
-    std::uint8_t acc = padded[i];
-    for (int j = 1; j < kw; ++j) {
-      const std::uint8_t v = padded[i + j];
-      acc = mode == detail::MinMax::Min ? (v < acc ? v : acc)
-                                        : (v > acc ? v : acc);
-    }
-    out[i] = acc;
-  }
+  detail::morphHorizontalMinMax(padded, out, width, kw, mode, KernelPath::Auto);
+}
+
+void median3Row(const std::uint8_t* r0, const std::uint8_t* r1,
+                const std::uint8_t* r2, std::uint8_t* dst, int width) {
+  autovec::median3Row(r0, r1, r2, dst, width);
 }
 
 }  // namespace simdcv::imgproc::morph_avx2

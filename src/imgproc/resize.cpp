@@ -4,9 +4,9 @@
 // (fixed point, 7-bit weights) or f32 row buffers, then a SIMD vertical
 // blend of the two cached rows. The horizontal pass is irregular (gathers),
 // which is exactly why resize was among the hardest kernels for 2012
-// auto-vectorizers; the vertical blend is where the SIMD win lives.
-// AUTO and ScalarNoVec share the scalar implementation here (the gather
-// loop does not vectorize either way).
+// auto-vectorizers; the vertical blend is where the SIMD win lives. AUTO and
+// ScalarNoVec share the gather loop (it does not vectorize either way) and
+// the f32 blend; the u16 blend has a vectorizer-off build.
 #include "imgproc/resize.hpp"
 
 #include <algorithm>
@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "core/saturate.hpp"
+#include "imgproc/filter.hpp"
+#include "imgproc/fixedpoint.hpp"
 #include "simd/neon_compat.hpp"
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 namespace simdcv::imgproc {
 
@@ -60,44 +58,8 @@ LinearMap buildMap(int dstLen, int srcLen) {
 
 // ---- vertical blends (the SIMD-friendly pass) --------------------------------
 // u16 rows r0/r1 hold horizontal results scaled by kWeightOne (max 32640).
-void vblendU16Scalar(const std::uint16_t* r0, const std::uint16_t* r1,
-                     std::uint8_t* dst, int n, int wy) {
-  const int w0 = kWeightOne - wy;
-  for (int i = 0; i < n; ++i) {
-    dst[i] = static_cast<std::uint8_t>(
-        (r0[i] * w0 + r1[i] * wy + kRound) >> (2 * kWeightBits));
-  }
-}
-
-#if defined(__SSE2__)
-void vblendU16Sse2(const std::uint16_t* r0, const std::uint16_t* r1,
-                   std::uint8_t* dst, int n, int wy) {
-  const short w0 = static_cast<short>(kWeightOne - wy);
-  const short w1 = static_cast<short>(wy);
-  const __m128i coef = _mm_set_epi16(w1, w0, w1, w0, w1, w0, w1, w0);
-  const __m128i rnd = _mm_set1_epi32(kRound);
-  int i = 0;
-  for (; i + 16 <= n; i += 16) {
-    __m128i out16[2];
-    for (int half = 0; half < 2; ++half) {
-      const __m128i a = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(r0 + i + half * 8));
-      const __m128i b = _mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(r1 + i + half * 8));
-      // Interleave (a,b) pairs; PMADDWD computes a*w0 + b*w1 per 32-bit lane.
-      const __m128i lo = _mm_madd_epi16(_mm_unpacklo_epi16(a, b), coef);
-      const __m128i hi = _mm_madd_epi16(_mm_unpackhi_epi16(a, b), coef);
-      out16[half] =
-          _mm_packs_epi32(_mm_srai_epi32(_mm_add_epi32(lo, rnd), 2 * kWeightBits),
-                          _mm_srai_epi32(_mm_add_epi32(hi, rnd), 2 * kWeightBits));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_packus_epi16(out16[0], out16[1]));
-  }
-  if (i < n) vblendU16Scalar(r0 + i, r1 + i, dst + i, n - i, wy);
-}
-#endif
-
+// The x86 arms are the fixed-point family's width-generic vblendU16; the
+// scalar arms are its fx_autovec / fx_novec builds.
 void vblendU16Neon(const std::uint16_t* r0, const std::uint16_t* r1,
                    std::uint8_t* dst, int n, int wy) {
   const uint16x4_t w0 = vdup_n_u16(static_cast<std::uint16_t>(kWeightOne - wy));
@@ -115,7 +77,7 @@ void vblendU16Neon(const std::uint16_t* r0, const std::uint16_t* r1,
                                       vshrn_n_u32(hi, 2 * kWeightBits));
     vst1_u8(dst + i, vmovn_u16(m));
   }
-  if (i < n) vblendU16Scalar(r0 + i, r1 + i, dst + i, n - i, wy);
+  if (i < n) fx_autovec::vblendU16(r0 + i, r1 + i, dst + i, n - i, wy);
 }
 
 void vblendF32Scalar(const float* r0, const float* r1, float* dst, int n,
@@ -124,31 +86,17 @@ void vblendF32Scalar(const float* r0, const float* r1, float* dst, int n,
   for (int i = 0; i < n; ++i) dst[i] = r0[i] * w0 + r1[i] * wy;
 }
 
-#if defined(__SSE2__)
-void vblendF32Sse2(const float* r0, const float* r1, float* dst, int n,
-                   float wy) {
-  const __m128 w0 = _mm_set1_ps(1.0f - wy);
-  const __m128 w1 = _mm_set1_ps(wy);
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm_storeu_ps(dst + i,
-                  _mm_add_ps(_mm_mul_ps(_mm_loadu_ps(r0 + i), w0),
-                             _mm_mul_ps(_mm_loadu_ps(r1 + i), w1)));
-  }
-  if (i < n) vblendF32Scalar(r0 + i, r1 + i, dst + i, n - i, wy);
-}
-#endif
-
-void vblendF32Neon(const float* r0, const float* r1, float* dst, int n,
-                   float wy) {
-  const float w0 = 1.0f - wy;
-  int i = 0;
-  for (; i + 4 <= n; i += 4) {
-    float32x4_t acc = vmulq_n_f32(vld1q_f32(r0 + i), w0);
-    acc = vmlaq_n_f32(acc, vld1q_f32(r1 + i), wy);
-    vst1q_f32(dst + i, acc);
-  }
-  if (i < n) vblendF32Scalar(r0 + i, r1 + i, dst + i, n - i, wy);
+// Hand arms: the blend is a two-tap colConv (taps 1 - wy, wy). Its vector
+// blocks compute k0*r0 + k1*r1, the scalar blend's exact expression, but its
+// scalar tail starts from 0.0f and would turn a -0 blend into +0, so it gets
+// only whole 16-float blocks (a lane multiple at every width).
+void vblendF32Hand(const float* r0, const float* r1, float* dst, int n,
+                   float wy, KernelPath p) {
+  const float k[2] = {1.0f - wy, wy};
+  const float* rows[2] = {r0, r1};
+  const int nv = n & ~15;
+  detail::colConvFor(p)(rows, dst, nv, k, 2);
+  vblendF32Scalar(r0 + nv, r1 + nv, dst + nv, n - nv, wy);
 }
 
 // ---- nearest ------------------------------------------------------------------
@@ -173,19 +121,36 @@ void resizeNearest(const Mat& src, Mat& dst) {
   }
 }
 
-// ---- bilinear u8 (C1 / C3) ------------------------------------------------------
+// ---- bilinear ------------------------------------------------------------------
+// The horizontal pass fills two cached rows of T keyed by source row; each
+// output row is the vertical blend of the two it needs.
+template <class T, class HRow, class Blend>
+void resizeLinear(const Mat& src, Mat& dst, int dw, HRow hrow, Blend blend) {
+  const LinearMap ym = buildMap(dst.rows(), src.rows());
+  std::vector<T> rowBuf[2] = {std::vector<T>(static_cast<std::size_t>(dw)),
+                              std::vector<T>(static_cast<std::size_t>(dw))};
+  int cached[2] = {-1, -1};
+  for (int y = 0; y < dst.rows(); ++y) {
+    const auto yi = static_cast<std::size_t>(y);
+    const int y0 = ym.lo[yi], y1 = ym.hi[yi];
+    for (int need : {y0, y1}) {
+      if (cached[0] != need && cached[1] != need) {
+        const int slot = (cached[0] != y0 && cached[0] != y1) ? 0 : 1;
+        hrow(need, rowBuf[slot].data());
+        cached[slot] = need;
+      }
+    }
+    blend(cached[0] == y0 ? rowBuf[0].data() : rowBuf[1].data(),
+          cached[0] == y1 ? rowBuf[0].data() : rowBuf[1].data(), y, ym.w[yi],
+          ym.wf[yi]);
+  }
+}
+
+// u8 C1 / C3: u16 rows scaled by 128.
 void resizeLinearU8(const Mat& src, Mat& dst, KernelPath p) {
   const int ch = src.channels();
   const int dw = dst.cols() * ch;
   const LinearMap xm = buildMap(dst.cols(), src.cols());
-  const LinearMap ym = buildMap(dst.rows(), src.rows());
-
-  // Two cached horizontal rows (u16, scaled by 128) keyed by source row.
-  std::vector<std::uint16_t> rowBuf[2] = {
-      std::vector<std::uint16_t>(static_cast<std::size_t>(dw)),
-      std::vector<std::uint16_t>(static_cast<std::size_t>(dw))};
-  int cached[2] = {-1, -1};
-
   auto hrow = [&](int srcRow, std::uint16_t* out) {
     const std::uint8_t* s = src.ptr<std::uint8_t>(srcRow);
     for (int x = 0; x < dst.cols(); ++x) {
@@ -199,44 +164,25 @@ void resizeLinearU8(const Mat& src, Mat& dst, KernelPath p) {
       }
     }
   };
-
-  for (int y = 0; y < dst.rows(); ++y) {
-    const int y0 = ym.lo[static_cast<std::size_t>(y)];
-    const int y1 = ym.hi[static_cast<std::size_t>(y)];
-    const int wy = ym.w[static_cast<std::size_t>(y)];
-    // Fill/reuse the two row caches.
-    for (int need : {y0, y1}) {
-      if (cached[0] != need && cached[1] != need) {
-        const int slot = (cached[0] != y0 && cached[0] != y1) ? 0 : 1;
-        hrow(need, rowBuf[slot].data());
-        cached[slot] = need;
-      }
-    }
-    const std::uint16_t* r0 =
-        cached[0] == y0 ? rowBuf[0].data() : rowBuf[1].data();
-    const std::uint16_t* r1 =
-        cached[0] == y1 ? rowBuf[0].data() : rowBuf[1].data();
+  auto blend = [&](const std::uint16_t* r0, const std::uint16_t* r1, int y,
+                   int wy, float) {
     std::uint8_t* d = dst.ptr<std::uint8_t>(y);
     switch (p) {
-#if defined(__SSE2__)
-      case KernelPath::Sse2: vblendU16Sse2(r0, r1, d, dw, wy); break;
-#endif
+      case KernelPath::Avx512: fx_avx512::vblendU16(r0, r1, d, dw, wy); break;
+      case KernelPath::Avx2: fx_avx2::vblendU16(r0, r1, d, dw, wy); break;
+      case KernelPath::Sse2: fx_sse2::vblendU16(r0, r1, d, dw, wy); break;
       case KernelPath::Neon: vblendU16Neon(r0, r1, d, dw, wy); break;
-      default: vblendU16Scalar(r0, r1, d, dw, wy); break;
+      case KernelPath::ScalarNoVec: fx_novec::vblendU16(r0, r1, d, dw, wy); break;
+      default: fx_autovec::vblendU16(r0, r1, d, dw, wy); break;
     }
-  }
+  };
+  resizeLinear<std::uint16_t>(src, dst, dw, hrow, blend);
 }
 
-// ---- bilinear f32 (C1) ----------------------------------------------------------
+// f32 C1.
 void resizeLinearF32(const Mat& src, Mat& dst, KernelPath p) {
   const int dw = dst.cols();
   const LinearMap xm = buildMap(dst.cols(), src.cols());
-  const LinearMap ym = buildMap(dst.rows(), src.rows());
-  std::vector<float> rowBuf[2] = {
-      std::vector<float>(static_cast<std::size_t>(dw)),
-      std::vector<float>(static_cast<std::size_t>(dw))};
-  int cached[2] = {-1, -1};
-
   auto hrow = [&](int srcRow, float* out) {
     const float* s = src.ptr<float>(srcRow);
     for (int x = 0; x < dw; ++x) {
@@ -245,29 +191,15 @@ void resizeLinearF32(const Mat& src, Mat& dst, KernelPath p) {
                s[xm.hi[static_cast<std::size_t>(x)]] * w1;
     }
   };
-
-  for (int y = 0; y < dst.rows(); ++y) {
-    const int y0 = ym.lo[static_cast<std::size_t>(y)];
-    const int y1 = ym.hi[static_cast<std::size_t>(y)];
-    const float wy = ym.wf[static_cast<std::size_t>(y)];
-    for (int need : {y0, y1}) {
-      if (cached[0] != need && cached[1] != need) {
-        const int slot = (cached[0] != y0 && cached[0] != y1) ? 0 : 1;
-        hrow(need, rowBuf[slot].data());
-        cached[slot] = need;
-      }
-    }
-    const float* r0 = cached[0] == y0 ? rowBuf[0].data() : rowBuf[1].data();
-    const float* r1 = cached[0] == y1 ? rowBuf[0].data() : rowBuf[1].data();
-    float* d = dst.ptr<float>(y);
-    switch (p) {
-#if defined(__SSE2__)
-      case KernelPath::Sse2: vblendF32Sse2(r0, r1, d, dw, wy); break;
-#endif
-      case KernelPath::Neon: vblendF32Neon(r0, r1, d, dw, wy); break;
-      default: vblendF32Scalar(r0, r1, d, dw, wy); break;
-    }
-  }
+  const bool hand = p == KernelPath::Avx512 || p == KernelPath::Avx2 ||
+                    p == KernelPath::Sse2 || p == KernelPath::Neon;
+  auto blend = [&](const float* r0, const float* r1, int y, int, float wy) {
+    if (hand)
+      vblendF32Hand(r0, r1, dst.ptr<float>(y), dw, wy, p);
+    else
+      vblendF32Scalar(r0, r1, dst.ptr<float>(y), dw, wy);
+  };
+  resizeLinear<float>(src, dst, dw, hrow, blend);
 }
 
 }  // namespace
@@ -281,7 +213,7 @@ void resize(const Mat& src, Mat& dst, Size dsize, Interp interp,
   const bool f32ok = src.depth() == Depth::F32 && src.channels() == 1;
   SIMDCV_REQUIRE(u8ok || f32ok, "resize: u8c1/u8c3/f32c1 only");
 
-  const KernelPath p = resolvePath(path, /*widest=*/KernelPath::Sse2);
+  const KernelPath p = resolvePath(path);
   Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
   out.create(dsize.height, dsize.width, src.type());
 

@@ -49,7 +49,7 @@ struct BackendInfo {
   }
 };
 
-/// All hand-written backends this build knows about, widest first
+/// All hand-written backends this build knows about, most vector bits first
 /// (avx512, avx2, sse2, neon), regardless of selectability.
 const std::vector<BackendInfo>& backends();
 
@@ -67,13 +67,14 @@ bool selectable(KernelPath path) noexcept;
 /// bench path axis iterate exactly this).
 std::vector<KernelPath> availablePaths();
 
-/// The selectable hand-written backends only, widest first.
+/// The selectable hand-written backends only, most vector bits first.
 std::vector<KernelPath> handPaths();
 
-/// The widest selectable hand-written backend the host runs natively, or
-/// Auto when none is. Emulated NEON never counts: on x86 it is scalar code
-/// behind the intrinsic names. This is what KernelPath::Default resolves
-/// to unless setPreferredPath() or SIMDCV_FORCE_BACKEND says otherwise.
+/// The selectable hand-written backend with the most vector bits that the
+/// host runs natively, or Auto when none is. Emulated NEON never counts: on
+/// x86 it is scalar code behind the intrinsic names. This is what
+/// KernelPath::Default resolves to unless setPreferredPath() or
+/// SIMDCV_FORCE_BACKEND says otherwise.
 KernelPath best() noexcept;
 
 /// Parse a backend name ("sse2", "avx2", "avx512", "neon" — the values

@@ -68,7 +68,6 @@ CpuFeatures detect() {
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx)) {
     f.sse2 = (edx >> 26) & 1u;
     f.sse3 = (ecx >> 0) & 1u;
-    f.ssse3 = (ecx >> 9) & 1u;
     f.sse41 = (ecx >> 19) & 1u;
     f.sse42 = (ecx >> 20) & 1u;
     f.avx = (ecx >> 28) & 1u;
@@ -139,20 +138,16 @@ bool pathAvailable(KernelPath path) noexcept {
   }
 }
 
-KernelPath resolvePath(KernelPath requested, KernelPath widest) noexcept {
+KernelPath resolvePath(KernelPath requested) noexcept {
   KernelPath p = requested;
   if (p == KernelPath::Default) {
     p = useOptimized() ? preferredPath() : KernelPath::Auto;
   }
   // Degrade through the narrower x86 HAND arms before giving up on
-  // intrinsics: Avx512 -> Avx2 -> Sse2 -> Auto. A step is taken when the
-  // backend is not selectable or is wider than the family's widest arm.
-  if (p == KernelPath::Avx512 &&
-      (widest != KernelPath::Avx512 || !pathAvailable(p)))
-    p = KernelPath::Avx2;
-  if (p == KernelPath::Avx2 &&
-      (widest == KernelPath::Sse2 || !pathAvailable(p)))
-    p = KernelPath::Sse2;
+  // intrinsics: Avx512 -> Avx2 -> Sse2 -> Auto, one step per backend that
+  // is not selectable.
+  if (p == KernelPath::Avx512 && !pathAvailable(p)) p = KernelPath::Avx2;
+  if (p == KernelPath::Avx2 && !pathAvailable(p)) p = KernelPath::Sse2;
   if (!pathAvailable(p)) p = KernelPath::Auto;
   return p;
 }

@@ -38,7 +38,6 @@ const char* toString(KernelPath path) noexcept;
 struct CpuFeatures {
   bool sse2 = false;
   bool sse3 = false;
-  bool ssse3 = false;
   bool sse41 = false;
   bool sse42 = false;
   bool avx = false;
@@ -65,18 +64,16 @@ bool useOptimized() noexcept;
 
 /// Preferred HAND path when optimizations are on. Precedence: an explicit
 /// setPreferredPath(), then SIMDCV_FORCE_BACKEND, then caps::best() — the
-/// widest selectable backend the host runs natively (avx512 > avx2 > sse2
-/// on x86, neon on ARM, Auto when none is).
+/// selectable backend with the most vector bits the host runs natively
+/// (avx512 > avx2 > sse2 on x86, neon on ARM, Auto when none is).
 void setPreferredPath(KernelPath path) noexcept;
 KernelPath preferredPath() noexcept;
 
 /// Resolve Default into a concrete runnable path; validates that the
 /// requested path is selectable on this host (degrading Avx512 -> Avx2 ->
-/// Sse2 before falling back to Auto). `widest` is the widest x86 arm the
-/// calling kernel family has (Avx512, Avx2 or Sse2): a wider request takes
-/// the same degrade steps down to it instead of missing every hand arm.
-KernelPath resolvePath(KernelPath requested,
-                       KernelPath widest = KernelPath::Avx512) noexcept;
+/// Sse2 before falling back to Auto). Every kernel family has an arm at
+/// every x86 width, so this is the one path rule.
+KernelPath resolvePath(KernelPath requested) noexcept;
 
 /// True if `path` can execute on this host. For the hand-written backends
 /// this consults the simdcv::caps registry, so a backend disabled via

@@ -9,11 +9,11 @@
 // semantics at every width, so one body is bit-exact across backends by
 // construction.
 //
-// This header is ISA-free: it defines only the tags and the primary
-// template. The per-backend specializations live in vec_sse2.hpp /
-// vec_avx2.hpp / vec_avx512.hpp and may ONLY be included from translation
-// units compiled with that backend's -m flags (the TU isolation rule —
-// see DESIGN.md §15).
+// This header is ISA-free: it defines the tags, the primary template and
+// the byte tables the x86 traits share.
+// The per-backend specializations live in vec_sse2.hpp / vec_avx2.hpp /
+// vec_avx512.hpp and may ONLY be included from translation units compiled
+// with that backend's -m flags (the TU isolation rule — see DESIGN.md §15).
 #pragma once
 
 namespace simdcv::simd {
@@ -44,9 +44,16 @@ struct Avx512 {};
 ///              to the s32 rails before converting — saturate_cast<int32_t>
 ///              of a double); cvtF64toF32 (static_cast<float> rounding)
 ///   s16/u16    loadS16 storeS16 setS16 zeroS16 addS16 addSatS16 subSatS16
-///              mulLoS16 minS16 maxS16 shrLogU16<imm>
+///              mulLoS16 minS16 maxS16 shrLogU16<imm>; maddPairS16(a, b,
+///              wa, wb) -> vs32x2 {lo, hi} = a[i]*wa + b[i]*wb in element
+///              order (pairwise multiply-add, PMADDWD on zipped pairs)
+///   s32        addS32 shrS32<imm> (arithmetic)
 ///   u8         loadU8 storeU8 setU8 addSatU8 subSatU8 minU8 maxU8 cmpGtU8
-///              andU8 andNotU8 orU8 xorU8
+///              andU8 andNotU8 orU8 xorU8; loadU8Partial(p, n < u8_lanes)
+///              (zeros above n, reads nothing past p + n); widenU8 ->
+///              vs16x2 {lo, hi} (zero-extend, element order);
+///              deinterleave3U8(p) -> vu8x3 {c0, c1, c2}: 3*u8_lanes
+///              interleaved bytes split into channel planes (NEON's vld3q_u8)
 ///   packs      packS32toS16 packS16toU8 packS32x4toU8 — element-order
 ///              correct: the result is the saturated concatenation of the
 ///              inputs, with any lane-crossing fixups done inside the trait
@@ -58,5 +65,24 @@ struct Avx512 {};
 /// the trait converts the native k-mask back to a vector.
 template <class Backend>
 struct VecTraits;
+
+namespace detail {
+/// Byte-shuffle controls of the x86 3-channel deinterleave: kSplit3.m[c][k]
+/// moves channel c's bytes of 16-byte chunk k of a 48-byte group (byte
+/// 3i + c - 16k to lane i) and zeroes every other lane (-128 = 0x80).
+struct Split3 {
+  signed char m[3][3][16];
+};
+constexpr Split3 makeSplit3() {
+  Split3 t{};
+  for (int c = 0; c < 3; ++c)
+    for (int k = 0; k < 3; ++k)
+      for (int i = 0, src = c - 16 * k; i < 16; ++i, src += 3)
+        t.m[c][k][i] =
+            static_cast<signed char>(src >= 0 && src < 16 ? src : -128);
+  return t;
+}
+inline constexpr Split3 kSplit3 = makeSplit3();
+}  // namespace detail
 
 }  // namespace simdcv::simd

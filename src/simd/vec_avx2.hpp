@@ -14,6 +14,7 @@
 #error "vec_avx2.hpp included in a TU compiled without -mavx2"
 #endif
 
+#include <cstddef>
 #include <cstdint>
 
 #include <immintrin.h>
@@ -34,6 +35,16 @@ struct VecTraits<backend::Avx2> {
   using vs32 = __m256i;
   using vs16 = __m256i;
   using vu8 = __m256i;
+  /// Multi-register results, in element order: two halves, three planes.
+  struct vs32x2 {
+    vs32 lo, hi;
+  };
+  struct vs16x2 {
+    vs16 lo, hi;
+  };
+  struct vu8x3 {
+    vu8 c0, c1, c2;
+  };
 
   // ---- f32 -----------------------------------------------------------------
   static vf32 loadF32(const float* p) { return _mm256_loadu_ps(p); }
@@ -133,6 +144,24 @@ struct VecTraits<backend::Avx2> {
   static vs16 maxS16(vs16 a, vs16 b) { return _mm256_max_epi16(a, b); }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm256_srli_epi16(v, Imm); }
+  /// Same contract as the SSE2 trait. vpunpck*wd interleaves within 128-bit
+  /// lanes, so each input's 64-bit quarters go (q0,q2,q1,q3) first: the
+  /// low unpack then pairs elements 0..7 and the high one 8..15.
+  static vs32x2 maddPairS16(vs16 a, vs16 b, std::int16_t wa,
+                            std::int16_t wb) {
+    const __m256i w = _mm256_set1_epi32(static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(static_cast<std::uint16_t>(wb)) << 16 |
+        static_cast<std::uint16_t>(wa)));
+    const __m256i ap = _mm256_permute4x64_epi64(a, _MM_SHUFFLE(3, 1, 2, 0));
+    const __m256i bp = _mm256_permute4x64_epi64(b, _MM_SHUFFLE(3, 1, 2, 0));
+    return {_mm256_madd_epi16(_mm256_unpacklo_epi16(ap, bp), w),
+            _mm256_madd_epi16(_mm256_unpackhi_epi16(ap, bp), w)};
+  }
+
+  // ---- s32 -----------------------------------------------------------------
+  static vs32 addS32(vs32 a, vs32 b) { return _mm256_add_epi32(a, b); }
+  template <int Imm>
+  static vs32 shrS32(vs32 v) { return _mm256_srai_epi32(v, Imm); }
 
   // ---- u8 ------------------------------------------------------------------
   static vu8 loadU8(const std::uint8_t* p) {
@@ -140,6 +169,11 @@ struct VecTraits<backend::Avx2> {
   }
   static void storeU8(std::uint8_t* p, vu8 v) {
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static vu8 loadU8Partial(const std::uint8_t* p, int n) {
+    alignas(32) std::uint8_t buf[32] = {};
+    __builtin_memcpy(buf, p, static_cast<std::size_t>(n));
+    return _mm256_load_si256(reinterpret_cast<const __m256i*>(buf));
   }
   static vu8 setU8(std::uint8_t v) {
     return _mm256_set1_epi8(static_cast<char>(v));
@@ -157,6 +191,32 @@ struct VecTraits<backend::Avx2> {
   static vu8 andNotU8(vu8 mask, vu8 v) { return _mm256_andnot_si256(mask, v); }
   static vu8 orU8(vu8 a, vu8 b) { return _mm256_or_si256(a, b); }
   static vu8 xorU8(vu8 a, vu8 b) { return _mm256_xor_si256(a, b); }
+  static vs16x2 widenU8(vu8 v) {
+    return {_mm256_cvtepu8_epi16(_mm256_castsi256_si128(v)),
+            _mm256_cvtepu8_epi16(_mm256_extracti128_si256(v, 1))};
+  }
+  /// Same contract as the SSE2 trait. Each 128-bit lane gets one 48-byte
+  /// group (lane 0 pixels 0..15, lane 1 pixels 16..31), so the in-lane
+  /// vpshufb split below leaves every plane in element order.
+  static vu8x3 deinterleave3U8(const std::uint8_t* p) {
+    auto pair = [p](int off) {
+      return _mm256_inserti128_si256(
+          _mm256_castsi128_si256(
+              _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + off))),
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + off + 48)), 1);
+    };
+    const __m256i x0 = pair(0), x1 = pair(16), x2 = pair(32);
+    auto plane = [&](int c) {
+      auto split = [c](__m256i x, int k) {
+        return _mm256_shuffle_epi8(
+            x, _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                   reinterpret_cast<const __m128i*>(detail::kSplit3.m[c][k]))));
+      };
+      return _mm256_or_si256(_mm256_or_si256(split(x0, 0), split(x1, 1)),
+                             split(x2, 2));
+    };
+    return {plane(0), plane(1), plane(2)};
+  }
 
   // ---- order-correct packs -------------------------------------------------
   // vpackssdw / vpackuswb pack within 128-bit lanes; a 64-bit-quarter

@@ -18,6 +18,7 @@
 #error "vec_avx512.hpp included in a TU compiled without -mavx512f/bw/dq"
 #endif
 
+#include <cstddef>
 #include <cstdint>
 
 #include <immintrin.h>
@@ -38,6 +39,16 @@ struct VecTraits<backend::Avx512> {
   using vs32 = __m512i;
   using vs16 = __m512i;
   using vu8 = __m512i;
+  /// Multi-register results, in element order: two halves, three planes.
+  struct vs32x2 {
+    vs32 lo, hi;
+  };
+  struct vs16x2 {
+    vs16 lo, hi;
+  };
+  struct vu8x3 {
+    vu8 c0, c1, c2;
+  };
 
   // ---- f32 -----------------------------------------------------------------
   static vf32 loadF32(const float* p) { return _mm512_loadu_ps(p); }
@@ -140,6 +151,25 @@ struct VecTraits<backend::Avx512> {
   static vs16 maxS16(vs16 a, vs16 b) { return _mm512_max_epi16(a, b); }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm512_srli_epi16(v, Imm); }
+  /// Same contract as the SSE2 trait. The 64-bit quarters go
+  /// (q0,q4,q1,q5,q2,q6,q3,q7) first, so the in-lane low unpack pairs
+  /// elements 0..15 and the high one 16..31.
+  static vs32x2 maddPairS16(vs16 a, vs16 b, std::int16_t wa,
+                            std::int16_t wb) {
+    const __m512i w = _mm512_set1_epi32(static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(static_cast<std::uint16_t>(wb)) << 16 |
+        static_cast<std::uint16_t>(wa)));
+    const __m512i order = _mm512_setr_epi64(0, 4, 1, 5, 2, 6, 3, 7);
+    const __m512i ap = _mm512_permutexvar_epi64(order, a);
+    const __m512i bp = _mm512_permutexvar_epi64(order, b);
+    return {_mm512_madd_epi16(_mm512_unpacklo_epi16(ap, bp), w),
+            _mm512_madd_epi16(_mm512_unpackhi_epi16(ap, bp), w)};
+  }
+
+  // ---- s32 -----------------------------------------------------------------
+  static vs32 addS32(vs32 a, vs32 b) { return _mm512_add_epi32(a, b); }
+  template <int Imm>
+  static vs32 shrS32(vs32 v) { return _mm512_srai_epi32(v, Imm); }
 
   // ---- u8 ------------------------------------------------------------------
   static vu8 loadU8(const std::uint8_t* p) {
@@ -147,6 +177,11 @@ struct VecTraits<backend::Avx512> {
   }
   static void storeU8(std::uint8_t* p, vu8 v) {
     _mm512_storeu_si512(reinterpret_cast<void*>(p), v);
+  }
+  /// A byte-masked load: masked-off lanes read as zero and never fault.
+  static vu8 loadU8Partial(const std::uint8_t* p, int n) {
+    return _mm512_maskz_loadu_epi8(
+        _cvtu64_mask64((std::uint64_t{1} << n) - 1), p);
   }
   static vu8 setU8(std::uint8_t v) {
     return _mm512_set1_epi8(static_cast<char>(v));
@@ -164,6 +199,36 @@ struct VecTraits<backend::Avx512> {
   static vu8 andNotU8(vu8 mask, vu8 v) { return _mm512_andnot_si512(mask, v); }
   static vu8 orU8(vu8 a, vu8 b) { return _mm512_or_si512(a, b); }
   static vu8 xorU8(vu8 a, vu8 b) { return _mm512_xor_si512(a, b); }
+  static vs16x2 widenU8(vu8 v) {
+    return {_mm512_cvtepu8_epi16(_mm512_castsi512_si256(v)),
+            _mm512_cvtepu8_epi16(_mm512_extracti64x4_epi64(v, 1))};
+  }
+  /// Same contract as the SSE2 trait, composed like the AVX2 one: 128-bit
+  /// lane j holds the 48-byte group of pixels 16j..16j+15, and an in-lane
+  /// vpshufb split leaves every plane in element order.
+  static vu8x3 deinterleave3U8(const std::uint8_t* p) {
+    auto quad = [p](int off) {
+      auto ld = [p, off](int j) {
+        return _mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(p + off + 48 * j));
+      };
+      __m512i v = _mm512_castsi128_si512(ld(0));
+      v = _mm512_inserti32x4(v, ld(1), 1);
+      v = _mm512_inserti32x4(v, ld(2), 2);
+      return _mm512_inserti32x4(v, ld(3), 3);
+    };
+    const __m512i x0 = quad(0), x1 = quad(16), x2 = quad(32);
+    auto plane = [&](int c) {
+      auto split = [c](__m512i x, int k) {
+        return _mm512_shuffle_epi8(
+            x, _mm512_broadcast_i32x4(_mm_loadu_si128(
+                   reinterpret_cast<const __m128i*>(detail::kSplit3.m[c][k]))));
+      };
+      return _mm512_or_si512(_mm512_or_si512(split(x0, 0), split(x1, 1)),
+                             split(x2, 2));
+    };
+    return {plane(0), plane(1), plane(2)};
+  }
 
   // ---- order-correct packs -------------------------------------------------
   // vpackssdw / vpackuswb pack within each of the four 128-bit lanes; the

@@ -10,6 +10,7 @@
 #error "vec_sse2.hpp included in a TU compiled without SSE2"
 #endif
 
+#include <cstddef>
 #include <cstdint>
 
 #include <emmintrin.h>
@@ -30,6 +31,16 @@ struct VecTraits<backend::Sse2> {
   using vs32 = __m128i;
   using vs16 = __m128i;
   using vu8 = __m128i;
+  /// Multi-register results, in element order: two halves, three planes.
+  struct vs32x2 {
+    vs32 lo, hi;
+  };
+  struct vs16x2 {
+    vs16 lo, hi;
+  };
+  struct vu8x3 {
+    vu8 c0, c1, c2;
+  };
 
   // ---- f32 -----------------------------------------------------------------
   static vf32 loadF32(const float* p) { return _mm_loadu_ps(p); }
@@ -150,6 +161,23 @@ struct VecTraits<backend::Sse2> {
   static vs16 maxS16(vs16 a, vs16 b) { return _mm_max_epi16(a, b); }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm_srli_epi16(v, Imm); }
+  /// s16_lanes pairs (a[i], b[i]) times (wa, wb), summed into s32 lanes:
+  /// lo = elements [0, f32_lanes), hi = the rest. PMADDWD on the
+  /// interleaved pairs; exact except a[i] = b[i] = wa = wb = -32768, which
+  /// wraps to INT32_MIN.
+  static vs32x2 maddPairS16(vs16 a, vs16 b, std::int16_t wa,
+                            std::int16_t wb) {
+    const __m128i w = _mm_set1_epi32(static_cast<std::int32_t>(
+        static_cast<std::uint32_t>(static_cast<std::uint16_t>(wb)) << 16 |
+        static_cast<std::uint16_t>(wa)));
+    return {_mm_madd_epi16(_mm_unpacklo_epi16(a, b), w),
+            _mm_madd_epi16(_mm_unpackhi_epi16(a, b), w)};
+  }
+
+  // ---- s32 -----------------------------------------------------------------
+  static vs32 addS32(vs32 a, vs32 b) { return _mm_add_epi32(a, b); }
+  template <int Imm>
+  static vs32 shrS32(vs32 v) { return _mm_srai_epi32(v, Imm); }
 
   // ---- u8 ------------------------------------------------------------------
   static vu8 loadU8(const std::uint8_t* p) {
@@ -157,6 +185,13 @@ struct VecTraits<backend::Sse2> {
   }
   static void storeU8(std::uint8_t* p, vu8 v) {
     _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  }
+  /// The first n (0 <= n < u8_lanes) bytes at p, zeros above; reads no
+  /// byte past p + n.
+  static vu8 loadU8Partial(const std::uint8_t* p, int n) {
+    alignas(16) std::uint8_t buf[16] = {};
+    __builtin_memcpy(buf, p, static_cast<std::size_t>(n));
+    return _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
   }
   static vu8 setU8(std::uint8_t v) {
     return _mm_set1_epi8(static_cast<char>(v));
@@ -176,6 +211,26 @@ struct VecTraits<backend::Sse2> {
   static vu8 andNotU8(vu8 mask, vu8 v) { return _mm_andnot_si128(mask, v); }
   static vu8 orU8(vu8 a, vu8 b) { return _mm_or_si128(a, b); }
   static vu8 xorU8(vu8 a, vu8 b) { return _mm_xor_si128(a, b); }
+  /// u8_lanes u8 -> s16 (zero-extended): lo = elements [0, s16_lanes).
+  static vs16x2 widenU8(vu8 v) {
+    const __m128i zero = _mm_setzero_si128();
+    return {_mm_unpacklo_epi8(v, zero), _mm_unpackhi_epi8(v, zero)};
+  }
+  /// 3 * u8_lanes interleaved bytes -> the three channel planes (NEON's
+  /// vld3q_u8). SSE2 has no byte shuffle: four rounds of the 48-byte
+  /// perfect shuffle (byte j -> 2j mod 47) move byte 3i + c to 16c + i,
+  /// because 2^4 * 3 = 48 = 1 (mod 47).
+  static vu8x3 deinterleave3U8(const std::uint8_t* p) {
+    __m128i a = loadU8(p), b = loadU8(p + 16), c = loadU8(p + 32);
+    for (int round = 0; round < 4; ++round) {
+      const __m128i a2 = _mm_unpacklo_epi8(a, _mm_srli_si128(b, 8));
+      const __m128i b2 = _mm_unpackhi_epi8(a, _mm_slli_si128(c, 8));
+      c = _mm_unpacklo_epi8(b, _mm_srli_si128(c, 8));
+      a = a2;
+      b = b2;
+    }
+    return {a, b, c};
+  }
 
   // ---- order-correct packs -------------------------------------------------
   /// Saturating s32 -> s16 concatenation: result s16 lanes are

@@ -42,8 +42,7 @@
 
 // imgproc: the paper's kernel set (filters, threshold, edge pipeline) plus
 // the image operations the examples, serve presets and related-work
-// benchmark (E1) call; `split`/`merge` and the flip/transpose/rotate/
-// copyMakeBorder rearrangements are reached only by their unit tests.
+// benchmark (E1) call.
 #include "imgproc/border.hpp"
 #include "imgproc/kernels.hpp"
 #include "imgproc/filter.hpp"

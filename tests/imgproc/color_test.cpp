@@ -25,7 +25,7 @@ int refGray(int b, int g, int r) {
 
 TEST(CvtColor, Bgr2GrayMatchesFixedPointReference) {
   const Mat src = randomBgr(23, 41, 1);
-  for (KernelPath p : caps::availablePaths()) {  // avx2/avx512: sse2 arm
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat gray;
     cvtColor(src, gray, ColorCode::BGR2GRAY, p);
@@ -107,62 +107,6 @@ TEST(CvtColor, RejectsWrongChannels) {
   EXPECT_THROW(cvtColor(gray, dst, ColorCode::BGR2GRAY), Error);
   Mat f(4, 4, F32C1);
   EXPECT_THROW(cvtColor(f, dst, ColorCode::GRAY2BGR), Error);
-}
-
-TEST(SplitMerge, RoundTripC3) {
-  const Mat src = randomBgr(13, 29, 5);
-  for (KernelPath p : caps::availablePaths()) {
-    if (!pathAvailable(p)) continue;
-    std::vector<Mat> planes;
-    split(src, planes, p);
-    ASSERT_EQ(planes.size(), 3u);
-    for (int r = 0; r < src.rows(); ++r)
-      for (int c = 0; c < src.cols(); ++c)
-        for (int k = 0; k < 3; ++k)
-          ASSERT_EQ(planes[static_cast<std::size_t>(k)].at<std::uint8_t>(r, c),
-                    src.at<std::uint8_t>(r, 3 * c + k))
-              << toString(p);
-    Mat merged;
-    merge(planes, merged, p);
-    EXPECT_EQ(countMismatches(src, merged), 0u) << toString(p);
-  }
-}
-
-TEST(SplitMerge, RoundTripC4AndF32) {
-  const Mat src4 = randomBgr(6, 11, 6, 4);
-  std::vector<Mat> planes;
-  split(src4, planes);
-  ASSERT_EQ(planes.size(), 4u);
-  Mat merged;
-  merge(planes, merged);
-  EXPECT_EQ(countMismatches(src4, merged), 0u);
-
-  Mat f(4, 5, PixelType(Depth::F32, 2));
-  for (int r = 0; r < 4; ++r)
-    for (int c = 0; c < 10; ++c) f.at<float>(r, c) = r * 10.0f + c;
-  std::vector<Mat> fp;
-  split(f, fp);
-  EXPECT_FLOAT_EQ(fp[1].at<float>(2, 3), f.at<float>(2, 2 * 3 + 1));
-  Mat fm;
-  merge(fp, fm);
-  EXPECT_EQ(countMismatches(f, fm), 0u);
-}
-
-TEST(SplitMerge, MergeValidation) {
-  Mat a(4, 4, U8C1), b(4, 5, U8C1), dst;
-  std::vector<Mat> bad = {a, b};
-  EXPECT_THROW(merge(bad, dst), Error);
-  std::vector<Mat> none;
-  EXPECT_THROW(merge(none, dst), Error);
-}
-
-TEST(SplitMerge, SingleChannelSplitIsCopy) {
-  const Mat src = randomBgr(5, 5, 7, 1);
-  std::vector<Mat> planes;
-  split(src, planes);
-  ASSERT_EQ(planes.size(), 1u);
-  EXPECT_EQ(countMismatches(src, planes[0]), 0u);
-  EXPECT_FALSE(planes[0].sharesStorageWith(src));
 }
 
 }  // namespace

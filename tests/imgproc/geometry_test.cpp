@@ -1,4 +1,4 @@
-// Geometric rearrangements and affine warping.
+// Affine warping.
 #include "imgproc/geometry.hpp"
 
 #include <gtest/gtest.h>
@@ -15,117 +15,6 @@ Mat iota(int rows, int cols) {
     for (int c = 0; c < cols; ++c)
       m.at<std::uint8_t>(r, c) = static_cast<std::uint8_t>((r * cols + c) & 0xff);
   return m;
-}
-
-TEST(Flip, HorizontalVerticalBoth) {
-  const Mat src = iota(3, 4);
-  Mat h, v, b;
-  flip(src, h, FlipAxis::Horizontal);
-  flip(src, v, FlipAxis::Vertical);
-  flip(src, b, FlipAxis::Both);
-  for (int r = 0; r < 3; ++r)
-    for (int c = 0; c < 4; ++c) {
-      EXPECT_EQ(h.at<std::uint8_t>(r, c), src.at<std::uint8_t>(r, 3 - c));
-      EXPECT_EQ(v.at<std::uint8_t>(r, c), src.at<std::uint8_t>(2 - r, c));
-      EXPECT_EQ(b.at<std::uint8_t>(r, c), src.at<std::uint8_t>(2 - r, 3 - c));
-    }
-}
-
-TEST(Flip, IsInvolution) {
-  const Mat src = iota(7, 11);
-  for (auto axis : {FlipAxis::Horizontal, FlipAxis::Vertical, FlipAxis::Both}) {
-    Mat once, twice;
-    flip(src, once, axis);
-    flip(once, twice, axis);
-    EXPECT_EQ(countMismatches(src, twice), 0u);
-  }
-}
-
-TEST(Flip, MultiChannelKeepsPixelsIntact) {
-  Mat src(2, 2, U8C3);
-  for (int i = 0; i < 12; ++i)
-    src.at<std::uint8_t>(i / 6, i % 6) = static_cast<std::uint8_t>(i);
-  Mat h;
-  flip(src, h, FlipAxis::Horizontal);
-  // Pixel (0,1) = bytes 3,4,5 moves to (0,0) intact (channels not reversed).
-  EXPECT_EQ(h.at<std::uint8_t>(0, 0), 3);
-  EXPECT_EQ(h.at<std::uint8_t>(0, 1), 4);
-  EXPECT_EQ(h.at<std::uint8_t>(0, 2), 5);
-}
-
-TEST(Transpose, SwapsCoordinates) {
-  const Mat src = iota(3, 5);
-  Mat t;
-  transpose(src, t);
-  ASSERT_EQ(t.size(), Size(3, 5));  // width/height swapped
-  for (int r = 0; r < 3; ++r)
-    for (int c = 0; c < 5; ++c)
-      EXPECT_EQ(t.at<std::uint8_t>(c, r), src.at<std::uint8_t>(r, c));
-  Mat tt;
-  transpose(t, tt);
-  EXPECT_EQ(countMismatches(src, tt), 0u);
-}
-
-TEST(Transpose, LargeBlockedF32) {
-  Mat src(70, 45, F32C1);
-  std::mt19937 rng(1);
-  for (int r = 0; r < 70; ++r)
-    for (int c = 0; c < 45; ++c)
-      src.at<float>(r, c) = static_cast<float>(rng()) / 1e6f;
-  Mat t;
-  transpose(src, t);
-  for (int r = 0; r < 70; ++r)
-    for (int c = 0; c < 45; ++c)
-      ASSERT_EQ(t.at<float>(c, r), src.at<float>(r, c));
-}
-
-TEST(Rotate, QuarterTurns) {
-  const Mat src = iota(2, 3);
-  Mat cw, ccw, r180;
-  rotate(src, cw, Rotation::Cw90);
-  rotate(src, ccw, Rotation::Ccw90);
-  rotate(src, r180, Rotation::R180);
-  ASSERT_EQ(cw.size(), Size(2, 3));
-  // CW90: (r,c) -> (c, rows-1-r).
-  for (int r = 0; r < 2; ++r)
-    for (int c = 0; c < 3; ++c) {
-      EXPECT_EQ(cw.at<std::uint8_t>(c, 1 - r), src.at<std::uint8_t>(r, c));
-      EXPECT_EQ(ccw.at<std::uint8_t>(2 - c, r), src.at<std::uint8_t>(r, c));
-    }
-  // Four CW rotations restore the original.
-  Mat x = src.clone();
-  for (int i = 0; i < 4; ++i) {
-    Mat next;
-    rotate(x, next, Rotation::Cw90);
-    x = std::move(next);
-  }
-  EXPECT_EQ(countMismatches(src, x), 0u);
-}
-
-TEST(CopyMakeBorder, ConstantAndReplicate) {
-  const Mat src = iota(2, 2);
-  Mat c;
-  copyMakeBorder(src, c, 1, 2, 1, 1, BorderType::Constant, 9.0);
-  ASSERT_EQ(c.size(), Size(4, 5));
-  EXPECT_EQ(c.at<std::uint8_t>(0, 0), 9);
-  EXPECT_EQ(c.at<std::uint8_t>(1, 1), src.at<std::uint8_t>(0, 0));
-  EXPECT_EQ(c.at<std::uint8_t>(2, 2), src.at<std::uint8_t>(1, 1));
-  EXPECT_EQ(c.at<std::uint8_t>(3, 1), 9);
-  Mat r;
-  copyMakeBorder(src, r, 1, 1, 2, 0, BorderType::Replicate);
-  EXPECT_EQ(r.at<std::uint8_t>(0, 0), src.at<std::uint8_t>(0, 0));
-  EXPECT_EQ(r.at<std::uint8_t>(0, 1), src.at<std::uint8_t>(0, 0));
-  EXPECT_EQ(r.at<std::uint8_t>(3, 3), src.at<std::uint8_t>(1, 1));
-}
-
-TEST(CopyMakeBorder, MatchesFilterEnginePadding) {
-  // Reflect101 border of width 2 around a known pattern.
-  const Mat src = iota(4, 4);
-  Mat p;
-  copyMakeBorder(src, p, 2, 2, 2, 2, BorderType::Reflect101);
-  EXPECT_EQ(p.at<std::uint8_t>(2, 0), src.at<std::uint8_t>(0, 2));
-  EXPECT_EQ(p.at<std::uint8_t>(0, 2), src.at<std::uint8_t>(2, 0));
-  EXPECT_EQ(p.at<std::uint8_t>(2, 2), src.at<std::uint8_t>(0, 0));
 }
 
 TEST(Affine, IdentityWarpIsExactCopy) {

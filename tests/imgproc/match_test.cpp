@@ -3,14 +3,39 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+
+#include "core/array_ops_detail.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
 
 std::vector<KernelPath> paths() {
   return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Avx2, KernelPath::Neon};
+          KernelPath::Avx2, KernelPath::Avx512, KernelPath::Neon};
+}
+
+// The x86 SADs of one n-byte row (a one-row placement), one sum per
+// selectable backend.
+std::vector<std::uint64_t> handSads(const std::uint8_t* a,
+                                    const std::uint8_t* b, std::size_t n) {
+  namespace cd = core::detail;
+  const struct {
+    KernelPath path;
+    std::uint64_t (*fn)(const std::uint8_t*, std::size_t, const std::uint8_t*,
+                        std::size_t, int, int, std::uint64_t);
+  } arms[] = {{KernelPath::Sse2, &cd::aops_sse2::sadBlock},
+              {KernelPath::Avx2, &cd::aops_avx2::sadBlock},
+              {KernelPath::Avx512, &cd::aops_avx512::sadBlock}};
+  std::vector<std::uint64_t> sums;
+  for (const auto& arm : arms) {
+    if (!caps::selectable(arm.path)) continue;
+    sums.push_back(arm.fn(a, n, b, n, static_cast<int>(n), 1,
+                          std::numeric_limits<std::uint64_t>::max()));
+  }
+  return sums;
 }
 
 Mat randomU8(int rows, int cols, unsigned seed) {
@@ -34,7 +59,8 @@ TEST(SadRange, AllPathsExactOnRandomData) {
     want += static_cast<std::uint64_t>(std::abs(static_cast<int>(a[i]) - b[i]));
   EXPECT_EQ(autovec::sadRange(a.data(), b.data(), a.size()), want);
   EXPECT_EQ(novec::sadRange(a.data(), b.data(), a.size()), want);
-  EXPECT_EQ(sse2::sadRange(a.data(), b.data(), a.size()), want);
+  for (std::uint64_t s : handSads(a.data(), b.data(), a.size()))
+    EXPECT_EQ(s, want);
   EXPECT_EQ(neon::sadRange(a.data(), b.data(), a.size()), want);
 }
 
@@ -44,10 +70,10 @@ TEST(SadRange, ExtremesAndAccumulatorHeadroom) {
   const std::size_t n = 1 << 20;
   std::vector<std::uint8_t> a(n, 255), b(n, 0);
   const std::uint64_t want = 255ull * n;
-  EXPECT_EQ(sse2::sadRange(a.data(), b.data(), n), want);
+  for (std::uint64_t s : handSads(a.data(), b.data(), n)) EXPECT_EQ(s, want);
   EXPECT_EQ(neon::sadRange(a.data(), b.data(), n), want);
   EXPECT_EQ(autovec::sadRange(a.data(), b.data(), n), want);
-  EXPECT_EQ(sse2::sadRange(a.data(), a.data(), n), 0u);
+  for (std::uint64_t s : handSads(a.data(), a.data(), n)) EXPECT_EQ(s, 0u);
 }
 
 TEST(MatchTemplate, FindsEmbeddedPatch) {

@@ -45,7 +45,7 @@ Mat bruteMedian(const Mat& src, int ksize) {
 TEST(MedianBlur, MatchesBruteForce3x3) {
   const Mat src = randomU8(25, 41, 1);
   const Mat ref = bruteMedian(src, 3);
-  for (KernelPath p : caps::availablePaths()) {  // avx2/avx512: sse2 arm
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat got;
     medianBlur(src, got, 3, p);

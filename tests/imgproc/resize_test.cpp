@@ -84,7 +84,7 @@ TEST(Resize, AllPathsBitExactU8) {
   const Mat src = randomU8(37, 53, 2);
   Mat ref;
   resize(src, ref, {97, 71}, Interp::Linear, KernelPath::Auto);
-  for (KernelPath p : caps::availablePaths()) {  // avx2/avx512: sse2 arm
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat got;
     resize(src, got, {97, 71}, Interp::Linear, p);

@@ -219,12 +219,11 @@ TEST(CapsTest, DefaultIsWidestNativeBackend) {
                     caps::info(KernelPath::Avx2).cpu_supported;
   const struct {
     const char* mask;
-    KernelPath want;     // resolvePath(Default)
-    KernelPath clamped;  // resolvePath(Avx512, /*widest=*/Sse2)
+    KernelPath want;  // resolvePath(Default)
   } cases[] = {
-      {"avx512", avx2 ? KernelPath::Avx2 : KernelPath::Sse2, KernelPath::Sse2},
-      {"avx512,avx2", KernelPath::Sse2, KernelPath::Sse2},
-      {"avx512,avx2,sse2", KernelPath::Auto, KernelPath::Auto},
+      {"avx512", avx2 ? KernelPath::Avx2 : KernelPath::Sse2},
+      {"avx512,avx2", KernelPath::Sse2},
+      {"avx512,avx2,sse2", KernelPath::Auto},
   };
   for (const auto& c : cases) {
     ScopedEnv disable("SIMDCV_DISABLE_BACKENDS", c.mask);
@@ -232,40 +231,7 @@ TEST(CapsTest, DefaultIsWidestNativeBackend) {
     EXPECT_EQ(caps::best(), c.want) << c.mask;
     EXPECT_EQ(simdcv::preferredPath(), c.want) << c.mask;
     EXPECT_EQ(simdcv::resolvePath(KernelPath::Default), c.want) << c.mask;
-    EXPECT_EQ(simdcv::resolvePath(KernelPath::Avx512, KernelPath::Sse2),
-              c.clamped)
-        << c.mask;
-    EXPECT_EQ(simdcv::resolvePath(KernelPath::Avx2, KernelPath::Sse2),
-              c.clamped)
-        << c.mask;
   }
-#endif
-}
-
-// A family's widest arm clamps wider requests through the degrade chain and
-// leaves narrower ones, NEON and the scalar arms alone.
-TEST(CapsTest, ResolvePathClampsToWidestArm) {
-  ScopedEnv disable("SIMDCV_DISABLE_BACKENDS", nullptr);
-  ScopedEnv force("SIMDCV_FORCE_BACKEND", nullptr);
-  caps::detail::reinitFromEnvForTest();
-  using simdcv::resolvePath;
-  for (KernelPath p : {KernelPath::ScalarNoVec, KernelPath::Auto,
-                       KernelPath::Neon}) {
-    EXPECT_EQ(resolvePath(p, KernelPath::Sse2), resolvePath(p))
-        << simdcv::toString(p);
-  }
-#if defined(__x86_64__) || defined(__i386__)
-  EXPECT_EQ(resolvePath(KernelPath::Avx512, KernelPath::Sse2),
-            KernelPath::Sse2);
-  EXPECT_EQ(resolvePath(KernelPath::Avx2, KernelPath::Sse2), KernelPath::Sse2);
-  EXPECT_EQ(resolvePath(KernelPath::Default, KernelPath::Sse2),
-            KernelPath::Sse2);
-  EXPECT_EQ(resolvePath(KernelPath::Sse2, KernelPath::Sse2), KernelPath::Sse2);
-  EXPECT_EQ(resolvePath(KernelPath::Avx512, KernelPath::Avx2),
-            resolvePath(KernelPath::Avx2));
-  // `widest` only narrows: it never widens a request.
-  EXPECT_EQ(resolvePath(KernelPath::Sse2, KernelPath::Avx512),
-            KernelPath::Sse2);
 #endif
 }
 
