@@ -49,6 +49,26 @@ SIMDCV_DISABLE_BACKENDS=avx512,avx2 \
   ctest --test-dir build -L check --output-on-failure -j"$(nproc)"
 
 echo
+echo "== poison-fill leg (every new Mat buffer starts as 0xA5 bytes) =="
+# Mat::create leaves new storage uninitialized. This test-only build defines
+# SIMDCV_POISON_ALLOC, so every fresh buffer is filled with the poison byte:
+# a kernel or graph step that reads an element before writing it diverges
+# from the plain build. The check slice must pass and check_all must print
+# exactly what the plain build printed for the same seed (0 failures).
+cmake -B build-poison -S . \
+  -DCMAKE_CXX_FLAGS=-DSIMDCV_POISON_ALLOC=0xA5 \
+  -DSIMDCV_BUILD_BENCH=OFF \
+  -DSIMDCV_BUILD_EXAMPLES=OFF
+cmake --build build-poison -j --target check_all test_check
+ctest --test-dir build-poison -L check --output-on-failure -j"$(nproc)"
+./build/src/check/check_all --seed=0x9015a5ed --iters=60 \
+  > build/check_plain.log 2>&1
+./build-poison/src/check/check_all --seed=0x9015a5ed --iters=60 2>&1 \
+  | tee build-poison/check_poison.log
+diff build/check_plain.log build-poison/check_poison.log
+grep -q ' 0 failures$' build-poison/check_poison.log
+
+echo
 echo "== runtime tests under ThreadSanitizer =="
 cmake -B build-tsan -S . \
   -DSIMDCV_SANITIZE=thread \

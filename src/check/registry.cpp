@@ -477,6 +477,33 @@ Mat runFxSobel(const CaseSpec& c, KernelPath p) {
   return dst;
 }
 
+// sepFilter2DFxS16 on 3-tap kernels drawn from every shape the x86 s16
+// passes specialize ([-a,0,a], [a,b,a] per coefficient class), the
+// near-misses that must take the general body, and the 5-tap Sobel pair;
+// kx x ky stays inside the engine's wrap-free bound.
+Mat runFxSobelShapes(const CaseSpec& c, KernelPath p) {
+  Mat src = genMat(c, kSrcA, U8C1);
+  Rng r(c.seed ^ 0x5ba9e5ull);
+  using K = std::vector<std::int16_t>;
+  static const std::vector<K> taps = {
+      {-1, 0, 1}, {1, 0, -1}, {-2, 0, 2}, {-3, 0, 3}, {1, 2, 1},
+      {1, 1, 1},  {1, -2, 1}, {1, 0, 1},  {2, 1, 2},  {2, 2, 2},
+      {3, 10, 3}, {3, 2, 3},  {-1, 0, 2}, {1, 2, 2},  {0, 0, 0},
+      {0, 1, 0},  {-1, -2, 0, 2, 1}, {1, 4, 6, 4, 1}};
+  auto absSum = [](const K& k) {
+    int s = 0;
+    for (std::int16_t t : k) s += t < 0 ? -t : t;
+    return std::max(s, 1);
+  };
+  const K& kx = r.pick(taps);
+  const K* ky = &r.pick(taps);
+  while (absSum(kx) * absSum(*ky) > 32767 / 255) ky = &r.pick(taps);
+  Mat dst;
+  imgproc::sepFilter2DFxS16(src, dst, kx, *ky, borderFor(r),
+                            r.uniform(0, 255), p);
+  return dst;
+}
+
 Mat runFxSobelVsFloat(const CaseSpec& c, KernelPath p) {
   Mat src = genMat(c, kSrcA, U8C1);
   Rng r(c.seed ^ 0xf50be1ull);  // same draws as fixedpt.sobel
@@ -681,6 +708,8 @@ const std::vector<KernelCheck>& kernelRegistry() {
     reg.push_back({"fixedpt.gaussian-vs-float", &runFxGaussianVsFloat,
                    Tolerance::MaxAbsLsb(1)});
     reg.push_back({"fixedpt.sobel", &runFxSobel, Tolerance::Exact()});
+    reg.push_back(
+        {"fixedpt.sobel-shapes", &runFxSobelShapes, Tolerance::Exact()});
     reg.push_back(
         {"fixedpt.sobel-vs-float", &runFxSobelVsFloat, Tolerance::Exact()});
     // morphology family (B6): separable rect min/max across paths.

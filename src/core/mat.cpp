@@ -72,7 +72,13 @@ void Mat::create(int rows, int cols, PixelType type) {
   if (bytes > 0) {
     // Over-allocate and align the base pointer to kRowAlign.
     g_matAllocs.fetch_add(1, std::memory_order_relaxed);
-    buf_ = std::shared_ptr<std::uint8_t[]>(new std::uint8_t[bytes]());
+    // Not zero-filled: a fresh Mat's contents are unspecified, and every
+    // kernel writes its whole output. zeros() and full() fill explicitly.
+    buf_ = std::shared_ptr<std::uint8_t[]>(new std::uint8_t[bytes]);
+#ifdef SIMDCV_POISON_ALLOC
+    // Test builds only: a reader of unwritten elements sees the poison byte.
+    std::memset(buf_.get(), SIMDCV_POISON_ALLOC, bytes);
+#endif
     auto addr = reinterpret_cast<std::uintptr_t>(buf_.get());
     const std::uintptr_t aligned = (addr + kRowAlign - 1) / kRowAlign * kRowAlign;
     data_ = buf_.get() + (aligned - addr);
@@ -168,7 +174,11 @@ void diffStats(const Mat& a, const Mat& b, double tol, std::size_t& mism,
     for (int c = 0; c < n; ++c) {
       const double da = static_cast<double>(pa[c]);
       const double db = static_cast<double>(pb[c]);
-      if (da == db) continue;  // exact match; covers +/-Inf, where da-db is NaN
+      if (da == db) {  // covers +/-Inf, where da-db is NaN
+        // Exact comparison sees the sign of a zero: -0 vs +0 mismatches.
+        if (tol == 0 && std::signbit(da) != std::signbit(db)) ++mism;
+        continue;
+      }
       const double d = std::abs(da - db);
       if (std::isnan(da) != std::isnan(db)) {
         ++mism;

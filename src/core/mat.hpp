@@ -16,7 +16,7 @@ class Mat {
   /// Empty matrix (rows == cols == 0, no storage).
   Mat() = default;
 
-  /// Allocate a rows x cols matrix of the given pixel type.
+  /// Allocate a rows x cols matrix of the given pixel type (uninitialized).
   Mat(int rows, int cols, PixelType type);
   Mat(Size size, PixelType type) : Mat(size.height, size.width, type) {}
 
@@ -29,7 +29,8 @@ class Mat {
   Mat(Mat&&) noexcept = default;
   Mat& operator=(Mat&&) noexcept = default;
 
-  /// Reallocate if geometry/type differ; keeps storage if they match.
+  /// Reallocate if geometry/type differ; keeps storage if they match. New
+  /// storage is uninitialized (use zeros() or setTo() for a filled Mat).
   void create(int rows, int cols, PixelType type);
   void create(Size size, PixelType type) { create(size.height, size.width, type); }
 
@@ -122,6 +123,8 @@ Mat full(int rows, int cols, PixelType type, double value);
 
 /// Deep element-wise comparison utilities (exact for integer depths,
 /// tolerance for float depths). Returns the number of mismatching elements.
+/// At tol == 0 the comparison is bitwise up to NaN payloads: -0 and +0
+/// mismatch, NaN matches NaN.
 std::size_t countMismatches(const Mat& a, const Mat& b, double tol = 0.0);
 /// Maximum absolute element difference (NaN-propagating for float inputs).
 double maxAbsDiff(const Mat& a, const Mat& b);

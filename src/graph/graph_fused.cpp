@@ -114,8 +114,6 @@ using Thresh = RowProgram::Thresh;
 
 using ThreshF32Fn = void (*)(const float*, float*, std::size_t, float, float,
                              ThresholdType);
-using ThreshS16Fn = void (*)(const std::int16_t*, std::int16_t*, std::size_t,
-                             std::int16_t, std::int16_t, ThresholdType);
 
 ThreshF32Fn threshF32For(KernelPath p) {
   switch (p) {
@@ -362,7 +360,7 @@ struct Kernels {
   imgproc::detail::MagnitudeFn magnitude;
   imgproc::detail::ThreshU8Fn threshU8;
   ThreshF32Fn threshF32;
-  ThreshS16Fn threshS16;
+  imgproc::detail::ThreshS16Fn threshS16;
   core::detail::WeightedFn weighted;
   imgproc::detail::FxRowU8Fn fxRowU8;
   imgproc::detail::FxColU8Fn fxColU8;
@@ -375,8 +373,7 @@ struct Kernels {
         magnitude(imgproc::detail::magnitudeFnFor(p)),
         threshU8(imgproc::detail::threshU8For(p)),
         threshF32(threshF32For(p)),
-        threshS16(p == KernelPath::ScalarNoVec ? &imgproc::novec::threshS16
-                                               : &imgproc::autovec::threshS16),
+        threshS16(imgproc::detail::threshS16For(p)),
         weighted(core::detail::weightedFnFor(p)),
         fxRowU8(imgproc::detail::fxRowU8For(p)),
         fxColU8(imgproc::detail::fxColU8For(p)),

@@ -32,6 +32,16 @@ ThreshU8Fn threshU8For(KernelPath path) {
   }
 }
 
+ThreshS16Fn threshS16For(KernelPath path) {
+  switch (resolvePath(path)) {
+    case KernelPath::Avx512: return &avx512::threshS16;
+    case KernelPath::Avx2: return &avx2::threshS16;
+    case KernelPath::Sse2: return &sse2::threshS16;
+    case KernelPath::ScalarNoVec: return &novec::threshS16;
+    default: return &autovec::threshS16;
+  }
+}
+
 }  // namespace detail
 
 namespace {
@@ -117,12 +127,10 @@ double threshold(const Mat& src, Mat& dst, double thresh, double maxval,
     case Depth::S16: {
       const std::int16_t t16 = saturate_cast<std::int16_t>(cvFloor(thresh));
       const std::int16_t imax = saturate_cast<std::int16_t>(cvRound(maxval));
+      const detail::ThreshS16Fn fn16 = detail::threshS16For(p);
       forEachRow<std::int16_t>(src, out, [&](const std::int16_t* s,
                                              std::int16_t* d, std::size_t n) {
-        if (p == KernelPath::ScalarNoVec)
-          novec::threshS16(s, d, n, t16, imax, type);
-        else
-          autovec::threshS16(s, d, n, t16, imax, type);
+        fn16(s, d, n, t16, imax, type);
       });
       dst = std::move(out);
       return t16;

@@ -33,13 +33,19 @@ const char* toString(ThresholdType t) noexcept;
 double threshold(const Mat& src, Mat& dst, double thresh, double maxval,
                  ThresholdType type, KernelPath path = KernelPath::Default);
 
-// Per-path U8 kernel selector, shared by the dispatcher above and fused
-// pipelines (graph_fused.cpp) so both resolve a path to the identical kernel.
+// Per-path U8 and S16 kernel selectors, shared by the dispatcher above and
+// fused pipelines (graph_fused.cpp) so both resolve a path to the identical
+// kernel.
 namespace detail {
 using ThreshU8Fn = void (*)(const std::uint8_t* src, std::uint8_t* dst,
                             std::size_t n, std::uint8_t thresh,
                             std::uint8_t maxval, ThresholdType type);
+using ThreshS16Fn = void (*)(const std::int16_t* src, std::int16_t* dst,
+                             std::size_t n, std::int16_t thresh,
+                             std::int16_t maxval, ThresholdType type);
 ThreshU8Fn threshU8For(KernelPath path);
+/// Neon has no S16 body; it runs the autovec arm.
+ThreshS16Fn threshS16For(KernelPath path);
 }  // namespace detail
 
 // Flat-range per-path kernels, exposed for benchmarks/tests.
@@ -62,18 +68,24 @@ void threshF32(const float* src, float* dst, std::size_t n, float thresh,
 namespace sse2 {
 void threshU8(const std::uint8_t* src, std::uint8_t* dst, std::size_t n,
               std::uint8_t thresh, std::uint8_t maxval, ThresholdType type);
+void threshS16(const std::int16_t* src, std::int16_t* dst, std::size_t n,
+               std::int16_t thresh, std::int16_t maxval, ThresholdType type);
 void threshF32(const float* src, float* dst, std::size_t n, float thresh,
                float maxval, ThresholdType type);
 }  // namespace sse2
 namespace avx2 {
 void threshU8(const std::uint8_t* src, std::uint8_t* dst, std::size_t n,
               std::uint8_t thresh, std::uint8_t maxval, ThresholdType type);
+void threshS16(const std::int16_t* src, std::int16_t* dst, std::size_t n,
+               std::int16_t thresh, std::int16_t maxval, ThresholdType type);
 void threshF32(const float* src, float* dst, std::size_t n, float thresh,
                float maxval, ThresholdType type);
 }  // namespace avx2
 namespace avx512 {
 void threshU8(const std::uint8_t* src, std::uint8_t* dst, std::size_t n,
               std::uint8_t thresh, std::uint8_t maxval, ThresholdType type);
+void threshS16(const std::int16_t* src, std::int16_t* dst, std::size_t n,
+               std::int16_t thresh, std::int16_t maxval, ThresholdType type);
 void threshF32(const float* src, float* dst, std::size_t n, float thresh,
                float maxval, ThresholdType type);
 }  // namespace avx512

@@ -18,6 +18,10 @@ void threshU8(const std::uint8_t* src, std::uint8_t* dst, std::size_t n,
               std::uint8_t thresh, std::uint8_t maxval, ThresholdType type) {
   vker::threshU8<B>(src, dst, n, thresh, maxval, type);
 }
+void threshS16(const std::int16_t* src, std::int16_t* dst, std::size_t n,
+               std::int16_t thresh, std::int16_t maxval, ThresholdType type) {
+  vker::threshS16<B>(src, dst, n, thresh, maxval, type);
+}
 void threshF32(const float* src, float* dst, std::size_t n, float thresh,
                float maxval, ThresholdType type) {
   vker::threshF32<B>(src, dst, n, thresh, maxval, type);
@@ -31,6 +35,10 @@ namespace simdcv::imgproc::avx512 {
 void threshU8(const std::uint8_t* src, std::uint8_t* dst, std::size_t n,
               std::uint8_t thresh, std::uint8_t maxval, ThresholdType type) {
   avx2::threshU8(src, dst, n, thresh, maxval, type);
+}
+void threshS16(const std::int16_t* src, std::int16_t* dst, std::size_t n,
+               std::int16_t thresh, std::int16_t maxval, ThresholdType type) {
+  avx2::threshS16(src, dst, n, thresh, maxval, type);
 }
 void threshF32(const float* src, float* dst, std::size_t n, float thresh,
                float maxval, ThresholdType type) {

@@ -43,8 +43,9 @@ struct Avx512 {};
 ///              widens); cvtF64toS32Sat (round-half-even, NaN->0, clamped
 ///              to the s32 rails before converting — saturate_cast<int32_t>
 ///              of a double); cvtF64toF32 (static_cast<float> rounding)
-///   s16/u16    loadS16 storeS16 setS16 zeroS16 addS16 addSatS16 subSatS16
-///              mulLoS16 minS16 maxS16 shrLogU16<imm>; maddPairS16(a, b,
+///   s16/u16    loadS16 storeS16 setS16 zeroS16 addS16 subS16 (both
+///              wrapping) addSatS16 subSatS16 mulLoS16 minS16 maxS16
+///              cmpGtS16 (signed) shrLogU16<imm>; maddPairS16(a, b,
 ///              wa, wb) -> vs32x2 {lo, hi} = a[i]*wa + b[i]*wb in element
 ///              order (pairwise multiply-add, PMADDWD on zipped pairs)
 ///   s32        addS32 shrS32<imm> (arithmetic)
@@ -60,9 +61,11 @@ struct Avx512 {};
 ///   reduce     sadSumU8 (horizontal u8 sum via SAD, returns uint64)
 ///
 /// Masks are all-ones/all-zeros vectors of the compared shape (cmpGtU8
-/// yields a vu8 mask, cmpGtF32 a vf32 mask) so select idioms written as
-/// and/andNot work identically on every backend, including AVX-512 where
-/// the trait converts the native k-mask back to a vector.
+/// yields a vu8 mask, cmpGtS16 a vs16 mask, cmpGtF32 a vf32 mask) so select
+/// idioms written as and/andNot work identically on every backend,
+/// including AVX-512 where the trait converts the native k-mask back to a
+/// vector. vs16 and vu8 are the same integer register type on every x86
+/// backend, so the u8 bitwise ops (andU8, andNotU8) select s16 lanes too.
 template <class Backend>
 struct VecTraits;
 

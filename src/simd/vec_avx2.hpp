@@ -137,11 +137,13 @@ struct VecTraits<backend::Avx2> {
   static vs16 setS16(std::int16_t v) { return _mm256_set1_epi16(v); }
   static vs16 zeroS16() { return _mm256_setzero_si256(); }
   static vs16 addS16(vs16 a, vs16 b) { return _mm256_add_epi16(a, b); }
+  static vs16 subS16(vs16 a, vs16 b) { return _mm256_sub_epi16(a, b); }
   static vs16 addSatS16(vs16 a, vs16 b) { return _mm256_adds_epi16(a, b); }
   static vs16 subSatS16(vs16 a, vs16 b) { return _mm256_subs_epi16(a, b); }
   static vs16 mulLoS16(vs16 a, vs16 b) { return _mm256_mullo_epi16(a, b); }
   static vs16 minS16(vs16 a, vs16 b) { return _mm256_min_epi16(a, b); }
   static vs16 maxS16(vs16 a, vs16 b) { return _mm256_max_epi16(a, b); }
+  static vs16 cmpGtS16(vs16 a, vs16 b) { return _mm256_cmpgt_epi16(a, b); }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm256_srli_epi16(v, Imm); }
   /// Same contract as the SSE2 trait. vpunpck*wd interleaves within 128-bit

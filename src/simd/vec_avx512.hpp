@@ -144,11 +144,16 @@ struct VecTraits<backend::Avx512> {
   static vs16 setS16(std::int16_t v) { return _mm512_set1_epi16(v); }
   static vs16 zeroS16() { return _mm512_setzero_si512(); }
   static vs16 addS16(vs16 a, vs16 b) { return _mm512_add_epi16(a, b); }
+  static vs16 subS16(vs16 a, vs16 b) { return _mm512_sub_epi16(a, b); }
   static vs16 addSatS16(vs16 a, vs16 b) { return _mm512_adds_epi16(a, b); }
   static vs16 subSatS16(vs16 a, vs16 b) { return _mm512_subs_epi16(a, b); }
   static vs16 mulLoS16(vs16 a, vs16 b) { return _mm512_mullo_epi16(a, b); }
   static vs16 minS16(vs16 a, vs16 b) { return _mm512_min_epi16(a, b); }
   static vs16 maxS16(vs16 a, vs16 b) { return _mm512_max_epi16(a, b); }
+  /// k-mask expanded back to an s16-lane mask, as cmpGtU8 does.
+  static vs16 cmpGtS16(vs16 a, vs16 b) {
+    return _mm512_movm_epi16(_mm512_cmpgt_epi16_mask(a, b));
+  }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm512_srli_epi16(v, Imm); }
   /// Same contract as the SSE2 trait. The 64-bit quarters go

@@ -154,11 +154,14 @@ struct VecTraits<backend::Sse2> {
   static vs16 setS16(std::int16_t v) { return _mm_set1_epi16(v); }
   static vs16 zeroS16() { return _mm_setzero_si128(); }
   static vs16 addS16(vs16 a, vs16 b) { return _mm_add_epi16(a, b); }
+  static vs16 subS16(vs16 a, vs16 b) { return _mm_sub_epi16(a, b); }
   static vs16 addSatS16(vs16 a, vs16 b) { return _mm_adds_epi16(a, b); }
   static vs16 subSatS16(vs16 a, vs16 b) { return _mm_subs_epi16(a, b); }
   static vs16 mulLoS16(vs16 a, vs16 b) { return _mm_mullo_epi16(a, b); }
   static vs16 minS16(vs16 a, vs16 b) { return _mm_min_epi16(a, b); }
   static vs16 maxS16(vs16 a, vs16 b) { return _mm_max_epi16(a, b); }
+  /// Signed a > b as an all-ones/all-zeros s16-lane mask.
+  static vs16 cmpGtS16(vs16 a, vs16 b) { return _mm_cmpgt_epi16(a, b); }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm_srli_epi16(v, Imm); }
   /// s16_lanes pairs (a[i], b[i]) times (wa, wb), summed into s32 lanes:

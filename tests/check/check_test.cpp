@@ -167,7 +167,7 @@ TEST(CompareRegression, EqualInfinitiesAreNotMismatches) {
   pa[0] = inf;     pb[0] = inf;
   pa[1] = -inf;    pb[1] = -inf;
   pa[2] = 1.0f;    pb[2] = 1.0f;
-  pa[3] = 0.0f;    pb[3] = -0.0f;  // +0 == -0
+  pa[3] = 0.0f;    pb[3] = 0.0f;
   EXPECT_EQ(countMismatches(a, b), 0u);
   EXPECT_EQ(maxAbsDiff(a, b), 0.0);
 
@@ -175,6 +175,24 @@ TEST(CompareRegression, EqualInfinitiesAreNotMismatches) {
   EXPECT_EQ(countMismatches(a, b), 1u);
   pb[0] = 1.0f;  // Inf vs finite differs too
   EXPECT_EQ(countMismatches(a, b), 1u);
+}
+
+// Exact comparison (Tolerance::Exact, tol == 0) sees the sign of a zero: a
+// path that returns -0 where the reference returns +0 is not bit-exact. A
+// tolerance compares values, where -0 == +0.
+TEST(CompareRegression, ExactComparisonSeesSignOfZero) {
+  Mat a(1, 3, F32C1), b(1, 3, F32C1);
+  a.at<float>(0, 0) = 0.0f;  b.at<float>(0, 0) = -0.0f;
+  a.at<float>(0, 1) = -0.0f; b.at<float>(0, 1) = -0.0f;
+  a.at<float>(0, 2) = std::numeric_limits<float>::quiet_NaN();
+  b.at<float>(0, 2) = -std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(countMismatches(a, b), 1u);
+  EXPECT_EQ(countMismatches(a, b, 1.0), 0u);
+  EXPECT_EQ(maxAbsDiff(a, b), 0.0);
+  Mat c(1, 2, F64C1), d(1, 2, F64C1);
+  c.at<double>(0, 0) = -0.0;  d.at<double>(0, 0) = 0.0;
+  c.at<double>(0, 1) = 2.0;   d.at<double>(0, 1) = 2.0;
+  EXPECT_EQ(countMismatches(c, d), 1u);
 }
 
 }  // namespace

@@ -169,6 +169,94 @@ TEST(FixedPoint, WorkerWidthSweepByteEqualToNovec) {
   }
 }
 
+// ---- 3-tap shapes of the s16 passes ---------------------------------------
+
+// Every 3-tap shape the x86 s16 passes specialize ([-a,0,a] and [a,b,a] with
+// each coefficient class: 1, 2, any) and the near-misses that must take the
+// general body, on Sse2/Avx2/Avx512 against the scalar-novec arm at every
+// width 0..4*32+1, which crosses every vector multiple of every backend up
+// to its 4-vector block plus one. Inputs are random over the full u8 / s16
+// range, so the sums wrap: the shapes regroup modular sums, which is exact.
+TEST(FixedPoint, TapShapesByteEqualToNovecAtEveryWidth) {
+  constexpr int kMaxWidth = 4 * 32 + 1;
+  const std::vector<std::vector<std::int16_t>> kernels = {
+      // [-a, 0, a]
+      {-1, 0, 1}, {-2, 0, 2}, {-3, 0, 3}, {1, 0, -1}, {-32768 + 1, 0, 32767},
+      // [a, b, a]
+      {1, 2, 1}, {1, 1, 1}, {1, -2, 1}, {1, 0, 1}, {2, 1, 2}, {2, 2, 2},
+      {2, -7, 2}, {3, 10, 3}, {3, 1, 3}, {3, 2, 3}, {-1, -2, -1},
+      // near-misses: the general body
+      {-1, 0, 2}, {1, 2, 2}, {0, 0, 0}, {0, 1, 0}, {-1, 1, 1}, {2, 0, -1}};
+  std::mt19937 rng(25);
+  std::vector<std::uint8_t> u8(kMaxWidth + 2);
+  std::vector<std::int16_t> s16[3];
+  for (auto& v : u8) v = static_cast<std::uint8_t>(rng());
+  for (auto& row : s16) {
+    row.resize(kMaxWidth);
+    for (auto& v : row) v = static_cast<std::int16_t>(rng());
+  }
+  const std::int16_t* rows[3] = {s16[0].data(), s16[1].data(), s16[2].data()};
+  const auto paths = caps::availablePaths();
+  for (KernelPath p : {KernelPath::Sse2, KernelPath::Avx2, KernelPath::Avx512}) {
+    if (std::find(paths.begin(), paths.end(), p) == paths.end()) continue;
+    for (const auto& k : kernels) {
+      for (int width = 0; width <= kMaxWidth; ++width) {
+        const auto n = static_cast<std::size_t>(width);
+        const auto where = [&](const char* fn) {
+          return std::string(fn) + " " + toString(p) + " k=[" +
+                 std::to_string(k[0]) + "," + std::to_string(k[1]) + "," +
+                 std::to_string(k[2]) + "] width=" + std::to_string(width);
+        };
+        std::vector<std::int16_t> want(n), got(n, 0x5a5a);
+        detail::fxRowS16For(KernelPath::ScalarNoVec)(u8.data(), want.data(),
+                                                     width, k.data(), 3);
+        detail::fxRowS16For(p)(u8.data(), got.data(), width, k.data(), 3);
+        ASSERT_EQ(want, got) << where("rowConvS16");
+        std::fill(got.begin(), got.end(), 0x5a5a);
+        detail::fxColS16For(KernelPath::ScalarNoVec)(rows, want.data(), width,
+                                                     k.data(), 3);
+        detail::fxColS16For(p)(rows, got.data(), width, k.data(), 3);
+        ASSERT_EQ(want, got) << where("colConvS16");
+      }
+    }
+  }
+}
+
+// The wrap-free extremes of [1,2,1] x [-1,0,1]: stripes two pixels wide of
+// 0 and 255 put a full-scale step under every derivative window, so the
+// result reaches +-4*255 = +-1020 (the engine's bound holds with room).
+// Both orientations (alternating column pairs under dx, alternating row
+// pairs under dy), every border, byte-equal to scalar-novec on every path.
+TEST(FixedPoint, SobelShapesAtWrapFreeExtremes) {
+  for (const bool rowsAlternate : {false, true}) {
+    Mat src(37, 141, U8C1);
+    for (int r = 0; r < src.rows(); ++r)
+      for (int c = 0; c < src.cols(); ++c)
+        src.at<std::uint8_t>(r, c) = ((rowsAlternate ? r : c) / 2) % 2 ? 255 : 0;
+    const int dx = rowsAlternate ? 0 : 1, dy = 1 - dx;
+    for (const auto border :
+         {BorderType::Reflect101, BorderType::Replicate, BorderType::Constant}) {
+      Mat want;
+      SobelFx(src, want, dx, dy, 3, border, KernelPath::ScalarNoVec);
+      int lo = 0, hi = 0;
+      for (int r = 0; r < want.rows(); ++r)
+        for (int c = 0; c < want.cols(); ++c) {
+          lo = std::min<int>(lo, want.at<std::int16_t>(r, c));
+          hi = std::max<int>(hi, want.at<std::int16_t>(r, c));
+        }
+      EXPECT_EQ(lo, -1020);
+      EXPECT_EQ(hi, 1020);
+      for (KernelPath p : caps::availablePaths()) {
+        Mat got;
+        SobelFx(src, got, dx, dy, 3, border, p);
+        EXPECT_EQ(countMismatches(want, got), 0u)
+            << toString(p) << " rowsAlternate=" << rowsAlternate
+            << " border=" << static_cast<int>(border);
+      }
+    }
+  }
+}
+
 // ---- cross-path x thread x band identity matrix ----------------------------
 
 // Every KernelPath, every thread count (hence every row-band partition the

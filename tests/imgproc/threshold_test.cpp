@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
+
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
@@ -171,6 +174,37 @@ TEST(Threshold, S16ScalarPath) {
     for (int c = 0; c < 9; ++c)
       EXPECT_EQ(dst.at<std::int16_t>(r, c),
                 src.at<std::int16_t>(r, c) > 0 ? 1000 : 0);
+}
+
+// The S16 VecTraits body against the scalar-novec arm on every path, at
+// widths around one and two vectors of every backend, with values at the
+// signed rails and on both sides of the threshold.
+TEST(Threshold, S16AllPathsAgreeAtRailsAndSeams) {
+  std::mt19937 rng(16);
+  for (const double t : {-32768.0, -1.0, 0.0, 999.0, 32767.0}) {
+    const auto t16 = static_cast<int>(t);
+    const int rail[] = {-32768, -32767, t16 - 1, t16, t16 + 1, 0, 32766, 32767};
+    for (int width : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 129}) {
+      Mat src(3, width, S16C1);
+      for (int r = 0; r < 3; ++r)
+        for (int c = 0; c < width; ++c)
+          src.at<std::int16_t>(r, c) = static_cast<std::int16_t>(
+              std::clamp(rail[rng() % 8], -32768, 32767));
+      for (auto type : {ThresholdType::Binary, ThresholdType::BinaryInv,
+                        ThresholdType::Trunc, ThresholdType::ToZero,
+                        ThresholdType::ToZeroInv}) {
+        Mat ref;
+        threshold(src, ref, t, -7.0, type, KernelPath::ScalarNoVec);
+        for (KernelPath p : caps::availablePaths()) {
+          Mat got;
+          threshold(src, got, t, -7.0, type, p);
+          EXPECT_EQ(countMismatches(ref, got), 0u)
+              << toString(type) << "/" << toString(p) << " t=" << t
+              << " width=" << width;
+        }
+      }
+    }
+  }
 }
 
 TEST(Threshold, MultiChannelElementwise) {
