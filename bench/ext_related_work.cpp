@@ -87,7 +87,9 @@ int main() {
       "source built -fno-tree-vectorize; AUTO the same source vectorized.\n"
       "The x86 ratios differ because (a) the scalar ISA is stronger and (b)\n"
       "the gather-heavy parts of resize do not vectorize at all on either\n"
-      "compiler generation. The neon column, where present, is the emulated\n"
-      "HAND-NEON arm (scalar code behind the intrinsic names) on x86.\n");
+      "compiler generation. The neon column, where present, is neon(emu):\n"
+      "the same VecTraits kernel bodies as the x86 columns, instantiated at\n"
+      "VecTraits<Neon> over the intrinsic emulation (scalar code behind the\n"
+      "intrinsic names) on x86. It times the emulation, not an ARM core.\n");
   return 0;
 }

@@ -202,7 +202,7 @@ void BM_Bgr2Gray(benchmark::State& state) {
         imgproc::fx_sse2::bgr2grayU8(bgr.data(), gray.data(), n, false);
         break;
       case KernelPath::Neon:
-        imgproc::neon::bgr2grayU8(bgr.data(), gray.data(), n, false);
+        imgproc::fx_neon::bgr2grayU8(bgr.data(), gray.data(), n, false);
         break;
       case KernelPath::ScalarNoVec:
         imgproc::novec::bgr2grayU8(bgr.data(), gray.data(), n, false);
@@ -246,7 +246,9 @@ void BM_Sad(benchmark::State& state) {
       case KernelPath::Sse2:
         s = cd::aops_sse2::sadBlock(a.data(), n, b.data(), n, w, 1, bound);
         break;
-      case KernelPath::Neon: s = imgproc::neon::sadRange(a.data(), b.data(), n); break;
+      case KernelPath::Neon:
+        s = cd::aops_neon::sadBlock(a.data(), n, b.data(), n, w, 1, bound);
+        break;
       case KernelPath::ScalarNoVec:
         s = imgproc::novec::sadRange(a.data(), b.data(), n);
         break;

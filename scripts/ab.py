@@ -9,7 +9,8 @@ Each revision is built in a git worktree under .bench_build/ab/; then for
 every workload in the base's BENCHMARK.json, PAIRS pairs run back to back
 at its run_seconds, one fresh seed per pair, first side alternating. Prints
 Markdown tables (verdict per end-to-end metric against its bound, failed
-operations, each side's size) and exits 1 on a regression, a higher failed
+operations, each side's size down to the .text of every library object
+that changed) and exits 1 on a regression, a higher failed
 share or an incorrect run. DESIGN.md section 12 has the rules.
 """
 import glob
@@ -190,32 +191,50 @@ def src_lines(path):
     return per
 
 
-def text_bytes(path):
-    """Summed .text of the built libsimdcv_*.a, and .text of perfbench."""
+def size(*args):
+    return subprocess.run(["size"] + list(args), check=True,
+                          capture_output=True, text=True).stdout
+
+
+def object_text(path):
+    """.text bytes of each object of path's built libsimdcv_*.a, keyed
+    "<library>/<object>"."""
     build_dir = os.path.join(path, ".bench_build", "perfbench")
-    libs = sorted(glob.glob(os.path.join(build_dir, "**", "libsimdcv_*.a"),
-                            recursive=True))
+    per = {}
+    for lib in sorted(glob.glob(os.path.join(build_dir, "**", "libsimdcv_*.a"),
+                                recursive=True)):
+        for line in size(lib).split("\n")[1:]:
+            f = line.split()
+            if f:
+                per["%s/%s" % (os.path.basename(lib), f[5])] = int(f[0])
+    return per
 
-    def size(*args):
-        return subprocess.run(["size"] + list(args), check=True,
-                              capture_output=True, text=True).stdout
 
-    lib_text = int(size("-t", *libs).strip().split("\n")[-1].split()[0])
-    bin_text = next(int(line.split()[1]) for line in
-                    size("-A", os.path.join(build_dir, "perfbench")).split("\n")
-                    if line.startswith(".text "))
-    return lib_text, bin_text
+def bin_text(path):
+    """.text bytes of path's perfbench binary."""
+    exe = os.path.join(path, ".bench_build", "perfbench", "perfbench")
+    return next(int(line.split()[1]) for line in size("-A", exe).split("\n")
+                if line.startswith(".text "))
 
 
 def size_table(paths):
     lines = [src_lines(p) for p in paths]
-    texts = [text_bytes(p) for p in paths]
+    objs = [object_text(p) for p in paths]
+    bins = [bin_text(p) for p in paths]
     rows = [(k + " lines", lines[0].get(k, 0), lines[1].get(k, 0))
             for k in sorted(set(lines[0]) | set(lines[1]))]
     rows.append(("`src/` lines, total", sum(lines[0].values()),
                  sum(lines[1].values())))
-    rows.append(("`libsimdcv_*.a` .text bytes", texts[0][0], texts[1][0]))
-    rows.append(("`perfbench` .text bytes", texts[0][1], texts[1][1]))
+    rows.append(("`libsimdcv_*.a` .text bytes", sum(objs[0].values()),
+                 sum(objs[1].values())))
+    rows.append(("`perfbench` .text bytes", bins[0], bins[1]))
+    # The objects whose .text changed (or that one side lacks), largest
+    # change first: where the library total moved.
+    changed = [(k, objs[0].get(k, 0), objs[1].get(k, 0))
+               for k in set(objs[0]) | set(objs[1])
+               if objs[0].get(k, 0) != objs[1].get(k, 0)]
+    rows += [("`%s` .text bytes" % k, b, c) for k, b, c in
+             sorted(changed, key=lambda r: (-abs(r[2] - r[1]), r[0]))]
     return ["| size | base | change | change − base |",
             "|---|---|---|---|"] + ["| %s | %d | %d | %+d |" % (k, b, c, c - b)
                                     for k, b, c in rows]

@@ -49,6 +49,18 @@ SIMDCV_DISABLE_BACKENDS=avx512,avx2 \
   ctest --test-dir build -L check --output-on-failure -j"$(nproc)"
 
 echo
+echo "== NEON-default leg (SIMDCV_FORCE_BACKEND=neon) =="
+# Default resolves to NEON, so every Default-path call runs the VecTraits
+# bodies at VecTraits<Neon> (the intrinsic emulation off ARM); the banner
+# must print it and the differential checker and its tests run clean.
+SIMDCV_FORCE_BACKEND=neon \
+  ./build/src/check/check_all --seed=0x9e0adef0 --iters=60 2>&1 \
+  | tee build/check_neon_default.log
+grep -q 'default: neon$' build/check_neon_default.log
+SIMDCV_FORCE_BACKEND=neon \
+  ctest --test-dir build -L check --output-on-failure -j"$(nproc)"
+
+echo
 echo "== poison-fill leg (every new Mat buffer starts as 0xA5 bytes) =="
 # Mat::create leaves new storage uninitialized. This test-only build defines
 # SIMDCV_POISON_ALLOC, so every fresh buffer is filled with the poison byte:

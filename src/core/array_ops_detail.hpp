@@ -82,6 +82,9 @@ namespace aops_neon {
 bool binRange(BinOp op, Depth d, const void* a, const void* b, void* dst,
               std::size_t n);
 bool sumRange(Depth d, const void* a, std::size_t n, double& out);
+std::uint64_t sadBlock(const std::uint8_t* a, std::size_t astep,
+                       const std::uint8_t* b, std::size_t bstep, int w, int h,
+                       std::uint64_t bound);
 }  // namespace aops_neon
 
 /// Complete scaleAdd / addWeighted row kernels for one path: the hand arm

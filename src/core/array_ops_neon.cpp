@@ -1,174 +1,30 @@
-// Hand-written NEON array-op kernels (vqaddq/vqsubq/vabdq families; the u8
-// sum uses the pairwise-widening vpadalq ladder).
+// NEON array-op kernels: the width-generic bodies from array_ops_kernels.inl
+// at VecTraits<Neon>. The u8 sum reduces through the traits' sadSumU8, the
+// pairwise-widening vpaddl ladder. scaleAdd and addWeighted are not
+// instantiated: their bodies run in f64 lanes, which NEON's traits lack.
 #include "core/array_ops_detail.hpp"
-#include "simd/neon_compat.hpp"
+
+#include "simd/vec_neon.hpp"
+
+#include "core/array_ops_kernels.inl"
 
 namespace simdcv::core::detail::aops_neon {
 
-namespace {
-
-bool binU8(BinOp op, const std::uint8_t* a, const std::uint8_t* b,
-           std::uint8_t* d, std::size_t n, std::size_t& done) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t va = vld1q_u8(a + i), vb = vld1q_u8(b + i);
-    uint8x16_t r;
-    switch (op) {
-      case BinOp::Add: r = vqaddq_u8(va, vb); break;
-      case BinOp::Sub: r = vqsubq_u8(va, vb); break;
-      case BinOp::AbsDiff: r = vabdq_u8(va, vb); break;
-      case BinOp::Min: r = vminq_u8(va, vb); break;
-      case BinOp::Max: r = vmaxq_u8(va, vb); break;
-      default: return false;
-    }
-    vst1q_u8(d + i, r);
-  }
-  done = i;
-  return true;
-}
-
-bool binS16(BinOp op, const std::int16_t* a, const std::int16_t* b,
-            std::int16_t* d, std::size_t n, std::size_t& done) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const int16x8_t va = vld1q_s16(a + i), vb = vld1q_s16(b + i);
-    int16x8_t r;
-    switch (op) {
-      case BinOp::Add: r = vqaddq_s16(va, vb); break;
-      case BinOp::Sub: r = vqsubq_s16(va, vb); break;
-      case BinOp::AbsDiff:
-        // saturating |a-b|: qsub both ways, take the max (one is zero).
-        r = vmaxq_s16(vqsubq_s16(va, vb), vqsubq_s16(vb, va));
-        break;
-      case BinOp::Min: r = vminq_s16(va, vb); break;
-      case BinOp::Max: r = vmaxq_s16(va, vb); break;
-      default: return false;
-    }
-    vst1q_s16(d + i, r);
-  }
-  done = i;
-  return true;
-}
-
-bool binF32(BinOp op, const float* a, const float* b, float* d, std::size_t n,
-            std::size_t& done) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t va = vld1q_f32(a + i), vb = vld1q_f32(b + i);
-    float32x4_t r;
-    switch (op) {
-      case BinOp::Add: r = vaddq_f32(va, vb); break;
-      case BinOp::Sub: r = vsubq_f32(va, vb); break;
-      case BinOp::AbsDiff: r = vabsq_f32(vsubq_f32(va, vb)); break;
-      case BinOp::Min: {
-        // Match the scalar a<b?a:b (second operand on NaN): select instead
-        // of vminq (whose NaN handling differs between implementations).
-        const uint32x4_t lt = vcltq_f32(va, vb);
-        r = vbslq_f32(lt, va, vb);
-        break;
-      }
-      case BinOp::Max: {
-        const uint32x4_t gt = vcgtq_f32(va, vb);
-        r = vbslq_f32(gt, va, vb);
-        break;
-      }
-      default: return false;
-    }
-    vst1q_f32(d + i, r);
-  }
-  done = i;
-  return true;
-}
-
-bool binBytes(BinOp op, const std::uint8_t* a, const std::uint8_t* b,
-              std::uint8_t* d, std::size_t bytes, std::size_t& done) {
-  std::size_t i = 0;
-  for (; i + 16 <= bytes; i += 16) {
-    const uint8x16_t va = vld1q_u8(a + i), vb = vld1q_u8(b + i);
-    uint8x16_t r;
-    switch (op) {
-      case BinOp::And: r = vandq_u8(va, vb); break;
-      case BinOp::Or: r = vorrq_u8(va, vb); break;
-      case BinOp::Xor: r = veorq_u8(va, vb); break;
-      default: return false;
-    }
-    vst1q_u8(d + i, r);
-  }
-  done = i;
-  return true;
-}
-
-}  // namespace
+using B = simd::backend::Neon;
 
 bool binRange(BinOp op, Depth depth, const void* a, const void* b, void* dst,
               std::size_t n) {
-  std::size_t done = 0;
-  bool handled = false;
-  if (op == BinOp::And || op == BinOp::Or || op == BinOp::Xor) {
-    const std::size_t bytes = n * depthSize(depth);
-    handled = binBytes(op, static_cast<const std::uint8_t*>(a),
-                       static_cast<const std::uint8_t*>(b),
-                       static_cast<std::uint8_t*>(dst), bytes, done);
-    if (handled && done < bytes) {
-      aops_autovec::binRange(op, Depth::U8,
-                             static_cast<const std::uint8_t*>(a) + done,
-                             static_cast<const std::uint8_t*>(b) + done,
-                             static_cast<std::uint8_t*>(dst) + done,
-                             bytes - done);
-    }
-    return handled;
-  }
-  switch (depth) {
-    case Depth::U8:
-      handled = binU8(op, static_cast<const std::uint8_t*>(a),
-                      static_cast<const std::uint8_t*>(b),
-                      static_cast<std::uint8_t*>(dst), n, done);
-      break;
-    case Depth::S16:
-      handled = binS16(op, static_cast<const std::int16_t*>(a),
-                       static_cast<const std::int16_t*>(b),
-                       static_cast<std::int16_t*>(dst), n, done);
-      break;
-    case Depth::F32:
-      handled = binF32(op, static_cast<const float*>(a),
-                       static_cast<const float*>(b), static_cast<float*>(dst),
-                       n, done);
-      break;
-    default:
-      return false;
-  }
-  if (handled && done < n) {
-    const std::size_t esz = depthSize(depth);
-    aops_autovec::binRange(op, depth,
-                           static_cast<const std::uint8_t*>(a) + done * esz,
-                           static_cast<const std::uint8_t*>(b) + done * esz,
-                           static_cast<std::uint8_t*>(dst) + done * esz,
-                           n - done);
-  }
-  return handled;
+  return aops_vker::binRange<B>(op, depth, a, b, dst, n);
 }
 
 bool sumRange(Depth d, const void* a, std::size_t n, double& out) {
-  if (d != Depth::U8) return false;
-  const auto* p = static_cast<const std::uint8_t*>(a);
-  std::uint64_t acc = 0;
-  std::size_t i = 0;
-  // Widen u8 -> u16 pairwise, accumulate into u32 lanes, drain every 64
-  // blocks (64 * 16 * 255 * 2 < 2^32, no overflow).
-  while (i + 16 <= n) {
-    uint32x4_t acc32 = vdupq_n_u32(0);
-    int blocks = 0;
-    for (; i + 16 <= n && blocks < 64; i += 16, ++blocks) {
-      const uint16x8_t w = vpaddlq_u8(vld1q_u8(p + i));
-      acc32 = vpadalq_u16(acc32, w);
-    }
-    acc += static_cast<std::uint64_t>(vgetq_lane_u32(acc32, 0)) +
-           vgetq_lane_u32(acc32, 1) + vgetq_lane_u32(acc32, 2) +
-           vgetq_lane_u32(acc32, 3);
-  }
-  for (; i < n; ++i) acc += p[i];
-  out = static_cast<double>(acc);
-  return true;
+  return aops_vker::sumRange<B>(d, a, n, out);
+}
+
+std::uint64_t sadBlock(const std::uint8_t* a, std::size_t astep,
+                       const std::uint8_t* b, std::size_t bstep, int w, int h,
+                       std::uint64_t bound) {
+  return aops_vker::sadBlock<B>(a, astep, b, bstep, w, h, bound);
 }
 
 }  // namespace simdcv::core::detail::aops_neon

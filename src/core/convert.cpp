@@ -12,117 +12,51 @@ namespace simdcv::core {
 
 namespace {
 
+template <class S, class D>
+void callCvt(void (*fn)(const S*, D*, std::size_t), const void* src, void* dst,
+             std::size_t n) {
+  fn(static_cast<const S*>(src), static_cast<D*>(dst), n);
+}
+
+// One hand backend's six identity-scale kernels (hasHandKernel's pair set).
+// Returns true if one of them ran.
+template <auto F32S16, auto F32U8, auto U8F32, auto S16F32, auto U8S16,
+          auto S16U8>
+bool runPairs(Depth sd, Depth dd, const void* src, void* dst, std::size_t n) {
+  const auto is = [&](Depth s, Depth d) { return sd == s && dd == d; };
+  if (is(Depth::F32, Depth::S16)) callCvt(F32S16, src, dst, n);
+  else if (is(Depth::F32, Depth::U8)) callCvt(F32U8, src, dst, n);
+  else if (is(Depth::U8, Depth::F32)) callCvt(U8F32, src, dst, n);
+  else if (is(Depth::S16, Depth::F32)) callCvt(S16F32, src, dst, n);
+  else if (is(Depth::U8, Depth::S16)) callCvt(U8S16, src, dst, n);
+  else if (is(Depth::S16, Depth::U8)) callCvt(S16U8, src, dst, n);
+  else return false;
+  return true;
+}
+
 // Identity-scale HAND kernel router. Returns true if a SIMD kernel ran.
 bool runHandKernel(Depth sd, Depth dd, const void* src, void* dst,
                    std::size_t n, KernelPath path) {
-  // The width-generic bodies instantiate the full pair set on every x86
-  // backend, so the avx512/avx2/sse2 routers are structurally identical.
-  if (path == KernelPath::Avx512) {
-    if (sd == Depth::F32 && dd == Depth::S16) {
-      avx512::cvt32f16s(static_cast<const float*>(src), static_cast<std::int16_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::F32 && dd == Depth::U8) {
-      avx512::cvt32f8u(static_cast<const float*>(src), static_cast<std::uint8_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::U8 && dd == Depth::F32) {
-      avx512::cvt8u32f(static_cast<const std::uint8_t*>(src), static_cast<float*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::S16 && dd == Depth::F32) {
-      avx512::cvt16s32f(static_cast<const std::int16_t*>(src), static_cast<float*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::U8 && dd == Depth::S16) {
-      avx512::cvt8u16s(static_cast<const std::uint8_t*>(src), static_cast<std::int16_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::S16 && dd == Depth::U8) {
-      avx512::cvt16s8u(static_cast<const std::int16_t*>(src), static_cast<std::uint8_t*>(dst), n);
-      return true;
-    }
-    return false;
+  switch (path) {
+    case KernelPath::Avx512:
+      return runPairs<&avx512::cvt32f16s, &avx512::cvt32f8u, &avx512::cvt8u32f,
+                      &avx512::cvt16s32f, &avx512::cvt8u16s,
+                      &avx512::cvt16s8u>(sd, dd, src, dst, n);
+    case KernelPath::Avx2:
+      return runPairs<&avx2::cvt32f16s, &avx2::cvt32f8u, &avx2::cvt8u32f,
+                      &avx2::cvt16s32f, &avx2::cvt8u16s, &avx2::cvt16s8u>(
+          sd, dd, src, dst, n);
+    case KernelPath::Sse2:
+      return runPairs<&sse2::cvt32f16s, &sse2::cvt32f8u, &sse2::cvt8u32f,
+                      &sse2::cvt16s32f, &sse2::cvt8u16s, &sse2::cvt16s8u>(
+          sd, dd, src, dst, n);
+    case KernelPath::Neon:
+      return runPairs<&neon::cvt32f16s, &neon::cvt32f8u, &neon::cvt8u32f,
+                      &neon::cvt16s32f, &neon::cvt8u16s, &neon::cvt16s8u>(
+          sd, dd, src, dst, n);
+    default:
+      return false;
   }
-  if (path == KernelPath::Avx2) {
-    if (sd == Depth::F32 && dd == Depth::S16) {
-      avx2::cvt32f16s(static_cast<const float*>(src), static_cast<std::int16_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::F32 && dd == Depth::U8) {
-      avx2::cvt32f8u(static_cast<const float*>(src), static_cast<std::uint8_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::U8 && dd == Depth::F32) {
-      avx2::cvt8u32f(static_cast<const std::uint8_t*>(src), static_cast<float*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::S16 && dd == Depth::F32) {
-      avx2::cvt16s32f(static_cast<const std::int16_t*>(src), static_cast<float*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::U8 && dd == Depth::S16) {
-      avx2::cvt8u16s(static_cast<const std::uint8_t*>(src), static_cast<std::int16_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::S16 && dd == Depth::U8) {
-      avx2::cvt16s8u(static_cast<const std::int16_t*>(src), static_cast<std::uint8_t*>(dst), n);
-      return true;
-    }
-    return false;
-  }
-  if (path == KernelPath::Sse2) {
-    if (sd == Depth::F32 && dd == Depth::S16) {
-      sse2::cvt32f16s(static_cast<const float*>(src), static_cast<std::int16_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::F32 && dd == Depth::U8) {
-      sse2::cvt32f8u(static_cast<const float*>(src), static_cast<std::uint8_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::U8 && dd == Depth::F32) {
-      sse2::cvt8u32f(static_cast<const std::uint8_t*>(src), static_cast<float*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::S16 && dd == Depth::F32) {
-      sse2::cvt16s32f(static_cast<const std::int16_t*>(src), static_cast<float*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::U8 && dd == Depth::S16) {
-      sse2::cvt8u16s(static_cast<const std::uint8_t*>(src), static_cast<std::int16_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::S16 && dd == Depth::U8) {
-      sse2::cvt16s8u(static_cast<const std::int16_t*>(src), static_cast<std::uint8_t*>(dst), n);
-      return true;
-    }
-  } else if (path == KernelPath::Neon) {
-    if (sd == Depth::F32 && dd == Depth::S16) {
-      neon::cvt32f16s(static_cast<const float*>(src), static_cast<std::int16_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::F32 && dd == Depth::U8) {
-      neon::cvt32f8u(static_cast<const float*>(src), static_cast<std::uint8_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::U8 && dd == Depth::F32) {
-      neon::cvt8u32f(static_cast<const std::uint8_t*>(src), static_cast<float*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::S16 && dd == Depth::F32) {
-      neon::cvt16s32f(static_cast<const std::int16_t*>(src), static_cast<float*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::U8 && dd == Depth::S16) {
-      neon::cvt8u16s(static_cast<const std::uint8_t*>(src), static_cast<std::int16_t*>(dst), n);
-      return true;
-    }
-    if (sd == Depth::S16 && dd == Depth::U8) {
-      neon::cvt16s8u(static_cast<const std::int16_t*>(src), static_cast<std::uint8_t*>(dst), n);
-      return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace
@@ -170,8 +104,8 @@ bool hasHandKernel(Depth sdepth, Depth ddepth, KernelPath path) {
   if (path != KernelPath::Sse2 && path != KernelPath::Avx2 &&
       path != KernelPath::Avx512 && path != KernelPath::Neon)
     return false;
-  // All HAND paths implement the same pair set (the x86 ones from one
-  // width-generic body).
+  // All HAND paths implement the same pair set, from one width-generic
+  // body.
   return (sdepth == Depth::F32 && (ddepth == Depth::S16 || ddepth == Depth::U8)) ||
          (sdepth == Depth::U8 && (ddepth == Depth::F32 || ddepth == Depth::S16)) ||
          (sdepth == Depth::S16 && (ddepth == Depth::F32 || ddepth == Depth::U8));

@@ -1,38 +1,42 @@
-// Hand-written NEON conversion kernels (the paper's ARM "HAND" arm).
-// Compiles against the genuine <arm_neon.h> on ARM and against
-// simd/neon_emu.hpp elsewhere — the kernel source is identical either way.
+// NEON conversion kernels (the paper's ARM "HAND" arm). The six
+// identity-scale pairs are the width-generic bodies from convert_kernels.inl
+// instantiated at VecTraits<Neon>, whose saturating convert is the
+// round-to-nearest vcvtnq_s32_f32, so they are bit-exact with the scalar
+// reference. The f64 scaled bodies are not instantiated here: NEON's traits
+// have no f64 lanes and its scaled converts run the scalar arm.
 //
-// cvt32f16s follows the paper's Section III-A listing except that the
-// float->int conversion uses the round-to-nearest vcvtnq_s32_f32 so the
-// result is bit-exact with the scalar reference; the paper's literal
-// truncating version is preserved as cvt32f16sPaper for the ablation.
+// cvt32f16sPaper is the paper's Section III-A listing itself, with its
+// truncating vcvtq_s32_f32, kept for the ablation. It compiles against the
+// genuine <arm_neon.h> on ARM and against simd/neon_emu.hpp elsewhere.
 #include <limits>
 
 #include "core/convert.hpp"
 #include "core/saturate.hpp"
-#include "simd/neon_compat.hpp"
+#include "simd/vec_neon.hpp"
+
+#include "core/convert_kernels.inl"
 
 namespace simdcv::core::neon {
 
-#if !SIMDCV_NEON_NATIVE
-using ::vcvtnq_s32_f32;  // emulation provides the ARMv8 intrinsic
-#endif
+using B = simd::backend::Neon;
 
 void cvt32f16s(const float* src, std::int16_t* dst, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    float32x4_t src128 = vld1q_f32(src + x);
-    int32x4_t src_int128 = vcvtnq_s32_f32(src128);
-    int16x4_t src0_int64 = vqmovn_s32(src_int128);
-
-    src128 = vld1q_f32(src + x + 4);
-    src_int128 = vcvtnq_s32_f32(src128);
-    int16x4_t src1_int64 = vqmovn_s32(src_int128);
-
-    int16x8_t res_int128 = vcombine_s16(src0_int64, src1_int64);
-    vst1q_s16(dst + x, res_int128);
-  }
-  for (; x < n; ++x) dst[x] = saturate_cast<std::int16_t>(src[x]);
+  vker::cvt32f16s<B>(src, dst, n);
+}
+void cvt32f8u(const float* src, std::uint8_t* dst, std::size_t n) {
+  vker::cvt32f8u<B>(src, dst, n);
+}
+void cvt8u32f(const std::uint8_t* src, float* dst, std::size_t n) {
+  vker::cvt8u32f<B>(src, dst, n);
+}
+void cvt16s32f(const std::int16_t* src, float* dst, std::size_t n) {
+  vker::cvt16s32f<B>(src, dst, n);
+}
+void cvt8u16s(const std::uint8_t* src, std::int16_t* dst, std::size_t n) {
+  vker::cvt8u16s<B>(src, dst, n);
+}
+void cvt16s8u(const std::int16_t* src, std::uint8_t* dst, std::size_t n) {
+  vker::cvt16s8u<B>(src, dst, n);
 }
 
 void cvt32f16sPaper(const float* src, std::int16_t* dst, std::size_t n) {
@@ -65,56 +69,6 @@ void cvt32f16sPaper(const float* src, std::int16_t* dst, std::size_t n) {
     }
     dst[x] = saturate_cast<std::int16_t>(i);
   }
-}
-
-void cvt32f8u(const float* src, std::uint8_t* dst, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const int32x4_t i0 = vcvtnq_s32_f32(vld1q_f32(src + x));
-    const int32x4_t i1 = vcvtnq_s32_f32(vld1q_f32(src + x + 4));
-    const int16x8_t s = vcombine_s16(vqmovn_s32(i0), vqmovn_s32(i1));
-    vst1_u8(dst + x, vqmovun_s16(s));
-  }
-  for (; x < n; ++x) dst[x] = saturate_cast<std::uint8_t>(src[x]);
-}
-
-void cvt8u32f(const std::uint8_t* src, float* dst, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const uint16x8_t w = vmovl_u8(vld1_u8(src + x));
-    const uint32x4_t lo = vmovl_u16(vget_low_u16(w));
-    const uint32x4_t hi = vmovl_u16(vget_high_u16(w));
-    vst1q_f32(dst + x, vcvtq_f32_u32(lo));
-    vst1q_f32(dst + x + 4, vcvtq_f32_u32(hi));
-  }
-  for (; x < n; ++x) dst[x] = static_cast<float>(src[x]);
-}
-
-void cvt16s32f(const std::int16_t* src, float* dst, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const int16x8_t v = vld1q_s16(src + x);
-    vst1q_f32(dst + x, vcvtq_f32_s32(vmovl_s16(vget_low_s16(v))));
-    vst1q_f32(dst + x + 4, vcvtq_f32_s32(vmovl_s16(vget_high_s16(v))));
-  }
-  for (; x < n; ++x) dst[x] = static_cast<float>(src[x]);
-}
-
-void cvt8u16s(const std::uint8_t* src, std::int16_t* dst, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const uint16x8_t w = vmovl_u8(vld1_u8(src + x));
-    vst1q_s16(dst + x, vreinterpretq_s16_u16(w));
-  }
-  for (; x < n; ++x) dst[x] = static_cast<std::int16_t>(src[x]);
-}
-
-void cvt16s8u(const std::int16_t* src, std::uint8_t* dst, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    vst1_u8(dst + x, vqmovun_s16(vld1q_s16(src + x)));
-  }
-  for (; x < n; ++x) dst[x] = saturate_cast<std::uint8_t>(src[x]);
 }
 
 }  // namespace simdcv::core::neon

@@ -1,6 +1,5 @@
-// Color conversion dispatch. The gray row's x86 arms are the fixed-point
-// family's width-generic body (fixedpoint_kernels.inl); the NEON arm is the
-// hand-written vld3 kernel in color_neon.cpp.
+// Color conversion dispatch. The gray row's hand arms are the fixed-point
+// family's width-generic body (fixedpoint_kernels.inl) at every backend.
 #include "imgproc/color.hpp"
 
 #include "imgproc/fixedpoint.hpp"
@@ -15,7 +14,7 @@ void grayRow(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
     case KernelPath::Avx512: fx_avx512::bgr2grayU8(bgr, gray, n, rgbOrder); break;
     case KernelPath::Avx2: fx_avx2::bgr2grayU8(bgr, gray, n, rgbOrder); break;
     case KernelPath::Sse2: fx_sse2::bgr2grayU8(bgr, gray, n, rgbOrder); break;
-    case KernelPath::Neon: neon::bgr2grayU8(bgr, gray, n, rgbOrder); break;
+    case KernelPath::Neon: fx_neon::bgr2grayU8(bgr, gray, n, rgbOrder); break;
     case KernelPath::ScalarNoVec: novec::bgr2grayU8(bgr, gray, n, rgbOrder); break;
     default: autovec::bgr2grayU8(bgr, gray, n, rgbOrder); break;
   }

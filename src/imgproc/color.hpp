@@ -26,17 +26,13 @@ enum class ColorCode : std::uint8_t {
 void cvtColor(const Mat& src, Mat& dst, ColorCode code,
               KernelPath path = KernelPath::Default);
 
-// Flat-range gray kernels per path (row pointers, n pixels); the x86 arms
-// are fx_sse2/fx_avx2/fx_avx512::bgr2grayU8 (fixedpoint.hpp).
+// Flat-range gray kernels per path (row pointers, n pixels); the hand arms
+// are fx_{sse2,avx2,avx512,neon}::bgr2grayU8 (fixedpoint.hpp).
 namespace autovec {
 void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
                 bool rgbOrder);
 }
 namespace novec {
-void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
-                bool rgbOrder);
-}
-namespace neon {
 void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
                 bool rgbOrder);
 }

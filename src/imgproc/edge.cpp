@@ -11,13 +11,13 @@
 #include "imgproc/threshold.hpp"
 #include "prof/prof.hpp"
 #include "runtime/parallel.hpp"
-#include "simd/neon_compat.hpp"
+#include "simd/vec_neon.hpp"
 
 #if defined(__SSE2__)
 #include "simd/vec_sse2.hpp"
+#endif
 
 #include "imgproc/edge_kernels.inl"
-#endif
 
 namespace simdcv::imgproc {
 
@@ -38,14 +38,7 @@ namespace neon {
 
 void magnitudeS16(const std::int16_t* gx, const std::int16_t* gy,
                   std::uint8_t* dst, std::size_t n) {
-  std::size_t x = 0;
-  for (; x + 8 <= n; x += 8) {
-    const int16x8_t ax = vqabsq_s16(vld1q_s16(gx + x));
-    const int16x8_t ay = vqabsq_s16(vld1q_s16(gy + x));
-    const int16x8_t m = vqaddq_s16(ax, ay);
-    vst1_u8(dst + x, vqmovun_s16(m));
-  }
-  if (x < n) autovec::magnitudeS16(gx + x, gy + x, dst + x, n - x);
+  vker::magnitudeS16<simd::backend::Neon>(gx, gy, dst, n);
 }
 
 }  // namespace neon

@@ -1,47 +1,25 @@
-// Hand-written NEON row/column convolution workers (paper "HAND", ARM).
-// vmlaq_n_f32 (multiply-accumulate by scalar) is the natural NEON spelling —
-// an op SSE2 lacks, one of the instruction-set asymmetries the paper
-// catalogues in Section II-C.
+// NEON row/column convolution workers (paper "HAND", ARM): the
+// width-generic bodies from filter_kernels.inl at VecTraits<Neon>. The
+// bodies multiply then add, in the scalar reference's tap order, so the
+// results are bit-exact with the AUTO arm as long as the compiler does not
+// contract them into fused multiply-adds (see DESIGN.md §15).
 #include "imgproc/filter.hpp"
-#include "simd/neon_compat.hpp"
+
+#include "simd/vec_neon.hpp"
+
+#include "imgproc/filter_kernels.inl"
 
 namespace simdcv::imgproc::neon {
 
+using B = simd::backend::Neon;
+
 void rowConv(const float* padded, float* out, int width, const float* k,
              int ksize) {
-  int i = 0;
-  for (; i + 4 <= width; i += 4) {
-    float32x4_t acc = vmulq_n_f32(vld1q_f32(padded + i), k[0]);
-    for (int j = 1; j < ksize; ++j) {
-      acc = vmlaq_n_f32(acc, vld1q_f32(padded + i + j), k[j]);
-    }
-    vst1q_f32(out + i, acc);
-  }
-  for (; i < width; ++i) {
-    float acc = 0.0f;
-    for (int j = 0; j < ksize; ++j) acc += k[j] * padded[i + j];
-    out[i] = acc;
-  }
+  vker::rowConv<B>(padded, out, width, k, ksize);
 }
-
 void colConv(const float* const* rows, float* out, int width, const float* k,
              int ksize) {
-  int i = 0;
-  for (; i + 8 <= width; i += 8) {
-    float32x4_t acc0 = vmulq_n_f32(vld1q_f32(rows[0] + i), k[0]);
-    float32x4_t acc1 = vmulq_n_f32(vld1q_f32(rows[0] + i + 4), k[0]);
-    for (int r = 1; r < ksize; ++r) {
-      acc0 = vmlaq_n_f32(acc0, vld1q_f32(rows[r] + i), k[r]);
-      acc1 = vmlaq_n_f32(acc1, vld1q_f32(rows[r] + i + 4), k[r]);
-    }
-    vst1q_f32(out + i, acc0);
-    vst1q_f32(out + i + 4, acc1);
-  }
-  for (; i < width; ++i) {
-    float acc = 0.0f;
-    for (int r = 0; r < ksize; ++r) acc += k[r] * rows[r][i];
-    out[i] = acc;
-  }
+  vker::colConv<B>(rows, out, width, k, ksize);
 }
 
 }  // namespace simdcv::imgproc::neon

@@ -1,85 +1,42 @@
-// Hand-written NEON fixed-point workers (paper "HAND", ARM): 8 pixels per
-// 16-bit lane op via vmovl_u8 widening + vmlaq_n multiply-accumulate — the
-// Limonova-style pure-integer pipeline. Runs on real NEON hardware on ARM
-// and through the simdcv emulation layer on x86 (functional validation).
-// Same wrap-free contract as the scalar reference, so results are bit-exact.
+// NEON fixed-point workers (paper "HAND", ARM): the width-generic bodies
+// from fixedpoint_kernels.inl at VecTraits<Neon> — 8 pixels per 16-bit lane
+// op, the Limonova-style pure-integer pipeline, plus cvtColor's gray row
+// (vld3q deinterleave) and resize's u16 vertical blend. Runs on real NEON
+// hardware on ARM and through the emulation layer elsewhere.
 #include "imgproc/fixedpoint.hpp"
 
-#include "simd/neon_compat.hpp"
+#include "simd/vec_neon.hpp"
+
+#include "imgproc/fixedpoint_kernels.inl"
 
 namespace simdcv::imgproc::fx_neon {
 
+using B = simd::backend::Neon;
+
 void rowConvU8(const std::uint8_t* padded, std::uint8_t* out, int width,
                const std::uint16_t* k, int ksize) {
-  int i = 0;
-  for (; i + 8 <= width; i += 8) {
-    uint16x8_t acc = vdupq_n_u16(128);
-    for (int j = 0; j < ksize; ++j)
-      acc = vmlaq_n_u16(acc, vmovl_u8(vld1_u8(padded + i + j)), k[j]);
-    vst1_u8(out + i, vmovn_u16(vshrq_n_u16(acc, 8)));
-  }
-  for (; i < width; ++i) {
-    std::uint16_t acc = 128;
-    for (int j = 0; j < ksize; ++j)
-      acc = static_cast<std::uint16_t>(
-          acc + k[j] * static_cast<std::uint16_t>(padded[i + j]));
-    out[i] = static_cast<std::uint8_t>(acc >> 8);
-  }
+  fx_vker::rowConvU8<B>(padded, out, width, k, ksize);
 }
-
 void colConvU8(const std::uint8_t* const* rows, std::uint8_t* out, int width,
                const std::uint16_t* k, int ksize) {
-  int i = 0;
-  for (; i + 8 <= width; i += 8) {
-    uint16x8_t acc = vdupq_n_u16(128);
-    for (int r = 0; r < ksize; ++r)
-      acc = vmlaq_n_u16(acc, vmovl_u8(vld1_u8(rows[r] + i)), k[r]);
-    vst1_u8(out + i, vmovn_u16(vshrq_n_u16(acc, 8)));
-  }
-  for (; i < width; ++i) {
-    std::uint16_t acc = 128;
-    for (int r = 0; r < ksize; ++r)
-      acc = static_cast<std::uint16_t>(
-          acc + k[r] * static_cast<std::uint16_t>(rows[r][i]));
-    out[i] = static_cast<std::uint8_t>(acc >> 8);
-  }
+  fx_vker::colConvU8<B>(rows, out, width, k, ksize);
 }
-
 void rowConvS16(const std::uint8_t* padded, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize) {
-  int i = 0;
-  for (; i + 8 <= width; i += 8) {
-    int16x8_t acc = vdupq_n_s16(0);
-    for (int j = 0; j < ksize; ++j)
-      acc = vmlaq_n_s16(
-          acc, vreinterpretq_s16_u16(vmovl_u8(vld1_u8(padded + i + j))),
-          k[j]);
-    vst1q_s16(out + i, acc);
-  }
-  for (; i < width; ++i) {
-    std::int16_t acc = 0;
-    for (int j = 0; j < ksize; ++j)
-      acc = static_cast<std::int16_t>(
-          acc + k[j] * static_cast<std::int16_t>(padded[i + j]));
-    out[i] = acc;
-  }
+  fx_vker::rowConvS16<B>(padded, out, width, k, ksize);
 }
-
 void colConvS16(const std::int16_t* const* rows, std::int16_t* out, int width,
                 const std::int16_t* k, int ksize) {
-  int i = 0;
-  for (; i + 8 <= width; i += 8) {
-    int16x8_t acc = vdupq_n_s16(0);
-    for (int r = 0; r < ksize; ++r)
-      acc = vmlaq_n_s16(acc, vld1q_s16(rows[r] + i), k[r]);
-    vst1q_s16(out + i, acc);
-  }
-  for (; i < width; ++i) {
-    std::int16_t acc = 0;
-    for (int r = 0; r < ksize; ++r)
-      acc = static_cast<std::int16_t>(acc + k[r] * rows[r][i]);
-    out[i] = acc;
-  }
+  fx_vker::colConvS16<B>(rows, out, width, k, ksize);
+}
+
+void bgr2grayU8(const std::uint8_t* bgr, std::uint8_t* gray, std::size_t n,
+                bool rgbOrder) {
+  fx_vker::bgr2grayU8<B>(bgr, gray, n, rgbOrder);
+}
+void vblendU16(const std::uint16_t* r0, const std::uint16_t* r1,
+               std::uint8_t* dst, int n, int wy) {
+  fx_vker::vblendU16<B>(r0, r1, dst, n, wy);
 }
 
 }  // namespace simdcv::imgproc::fx_neon

@@ -1,42 +1,14 @@
-// Template matching implementation. The SAD's x86 arms are the
+// Template matching implementation. The SAD's hand arms are the
 // width-generic array-op body (core/array_ops_kernels.inl: saturating
-// subtracts, then the traits' PSADBW reduction), one call per placement;
-// the NEON arm is hand-written below.
+// subtracts, then the traits' sadSumU8 reduction — PSADBW on x86, the
+// vpaddl ladder on NEON), one call per placement.
 #include "imgproc/match.hpp"
 
 #include <limits>
 
 #include "core/array_ops_detail.hpp"
-#include "simd/neon_compat.hpp"
 
 namespace simdcv::imgproc {
-
-namespace neon {
-
-std::uint64_t sadRange(const std::uint8_t* a, const std::uint8_t* b,
-                       std::size_t n) {
-  std::uint64_t acc = 0;
-  std::size_t i = 0;
-  // vabal widens |a-b| into u16 lanes; drain to u32 every 128 blocks so the
-  // u16 accumulators can never wrap (128 * 2 * 255 = 65280 < 65536).
-  while (i + 16 <= n) {
-    uint16x8_t acc16 = vdupq_n_u16(0);
-    int blocks = 0;
-    for (; i + 16 <= n && blocks < 128; i += 16, ++blocks) {
-      const uint8x16_t va = vld1q_u8(a + i);
-      const uint8x16_t vb = vld1q_u8(b + i);
-      acc16 = vabal_u8(acc16, vget_low_u8(va), vget_low_u8(vb));
-      acc16 = vabal_u8(acc16, vget_high_u8(va), vget_high_u8(vb));
-    }
-    const uint32x4_t acc32 = vpaddlq_u16(acc16);
-    acc += static_cast<std::uint64_t>(vgetq_lane_u32(acc32, 0)) +
-           vgetq_lane_u32(acc32, 1) + vgetq_lane_u32(acc32, 2) +
-           vgetq_lane_u32(acc32, 3);
-  }
-  return acc + autovec::sadRange(a + i, b + i, n - i);
-}
-
-}  // namespace neon
 
 namespace {
 
@@ -44,7 +16,7 @@ using SadBlockFn = std::uint64_t (*)(const std::uint8_t* a, std::size_t astep,
                                      const std::uint8_t* b, std::size_t bstep,
                                      int w, int h, std::uint64_t bound);
 
-// The scalar and NEON arms of core's sadBlock: one row kernel per template
+// The scalar arms of core's sadBlock: one row kernel per template
 // row, with the same early exit once the sum reaches `bound`.
 template <std::uint64_t (*Row)(const std::uint8_t*, const std::uint8_t*,
                                std::size_t)>
@@ -63,7 +35,7 @@ SadBlockFn sadBlockFor(KernelPath p) {
     case KernelPath::Avx512: return &cd::aops_avx512::sadBlock;
     case KernelPath::Avx2: return &cd::aops_avx2::sadBlock;
     case KernelPath::Sse2: return &cd::aops_sse2::sadBlock;
-    case KernelPath::Neon: return &sadRows<&neon::sadRange>;
+    case KernelPath::Neon: return &cd::aops_neon::sadBlock;
     case KernelPath::ScalarNoVec: return &sadRows<&novec::sadRange>;
     default: return &sadRows<&autovec::sadRange>;
   }

@@ -2,23 +2,23 @@
 //
 // ksize==3 uses the classic 19-comparator median-of-9 exchange network
 // (Paeth / Smith, detail::median9), expressed as min/max pairs so the
-// identical algorithm runs scalar, on VecTraits vectors (morph_kernels.inl:
-// pminub/pmaxub at every x86 width) and on NEON (vminq/vmaxq) — bit-exact by
-// construction. ksize==5 runs a scalar histogram-based median (Huang's
-// algorithm, O(1) amortized per pixel).
+// identical algorithm runs scalar and on VecTraits vectors
+// (morph_kernels.inl: pminub/pmaxub at every x86 width, vminq/vmaxq on
+// NEON) — bit-exact by construction. ksize==5 runs a scalar
+// histogram-based median (Huang's algorithm, O(1) amortized per pixel).
 #include "imgproc/median.hpp"
 
 #include <array>
 
 #include "imgproc/border.hpp"
 #include "imgproc/morph_detail.hpp"
-#include "simd/neon_compat.hpp"
+#include "simd/vec_neon.hpp"
 
 #if defined(__SSE2__)
 #include "simd/vec_sse2.hpp"
+#endif
 
 #include "imgproc/morph_kernels.inl"
-#endif
 
 namespace simdcv::imgproc {
 
@@ -26,30 +26,6 @@ namespace {
 
 using Median3RowFn = void (*)(const std::uint8_t*, const std::uint8_t*,
                               const std::uint8_t*, std::uint8_t*, int);
-
-// HAND-NEON: the same network on uint8x16_t, ending each row with one
-// overlapped vector like the x86 body.
-void median3RowNeon(const std::uint8_t* r0, const std::uint8_t* r1,
-                    const std::uint8_t* r2, std::uint8_t* dst, int width) {
-  const int last = width - 1;
-  if (last - 1 < 16) {
-    autovec::median3Row(r0, r1, r2, dst, width);
-    return;
-  }
-  auto vmin = [](uint8x16_t a, uint8x16_t b) { return vminq_u8(a, b); };
-  auto vmax = [](uint8x16_t a, uint8x16_t b) { return vmaxq_u8(a, b); };
-  auto step = [&](int x) {
-    uint8x16_t win[9];
-    const std::uint8_t* rows[3] = {r0, r1, r2};
-    for (int ry = 0; ry < 3; ++ry)
-      for (int rx = -1; rx <= 1; ++rx)
-        win[ry * 3 + rx + 1] = vld1q_u8(rows[ry] + x + rx);
-    vst1q_u8(dst + x, detail::median9(win, vmin, vmax));
-  };
-  int x = 1;
-  for (; x + 16 <= last; x += 16) step(x);
-  if (x < last) step(last - 16);
-}
 
 // Border columns, every path: the same network on replicate-clamped taps.
 std::uint8_t median3At(const std::uint8_t* r0, const std::uint8_t* r1,
@@ -70,7 +46,7 @@ Median3RowFn median3RowFor(KernelPath p) {
 #if defined(__SSE2__)
     case KernelPath::Sse2: return &morph_vker::median3Row<simd::backend::Sse2>;
 #endif
-    case KernelPath::Neon: return &median3RowNeon;
+    case KernelPath::Neon: return &morph_vker::median3Row<simd::backend::Neon>;
     case KernelPath::ScalarNoVec: return &novec::median3Row;
     default: return &autovec::median3Row;
   }

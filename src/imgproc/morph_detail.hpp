@@ -1,7 +1,7 @@
 // Internal morphology worker interface, shared with the 3x3 median (a rank
 // filter on the same u8 min/max). morphology.cpp and median.cpp host the
-// per-path dispatch, the SSE2 instantiations of morph_kernels.inl and the
-// NEON and scalar workers; the AVX2 and AVX-512 instantiations live in
+// per-path dispatch, the SSE2 and NEON instantiations of morph_kernels.inl
+// and the scalar workers; the AVX2 and AVX-512 instantiations live in
 // morphology_avx2.cpp / morphology_avx512.cpp because those TUs alone are
 // compiled with the wider -m flags (execution is runtime-guarded by
 // resolvePath). This header is the seam between them.
@@ -28,7 +28,7 @@ void morphVerticalMinMax(const std::uint8_t* const* rows, std::uint8_t* out,
 
 /// The 19-exchange median-of-9 network (Smith, "Implementing median filters
 /// in XC4000E FPGAs") over any element type with lane-wise vmin/vmax: u8
-/// scalars, VecTraits vectors or NEON registers, so every path runs the
+/// scalars or VecTraits vectors, so every path runs the
 /// identical comparisons. Leaves the median in p[4]. Callers pass their own
 /// min/max lambdas, which keeps each instantiation inside its own TU.
 template <typename V, typename MinFn, typename MaxFn>

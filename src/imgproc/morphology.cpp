@@ -6,8 +6,8 @@
 // a sliding window of unaligned loads, since u8 min/max is carry-free and
 // associative. Column pass: lane-wise min/max across the kh ring rows.
 // Both passes are written once over VecTraits (morph_kernels.inl) and
-// instantiated at SSE2 here and at AVX2 / AVX-512 in their own TUs; the
-// NEON arms stay hand-written, as the paper's HAND-NEON object of study.
+// instantiated at SSE2 and NEON here and at AVX2 / AVX-512 in their own
+// TUs.
 #include "imgproc/morphology.hpp"
 
 #include <cstring>
@@ -17,13 +17,13 @@
 #include "imgproc/kernels.hpp"
 #include "imgproc/morph_detail.hpp"
 #include "imgproc/ring_engine.hpp"
-#include "simd/neon_compat.hpp"
+#include "simd/vec_neon.hpp"
 
 #if defined(__SSE2__)
 #include "simd/vec_sse2.hpp"
+#endif
 
 #include "imgproc/morph_kernels.inl"
-#endif
 
 namespace simdcv::imgproc {
 
@@ -32,32 +32,23 @@ namespace detail {
 // Lane-wise min/max across kh rows (the vertical pass), per path.
 void morphVerticalMinMax(const std::uint8_t* const* rows, std::uint8_t* out,
                          int width, int kh, MinMax mode, KernelPath p) {
-  if (p == KernelPath::Avx512) {
-    morph_avx512::verticalMinMax(rows, out, width, kh, mode);
-    return;
-  }
-  if (p == KernelPath::Avx2) {
-    morph_avx2::verticalMinMax(rows, out, width, kh, mode);
-    return;
-  }
+  switch (p) {
+    case KernelPath::Avx512:
+      return morph_avx512::verticalMinMax(rows, out, width, kh, mode);
+    case KernelPath::Avx2:
+      return morph_avx2::verticalMinMax(rows, out, width, kh, mode);
 #if defined(__SSE2__)
-  if (p == KernelPath::Sse2) {
-    morph_vker::verticalMinMax<simd::backend::Sse2>(rows, out, width, kh, mode);
-    return;
-  }
+    case KernelPath::Sse2:
+      return morph_vker::verticalMinMax<simd::backend::Sse2>(rows, out, width,
+                                                             kh, mode);
 #endif
-  int x = 0;
-  if (p == KernelPath::Neon) {
-    for (; x + 16 <= width; x += 16) {
-      uint8x16_t acc = vld1q_u8(rows[0] + x);
-      for (int r = 1; r < kh; ++r) {
-        const uint8x16_t v = vld1q_u8(rows[r] + x);
-        acc = mode == MinMax::Min ? vminq_u8(acc, v) : vmaxq_u8(acc, v);
-      }
-      vst1q_u8(out + x, acc);
-    }
+    case KernelPath::Neon:
+      return morph_vker::verticalMinMax<simd::backend::Neon>(rows, out, width,
+                                                             kh, mode);
+    default:
+      break;
   }
-  for (; x < width; ++x) {
+  for (int x = 0; x < width; ++x) {
     std::uint8_t acc = rows[0][x];
     for (int r = 1; r < kh; ++r) {
       const std::uint8_t v = rows[r][x];
@@ -72,33 +63,23 @@ void morphVerticalMinMax(const std::uint8_t* const* rows, std::uint8_t* out,
 // of padded[i+j..i+j+15] for j in [0, kw), each one loadu away — no shuffles.
 void morphHorizontalMinMax(const std::uint8_t* padded, std::uint8_t* out,
                            int width, int kw, MinMax mode, KernelPath p) {
-  if (p == KernelPath::Avx512) {
-    morph_avx512::horizontalMinMax(padded, out, width, kw, mode);
-    return;
-  }
-  if (p == KernelPath::Avx2) {
-    morph_avx2::horizontalMinMax(padded, out, width, kw, mode);
-    return;
-  }
+  switch (p) {
+    case KernelPath::Avx512:
+      return morph_avx512::horizontalMinMax(padded, out, width, kw, mode);
+    case KernelPath::Avx2:
+      return morph_avx2::horizontalMinMax(padded, out, width, kw, mode);
 #if defined(__SSE2__)
-  if (p == KernelPath::Sse2) {
-    morph_vker::horizontalMinMax<simd::backend::Sse2>(padded, out, width, kw,
-                                                      mode);
-    return;
-  }
+    case KernelPath::Sse2:
+      return morph_vker::horizontalMinMax<simd::backend::Sse2>(padded, out,
+                                                               width, kw, mode);
 #endif
-  int i = 0;
-  if (p == KernelPath::Neon) {
-    for (; i + 16 <= width; i += 16) {
-      uint8x16_t acc = vld1q_u8(padded + i);
-      for (int j = 1; j < kw; ++j) {
-        const uint8x16_t v = vld1q_u8(padded + i + j);
-        acc = mode == MinMax::Min ? vminq_u8(acc, v) : vmaxq_u8(acc, v);
-      }
-      vst1q_u8(out + i, acc);
-    }
+    case KernelPath::Neon:
+      return morph_vker::horizontalMinMax<simd::backend::Neon>(padded, out,
+                                                               width, kw, mode);
+    default:
+      break;
   }
-  for (; i < width; ++i) {
+  for (int i = 0; i < width; ++i) {
     std::uint8_t acc = padded[i];
     for (int j = 1; j < kw; ++j) {
       const std::uint8_t v = padded[i + j];

@@ -4,9 +4,10 @@
 // (fixed point, 7-bit weights) or f32 row buffers, then a SIMD vertical
 // blend of the two cached rows. The horizontal pass is irregular (gathers),
 // which is exactly why resize was among the hardest kernels for 2012
-// auto-vectorizers; the vertical blend is where the SIMD win lives. AUTO and
-// ScalarNoVec share the gather loop (it does not vectorize either way) and
-// the f32 blend; the u16 blend has a vectorizer-off build.
+// auto-vectorizers; the vertical blend is where the SIMD win lives. The
+// gathers and the f32 blend are scalar rows (resize_scalar.inl) with an
+// autovec and a vectorizer-off build; ScalarNoVec runs the latter for
+// every pass, the other paths the former for what has no hand arm.
 #include "imgproc/resize.hpp"
 
 #include <algorithm>
@@ -16,15 +17,12 @@
 #include "core/saturate.hpp"
 #include "imgproc/filter.hpp"
 #include "imgproc/fixedpoint.hpp"
-#include "simd/neon_compat.hpp"
 
 namespace simdcv::imgproc {
 
 namespace {
 
-constexpr int kWeightBits = 7;                    // wx, wy in [0, 128]
-constexpr int kWeightOne = 1 << kWeightBits;      // 128
-constexpr int kRound = 1 << (2 * kWeightBits - 1);  // 8192
+constexpr int kWeightOne = 128;  // 7-bit weights: wx, wy in [0, 128]
 
 struct LinearMap {
   std::vector<int> lo, hi;   // clamped source indices per output coord
@@ -56,36 +54,6 @@ LinearMap buildMap(int dstLen, int srcLen) {
   return m;
 }
 
-// ---- vertical blends (the SIMD-friendly pass) --------------------------------
-// u16 rows r0/r1 hold horizontal results scaled by kWeightOne (max 32640).
-// The x86 arms are the fixed-point family's width-generic vblendU16; the
-// scalar arms are its fx_autovec / fx_novec builds.
-void vblendU16Neon(const std::uint16_t* r0, const std::uint16_t* r1,
-                   std::uint8_t* dst, int n, int wy) {
-  const uint16x4_t w0 = vdup_n_u16(static_cast<std::uint16_t>(kWeightOne - wy));
-  const uint16x4_t w1 = vdup_n_u16(static_cast<std::uint16_t>(wy));
-  const uint32x4_t rnd = vdupq_n_u32(kRound);
-  int i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const uint16x8_t a = vld1q_u16(r0 + i);
-    const uint16x8_t b = vld1q_u16(r1 + i);
-    uint32x4_t lo = vmlal_u16(rnd, vget_low_u16(a), w0);
-    lo = vmlal_u16(lo, vget_low_u16(b), w1);
-    uint32x4_t hi = vmlal_u16(rnd, vget_high_u16(a), w0);
-    hi = vmlal_u16(hi, vget_high_u16(b), w1);
-    const uint16x8_t m = vcombine_u16(vshrn_n_u32(lo, 2 * kWeightBits),
-                                      vshrn_n_u32(hi, 2 * kWeightBits));
-    vst1_u8(dst + i, vmovn_u16(m));
-  }
-  if (i < n) fx_autovec::vblendU16(r0 + i, r1 + i, dst + i, n - i, wy);
-}
-
-void vblendF32Scalar(const float* r0, const float* r1, float* dst, int n,
-                     float wy) {
-  const float w0 = 1.0f - wy;
-  for (int i = 0; i < n; ++i) dst[i] = r0[i] * w0 + r1[i] * wy;
-}
-
 // Hand arms: the blend is a two-tap colConv (taps 1 - wy, wy). Its vector
 // blocks compute k0*r0 + k1*r1, the scalar blend's exact expression, but its
 // scalar tail starts from 0.0f and would turn a -0 blend into +0, so it gets
@@ -96,7 +64,7 @@ void vblendF32Hand(const float* r0, const float* r1, float* dst, int n,
   const float* rows[2] = {r0, r1};
   const int nv = n & ~15;
   detail::colConvFor(p)(rows, dst, nv, k, 2);
-  vblendF32Scalar(r0 + nv, r1 + nv, dst + nv, n - nv, wy);
+  autovec::vblendF32(r0 + nv, r1 + nv, dst + nv, n - nv, wy);
 }
 
 // ---- nearest ------------------------------------------------------------------
@@ -146,23 +114,17 @@ void resizeLinear(const Mat& src, Mat& dst, int dw, HRow hrow, Blend blend) {
   }
 }
 
-// u8 C1 / C3: u16 rows scaled by 128.
+// u8 C1 / C3: u16 rows scaled by 128. The u16 blend's arms are the
+// fixed-point family's width-generic vblendU16 and its scalar builds.
 void resizeLinearU8(const Mat& src, Mat& dst, KernelPath p) {
   const int ch = src.channels();
   const int dw = dst.cols() * ch;
   const LinearMap xm = buildMap(dst.cols(), src.cols());
+  const auto gather =
+      p == KernelPath::ScalarNoVec ? &novec::hlinearU8 : &autovec::hlinearU8;
   auto hrow = [&](int srcRow, std::uint16_t* out) {
-    const std::uint8_t* s = src.ptr<std::uint8_t>(srcRow);
-    for (int x = 0; x < dst.cols(); ++x) {
-      const int lo = xm.lo[static_cast<std::size_t>(x)] * ch;
-      const int hi = xm.hi[static_cast<std::size_t>(x)] * ch;
-      const int w1 = xm.w[static_cast<std::size_t>(x)];
-      const int w0 = kWeightOne - w1;
-      for (int k = 0; k < ch; ++k) {
-        out[x * ch + k] =
-            static_cast<std::uint16_t>(s[lo + k] * w0 + s[hi + k] * w1);
-      }
-    }
+    gather(src.ptr<std::uint8_t>(srcRow), out, dst.cols(), ch, xm.lo.data(),
+           xm.hi.data(), xm.w.data());
   };
   auto blend = [&](const std::uint16_t* r0, const std::uint16_t* r1, int y,
                    int wy, float) {
@@ -171,7 +133,7 @@ void resizeLinearU8(const Mat& src, Mat& dst, KernelPath p) {
       case KernelPath::Avx512: fx_avx512::vblendU16(r0, r1, d, dw, wy); break;
       case KernelPath::Avx2: fx_avx2::vblendU16(r0, r1, d, dw, wy); break;
       case KernelPath::Sse2: fx_sse2::vblendU16(r0, r1, d, dw, wy); break;
-      case KernelPath::Neon: vblendU16Neon(r0, r1, d, dw, wy); break;
+      case KernelPath::Neon: fx_neon::vblendU16(r0, r1, d, dw, wy); break;
       case KernelPath::ScalarNoVec: fx_novec::vblendU16(r0, r1, d, dw, wy); break;
       default: fx_autovec::vblendU16(r0, r1, d, dw, wy); break;
     }
@@ -183,13 +145,11 @@ void resizeLinearU8(const Mat& src, Mat& dst, KernelPath p) {
 void resizeLinearF32(const Mat& src, Mat& dst, KernelPath p) {
   const int dw = dst.cols();
   const LinearMap xm = buildMap(dst.cols(), src.cols());
+  const bool novecArm = p == KernelPath::ScalarNoVec;
+  const auto gather = novecArm ? &novec::hlinearF32 : &autovec::hlinearF32;
   auto hrow = [&](int srcRow, float* out) {
-    const float* s = src.ptr<float>(srcRow);
-    for (int x = 0; x < dw; ++x) {
-      const float w1 = xm.wf[static_cast<std::size_t>(x)];
-      out[x] = s[xm.lo[static_cast<std::size_t>(x)]] * (1.0f - w1) +
-               s[xm.hi[static_cast<std::size_t>(x)]] * w1;
-    }
+    gather(src.ptr<float>(srcRow), out, dw, xm.lo.data(), xm.hi.data(),
+           xm.wf.data());
   };
   const bool hand = p == KernelPath::Avx512 || p == KernelPath::Avx2 ||
                     p == KernelPath::Sse2 || p == KernelPath::Neon;
@@ -197,7 +157,8 @@ void resizeLinearF32(const Mat& src, Mat& dst, KernelPath p) {
     if (hand)
       vblendF32Hand(r0, r1, dst.ptr<float>(y), dw, wy, p);
     else
-      vblendF32Scalar(r0, r1, dst.ptr<float>(y), dw, wy);
+      (novecArm ? novec::vblendF32 : autovec::vblendF32)(
+          r0, r1, dst.ptr<float>(y), dw, wy);
   };
   resizeLinear<float>(src, dst, dw, hrow, blend);
 }

@@ -37,6 +37,7 @@ ThreshS16Fn threshS16For(KernelPath path) {
     case KernelPath::Avx512: return &avx512::threshS16;
     case KernelPath::Avx2: return &avx2::threshS16;
     case KernelPath::Sse2: return &sse2::threshS16;
+    case KernelPath::Neon: return &neon::threshS16;
     case KernelPath::ScalarNoVec: return &novec::threshS16;
     default: return &autovec::threshS16;
   }

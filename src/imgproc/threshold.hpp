@@ -44,7 +44,6 @@ using ThreshS16Fn = void (*)(const std::int16_t* src, std::int16_t* dst,
                              std::size_t n, std::int16_t thresh,
                              std::int16_t maxval, ThresholdType type);
 ThreshU8Fn threshU8For(KernelPath path);
-/// Neon has no S16 body; it runs the autovec arm.
 ThreshS16Fn threshS16For(KernelPath path);
 }  // namespace detail
 
@@ -92,6 +91,8 @@ void threshF32(const float* src, float* dst, std::size_t n, float thresh,
 namespace neon {
 void threshU8(const std::uint8_t* src, std::uint8_t* dst, std::size_t n,
               std::uint8_t thresh, std::uint8_t maxval, ThresholdType type);
+void threshS16(const std::int16_t* src, std::int16_t* dst, std::size_t n,
+               std::int16_t thresh, std::int16_t maxval, ThresholdType type);
 void threshF32(const float* src, float* dst, std::size_t n, float thresh,
                float maxval, ThresholdType type);
 }  // namespace neon

@@ -1,56 +1,27 @@
-// Hand-written NEON threshold kernels (paper "HAND" arm, ARM).
-// NEON has native unsigned compares (vcgtq_u8) and bit select (vbslq), so the
-// kernels are more direct than their SSE2 counterparts — one of the
-// qualitative ISA differences Section II-C of the paper tabulates.
+// NEON threshold kernels (paper "HAND" arm, ARM): the width-generic bodies
+// from threshold_kernels.inl instantiated at VecTraits<Neon> (emulated on
+// non-ARM hosts).
 #include "imgproc/threshold.hpp"
-#include "simd/neon_compat.hpp"
+
+#include "simd/vec_neon.hpp"
+
+#include "imgproc/threshold_kernels.inl"
 
 namespace simdcv::imgproc::neon {
 
+using B = simd::backend::Neon;
+
 void threshU8(const std::uint8_t* src, std::uint8_t* dst, std::size_t n,
               std::uint8_t thresh, std::uint8_t maxval, ThresholdType type) {
-  const uint8x16_t vthresh = vdupq_n_u8(thresh);
-  const uint8x16_t vmax = vdupq_n_u8(maxval);
-  const uint8x16_t vzero = vdupq_n_u8(0);
-  std::size_t x = 0;
-  for (; x + 16 <= n; x += 16) {
-    const uint8x16_t v = vld1q_u8(src + x);
-    const uint8x16_t gt = vcgtq_u8(v, vthresh);
-    uint8x16_t r;
-    switch (type) {
-      case ThresholdType::Binary: r = vandq_u8(gt, vmax); break;
-      case ThresholdType::BinaryInv: r = vbslq_u8(gt, vzero, vmax); break;
-      case ThresholdType::Trunc: r = vminq_u8(v, vthresh); break;
-      case ThresholdType::ToZero: r = vandq_u8(gt, v); break;
-      case ThresholdType::ToZeroInv: r = vbicq_u8(v, gt); break;
-      default: r = v; break;
-    }
-    vst1q_u8(dst + x, r);
-  }
-  if (x < n) autovec::threshU8(src + x, dst + x, n - x, thresh, maxval, type);
+  vker::threshU8<B>(src, dst, n, thresh, maxval, type);
 }
-
+void threshS16(const std::int16_t* src, std::int16_t* dst, std::size_t n,
+               std::int16_t thresh, std::int16_t maxval, ThresholdType type) {
+  vker::threshS16<B>(src, dst, n, thresh, maxval, type);
+}
 void threshF32(const float* src, float* dst, std::size_t n, float thresh,
                float maxval, ThresholdType type) {
-  const float32x4_t vthresh = vdupq_n_f32(thresh);
-  const float32x4_t vmax = vdupq_n_f32(maxval);
-  const float32x4_t vzero = vdupq_n_f32(0.0f);
-  std::size_t x = 0;
-  for (; x + 4 <= n; x += 4) {
-    const float32x4_t v = vld1q_f32(src + x);
-    const uint32x4_t gt = vcgtq_f32(v, vthresh);
-    float32x4_t r;
-    switch (type) {
-      case ThresholdType::Binary: r = vbslq_f32(gt, vmax, vzero); break;
-      case ThresholdType::BinaryInv: r = vbslq_f32(gt, vzero, vmax); break;
-      case ThresholdType::Trunc: r = vbslq_f32(gt, vthresh, v); break;
-      case ThresholdType::ToZero: r = vbslq_f32(gt, v, vzero); break;
-      case ThresholdType::ToZeroInv: r = vbslq_f32(gt, vzero, v); break;
-      default: r = v; break;
-    }
-    vst1q_f32(dst + x, r);
-  }
-  if (x < n) autovec::threshF32(src + x, dst + x, n - x, thresh, maxval, type);
+  vker::threshF32<B>(src, dst, n, thresh, maxval, type);
 }
 
 }  // namespace simdcv::imgproc::neon

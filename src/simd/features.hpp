@@ -5,7 +5,9 @@
 //                   (baseline for the instruction-count ablation),
 //   - Auto        : the same plain C++ compiled at -O3 with the compiler's
 //                   auto-vectorizer enabled (the paper's "AUTO" arm),
-//   - Sse2 / Neon : hand-written intrinsics (the paper's "HAND" arm).
+//   - Sse2 / Avx2 / Avx512 / Neon : intrinsics (the paper's "HAND" arm),
+//                   one VecTraits kernel body per family instantiated at
+//                   each backend (DESIGN.md §15).
 //
 // Path selection happens at run time so a single binary can benchmark all
 // arms against each other, exactly as OpenCV's cv::setUseOptimized() does.
@@ -21,7 +23,7 @@ enum class KernelPath : std::uint8_t {
   ScalarNoVec,  ///< scalar source, compiler vectorizer disabled
   Auto,         ///< scalar source, compiler auto-vectorization (paper "AUTO")
   Sse2,         ///< hand-written SSE2 intrinsics (paper "HAND", Intel)
-  Neon,         ///< hand-written NEON intrinsics (paper "HAND", ARM);
+  Neon,         ///< NEON intrinsics (paper "HAND", ARM) via VecTraits<Neon>;
                 ///< runs through the emulation layer on non-ARM hosts
   Avx2,         ///< hand-written AVX2 intrinsics (the paper's future-work
                 ///< ISA; falls back to Sse2 kernels where no AVX2 version

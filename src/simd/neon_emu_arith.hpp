@@ -22,20 +22,12 @@
 // wrapping ops. Unsigned overflow wraps by definition; signed vector ops on
 // GCC vectors also wrap (vector arithmetic is defined modulo 2^n).
 
-#define SIMDCV_EMU_ADDSUB(suffix, VT, ET, N)                                \
-  inline VT vadd_##suffix(VT a, VT b) { return a + b; }                     \
-  inline VT vsub_##suffix(VT a, VT b) { return a - b; }
 #define SIMDCV_EMU_ADDSUBQ(suffix, VT, ET, N)                               \
   inline VT vaddq_##suffix(VT a, VT b) { return a + b; }                    \
   inline VT vsubq_##suffix(VT a, VT b) { return a - b; }
 
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_ADDSUB)
-SIMDCV_EMU_FOR_INT64_D(SIMDCV_EMU_ADDSUB)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_ADDSUB)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_ADDSUBQ)
-SIMDCV_EMU_FOR_INT64_Q(SIMDCV_EMU_ADDSUBQ)
 SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_ADDSUBQ)
-#undef SIMDCV_EMU_ADDSUB
 #undef SIMDCV_EMU_ADDSUBQ
 
 // ---- saturating add/sub -----------------------------------------------------
@@ -54,48 +46,22 @@ SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_ADDSUBQ)
 #define SIMDCV_EMU_OP_qsub -
 #define SIMDCV_EMU_QADD_D(suffix, VT, ET, N) SIMDCV_EMU_QADDSUB(v, qadd, suffix, VT, ET, N)
 #define SIMDCV_EMU_QADD_Q(suffix, VT, ET, N) SIMDCV_EMU_QADDSUB(v, qaddq, suffix, VT, ET, N)
-#define SIMDCV_EMU_QSUB_D(suffix, VT, ET, N) SIMDCV_EMU_QADDSUB(v, qsub, suffix, VT, ET, N)
 #define SIMDCV_EMU_QSUB_Q(suffix, VT, ET, N) SIMDCV_EMU_QADDSUB(v, qsubq, suffix, VT, ET, N)
 // qaddq/qsubq are not operator names; expand OP macros for them too.
 #define SIMDCV_EMU_OP_qaddq +
 #define SIMDCV_EMU_OP_qsubq -
 
 SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_QADD_D)
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_QSUB_D)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_QADD_Q)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_QSUB_Q)
-SIMDCV_EMU_FOR_INT64_D(SIMDCV_EMU_QADD_D)
-SIMDCV_EMU_FOR_INT64_D(SIMDCV_EMU_QSUB_D)
-SIMDCV_EMU_FOR_INT64_Q(SIMDCV_EMU_QADD_Q)
-SIMDCV_EMU_FOR_INT64_Q(SIMDCV_EMU_QSUB_Q)
 #undef SIMDCV_EMU_QADDSUB
 #undef SIMDCV_EMU_QADD_D
 #undef SIMDCV_EMU_QADD_Q
-#undef SIMDCV_EMU_QSUB_D
 #undef SIMDCV_EMU_QSUB_Q
 
 // ---- halving add/sub --------------------------------------------------------
 // vhadd: (x + y) >> 1 with floor semantics; vrhadd rounds; vhsub truncates
 // the difference toward negative infinity.
-#define SIMDCV_EMU_HALVING(suffix, VT, ET, N)                                 \
-  inline VT vhadd_##suffix(VT a, VT b) {                                      \
-    using W = simdcv::neon_emu_detail::Wider_t<ET>;                           \
-    return simdcv::neon_emu_detail::map2(a, b, [](ET x, ET y) {               \
-      return static_cast<ET>((static_cast<W>(x) + static_cast<W>(y)) >> 1);   \
-    });                                                                       \
-  }                                                                           \
-  inline VT vrhadd_##suffix(VT a, VT b) {                                     \
-    using W = simdcv::neon_emu_detail::Wider_t<ET>;                           \
-    return simdcv::neon_emu_detail::map2(a, b, [](ET x, ET y) {               \
-      return static_cast<ET>((static_cast<W>(x) + static_cast<W>(y) + 1) >> 1); \
-    });                                                                       \
-  }                                                                           \
-  inline VT vhsub_##suffix(VT a, VT b) {                                      \
-    using W = simdcv::neon_emu_detail::Wider_t<ET>;                           \
-    return simdcv::neon_emu_detail::map2(a, b, [](ET x, ET y) {               \
-      return static_cast<ET>((static_cast<W>(x) - static_cast<W>(y)) >> 1);   \
-    });                                                                       \
-  }
 #define SIMDCV_EMU_HALVINGQ(suffix, VT, ET, N)                                \
   inline VT vhaddq_##suffix(VT a, VT b) {                                     \
     using W = simdcv::neon_emu_detail::Wider_t<ET>;                           \
@@ -116,49 +82,26 @@ SIMDCV_EMU_FOR_INT64_Q(SIMDCV_EMU_QSUB_Q)
     });                                                                       \
   }
 
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_HALVING)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_HALVINGQ)
-#undef SIMDCV_EMU_HALVING
 #undef SIMDCV_EMU_HALVINGQ
 
 // ---- multiply, multiply-accumulate, multiply-subtract ------------------------
-#define SIMDCV_EMU_MUL(suffix, VT, ET, N)                                     \
-  inline VT vmul_##suffix(VT a, VT b) { return a * b; }                       \
-  inline VT vmla_##suffix(VT a, VT b, VT c) { return a + b * c; }             \
-  inline VT vmls_##suffix(VT a, VT b, VT c) { return a - b * c; }
 #define SIMDCV_EMU_MULQ(suffix, VT, ET, N)                                    \
   inline VT vmulq_##suffix(VT a, VT b) { return a * b; }                      \
   inline VT vmlaq_##suffix(VT a, VT b, VT c) { return a + b * c; }            \
   inline VT vmlsq_##suffix(VT a, VT b, VT c) { return a - b * c; }
 
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_MUL)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_MUL)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_MULQ)
 SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_MULQ)
-#undef SIMDCV_EMU_MUL
 #undef SIMDCV_EMU_MULQ
 
 // by-scalar forms ("_n_") for the types NEON provides them on.
-#define SIMDCV_EMU_MUL_N(suffix, VT, ET)                                      \
-  inline VT vmul_n_##suffix(VT a, ET s) { return a * vdup_n_##suffix(s); }    \
-  inline VT vmla_n_##suffix(VT a, VT b, ET s) { return a + b * vdup_n_##suffix(s); } \
-  inline VT vmls_n_##suffix(VT a, VT b, ET s) { return a - b * vdup_n_##suffix(s); }
 #define SIMDCV_EMU_MULQ_N(suffix, VT, ET)                                     \
   inline VT vmulq_n_##suffix(VT a, ET s) { return a * vdupq_n_##suffix(s); }  \
   inline VT vmlaq_n_##suffix(VT a, VT b, ET s) { return a + b * vdupq_n_##suffix(s); } \
   inline VT vmlsq_n_##suffix(VT a, VT b, ET s) { return a - b * vdupq_n_##suffix(s); }
 
-SIMDCV_EMU_MUL_N(s16, int16x4_t, std::int16_t)
-SIMDCV_EMU_MUL_N(u16, uint16x4_t, std::uint16_t)
-SIMDCV_EMU_MUL_N(s32, int32x2_t, std::int32_t)
-SIMDCV_EMU_MUL_N(u32, uint32x2_t, std::uint32_t)
-SIMDCV_EMU_MUL_N(f32, float32x2_t, float)
-SIMDCV_EMU_MULQ_N(s16, int16x8_t, std::int16_t)
-SIMDCV_EMU_MULQ_N(u16, uint16x8_t, std::uint16_t)
-SIMDCV_EMU_MULQ_N(s32, int32x4_t, std::int32_t)
-SIMDCV_EMU_MULQ_N(u32, uint32x4_t, std::uint32_t)
 SIMDCV_EMU_MULQ_N(f32, float32x4_t, float)
-#undef SIMDCV_EMU_MUL_N
 #undef SIMDCV_EMU_MULQ_N
 
 // ---- widening ("long") add/sub/mul/mla/mls ----------------------------------
@@ -245,7 +188,6 @@ SIMDCV_EMU_FOR_NARROW(SIMDCV_EMU_MOVL)
   }
 
 SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_MINMAX)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_MINMAX)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_MINMAXQ)
 SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_MINMAXQ)
 #undef SIMDCV_EMU_MINMAX
@@ -253,20 +195,6 @@ SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_MINMAXQ)
 
 // ---- absolute value / negate -------------------------------------------------
 // vabs on the most negative signed value wraps (stays INT_MIN); vqabs saturates.
-#define SIMDCV_EMU_ABSNEG(suffix, VT, ET, N)                                  \
-  inline VT vabs_##suffix(VT a) {                                             \
-    return simdcv::neon_emu_detail::map1(a, [](ET x) {                        \
-      return static_cast<ET>(x < 0 ? -static_cast<ET>(x) : x);                \
-    });                                                                       \
-  }                                                                           \
-  inline VT vqabs_##suffix(VT a) {                                            \
-    using W = simdcv::neon_emu_detail::Wider_t<ET>;                           \
-    return simdcv::neon_emu_detail::map1(a, [](ET x) {                        \
-      return simdcv::neon_emu_detail::sat<ET>(                                \
-          x < 0 ? -static_cast<W>(x) : static_cast<W>(x));                    \
-    });                                                                       \
-  }                                                                           \
-  inline VT vneg_##suffix(VT a) { return -a; }
 #define SIMDCV_EMU_ABSNEGQ(suffix, VT, ET, N)                                 \
   inline VT vabsq_##suffix(VT a) {                                            \
     return simdcv::neon_emu_detail::map1(a, [](ET x) {                        \
@@ -282,35 +210,18 @@ SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_MINMAXQ)
   }                                                                           \
   inline VT vnegq_##suffix(VT a) { return -a; }
 
-SIMDCV_EMU_ABSNEG(s8, int8x8_t, std::int8_t, 8)
-SIMDCV_EMU_ABSNEG(s16, int16x4_t, std::int16_t, 4)
-SIMDCV_EMU_ABSNEG(s32, int32x2_t, std::int32_t, 2)
 SIMDCV_EMU_ABSNEGQ(s8, int8x16_t, std::int8_t, 16)
 SIMDCV_EMU_ABSNEGQ(s16, int16x8_t, std::int16_t, 8)
 SIMDCV_EMU_ABSNEGQ(s32, int32x4_t, std::int32_t, 4)
-#undef SIMDCV_EMU_ABSNEG
 #undef SIMDCV_EMU_ABSNEGQ
 
-inline float32x2_t vabs_f32(float32x2_t a) {
-  return simdcv::neon_emu_detail::map1(a, [](float x) { return std::fabs(x); });
-}
 inline float32x4_t vabsq_f32(float32x4_t a) {
   return simdcv::neon_emu_detail::map1(a, [](float x) { return std::fabs(x); });
 }
-inline float32x2_t vneg_f32(float32x2_t a) { return -a; }
 inline float32x4_t vnegq_f32(float32x4_t a) { return -a; }
 
 // ---- absolute difference (+ accumulate) ---------------------------------------
 // Computed order-insensitively so unsigned inputs never underflow.
-#define SIMDCV_EMU_ABD(suffix, VT, ET, N)                                     \
-  inline VT vabd_##suffix(VT a, VT b) {                                       \
-    return simdcv::neon_emu_detail::map2(a, b, [](ET x, ET y) {               \
-      return static_cast<ET>(x > y ? x - y : y - x);                          \
-    });                                                                       \
-  }                                                                           \
-  inline VT vaba_##suffix(VT acc, VT a, VT b) {                               \
-    return acc + vabd_##suffix(a, b);                                         \
-  }
 #define SIMDCV_EMU_ABDQ(suffix, VT, ET, N)                                    \
   inline VT vabdq_##suffix(VT a, VT b) {                                      \
     return simdcv::neon_emu_detail::map2(a, b, [](ET x, ET y) {               \
@@ -321,12 +232,9 @@ inline float32x4_t vnegq_f32(float32x4_t a) { return -a; }
     return acc + vabdq_##suffix(a, b);                                        \
   }
 
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_ABD)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_ABDQ)
-#undef SIMDCV_EMU_ABD
 #undef SIMDCV_EMU_ABDQ
 
-inline float32x2_t vabd_f32(float32x2_t a, float32x2_t b) { return vabs_f32(a - b); }
 inline float32x4_t vabdq_f32(float32x4_t a, float32x4_t b) { return vabsq_f32(a - b); }
 
 // ---- pairwise ops (D registers only, as in ARMv7) ------------------------------
@@ -387,43 +295,22 @@ SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_PAIRWISE)
     return acc;                                                               \
   }
 
-SIMDCV_EMU_PADDL_Q(s8, int8x16_t, int16x8_t, std::int8_t, std::int16_t, 8)
 SIMDCV_EMU_PADDL_Q(u8, uint8x16_t, uint16x8_t, std::uint8_t, std::uint16_t, 8)
-SIMDCV_EMU_PADDL_Q(s16, int16x8_t, int32x4_t, std::int16_t, std::int32_t, 4)
 SIMDCV_EMU_PADDL_Q(u16, uint16x8_t, uint32x4_t, std::uint16_t, std::uint32_t, 4)
-SIMDCV_EMU_PADDL_Q(s32, int32x4_t, int64x2_t, std::int32_t, std::int64_t, 2)
 SIMDCV_EMU_PADDL_Q(u32, uint32x4_t, uint64x2_t, std::uint32_t, std::uint64_t, 2)
-SIMDCV_EMU_PADDL_D(s8, int8x8_t, int16x4_t, std::int8_t, std::int16_t, 4)
-SIMDCV_EMU_PADDL_D(u8, uint8x8_t, uint16x4_t, std::uint8_t, std::uint16_t, 4)
 SIMDCV_EMU_PADDL_D(s16, int16x4_t, int32x2_t, std::int16_t, std::int32_t, 2)
-SIMDCV_EMU_PADDL_D(u16, uint16x4_t, uint32x2_t, std::uint16_t, std::uint32_t, 2)
-SIMDCV_EMU_PADDL_D(s32, int32x2_t, int64x1_t, std::int32_t, std::int64_t, 1)
-SIMDCV_EMU_PADDL_D(u32, uint32x2_t, uint64x1_t, std::uint32_t, std::uint64_t, 1)
 #undef SIMDCV_EMU_PADDL_Q
 #undef SIMDCV_EMU_PADDL_D
 
 // ---- reciprocal / rsqrt estimate and Newton step --------------------------------
-inline float32x2_t vrecpe_f32(float32x2_t a) {
-  return simdcv::neon_emu_detail::map1(a, [](float x) { return 1.0f / x; });
-}
 inline float32x4_t vrecpeq_f32(float32x4_t a) {
   return simdcv::neon_emu_detail::map1(a, [](float x) { return 1.0f / x; });
-}
-inline float32x2_t vrecps_f32(float32x2_t a, float32x2_t b) {
-  return simdcv::neon_emu_detail::map2(a, b, [](float x, float y) { return 2.0f - x * y; });
 }
 inline float32x4_t vrecpsq_f32(float32x4_t a, float32x4_t b) {
   return simdcv::neon_emu_detail::map2(a, b, [](float x, float y) { return 2.0f - x * y; });
 }
-inline float32x2_t vrsqrte_f32(float32x2_t a) {
-  return simdcv::neon_emu_detail::map1(a, [](float x) { return 1.0f / std::sqrt(x); });
-}
 inline float32x4_t vrsqrteq_f32(float32x4_t a) {
   return simdcv::neon_emu_detail::map1(a, [](float x) { return 1.0f / std::sqrt(x); });
-}
-inline float32x2_t vrsqrts_f32(float32x2_t a, float32x2_t b) {
-  return simdcv::neon_emu_detail::map2(
-      a, b, [](float x, float y) { return (3.0f - x * y) / 2.0f; });
 }
 inline float32x4_t vrsqrtsq_f32(float32x4_t a, float32x4_t b) {
   return simdcv::neon_emu_detail::map2(

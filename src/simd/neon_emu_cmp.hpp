@@ -9,22 +9,6 @@
 #include "simd/neon_emu_arith.hpp"  // vabs_f32 for the absolute compares
 
 // ---- compares: eq, ge, gt, le, lt ------------------------------------------
-#define SIMDCV_EMU_CMP(suffix, VT, ET, N)                                     \
-  inline simdcv::neon_emu_detail::VTraits<VT>::uvec vceq_##suffix(VT a, VT b) { \
-    return simdcv::neon_emu_detail::cmp(a, b, [](ET x, ET y) { return x == y; }); \
-  }                                                                           \
-  inline simdcv::neon_emu_detail::VTraits<VT>::uvec vcge_##suffix(VT a, VT b) { \
-    return simdcv::neon_emu_detail::cmp(a, b, [](ET x, ET y) { return x >= y; }); \
-  }                                                                           \
-  inline simdcv::neon_emu_detail::VTraits<VT>::uvec vcgt_##suffix(VT a, VT b) { \
-    return simdcv::neon_emu_detail::cmp(a, b, [](ET x, ET y) { return x > y; }); \
-  }                                                                           \
-  inline simdcv::neon_emu_detail::VTraits<VT>::uvec vcle_##suffix(VT a, VT b) { \
-    return simdcv::neon_emu_detail::cmp(a, b, [](ET x, ET y) { return x <= y; }); \
-  }                                                                           \
-  inline simdcv::neon_emu_detail::VTraits<VT>::uvec vclt_##suffix(VT a, VT b) { \
-    return simdcv::neon_emu_detail::cmp(a, b, [](ET x, ET y) { return x < y; }); \
-  }
 #define SIMDCV_EMU_CMPQ(suffix, VT, ET, N)                                    \
   inline simdcv::neon_emu_detail::VTraits<VT>::uvec vceqq_##suffix(VT a, VT b) { \
     return simdcv::neon_emu_detail::cmp(a, b, [](ET x, ET y) { return x == y; }); \
@@ -42,26 +26,11 @@
     return simdcv::neon_emu_detail::cmp(a, b, [](ET x, ET y) { return x < y; }); \
   }
 
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_CMP)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_CMP)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_CMPQ)
 SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_CMPQ)
-#undef SIMDCV_EMU_CMP
 #undef SIMDCV_EMU_CMPQ
 
 // Absolute compares (float only in NEON): |a| vs |b|.
-inline uint32x2_t vcage_f32(float32x2_t a, float32x2_t b) {
-  return vcge_f32(vabs_f32(a), vabs_f32(b));
-}
-inline uint32x2_t vcagt_f32(float32x2_t a, float32x2_t b) {
-  return vcgt_f32(vabs_f32(a), vabs_f32(b));
-}
-inline uint32x2_t vcale_f32(float32x2_t a, float32x2_t b) {
-  return vcle_f32(vabs_f32(a), vabs_f32(b));
-}
-inline uint32x2_t vcalt_f32(float32x2_t a, float32x2_t b) {
-  return vclt_f32(vabs_f32(a), vabs_f32(b));
-}
 inline uint32x4_t vcageq_f32(float32x4_t a, float32x4_t b) {
   return vcgeq_f32(vabsq_f32(a), vabsq_f32(b));
 }
@@ -71,34 +40,17 @@ inline uint32x4_t vcagtq_f32(float32x4_t a, float32x4_t b) {
 inline uint32x4_t vcaleq_f32(float32x4_t a, float32x4_t b) {
   return vcleq_f32(vabsq_f32(a), vabsq_f32(b));
 }
-inline uint32x4_t vcaltq_f32(float32x4_t a, float32x4_t b) {
-  return vcltq_f32(vabsq_f32(a), vabsq_f32(b));
-}
 
 // ---- test bits: vtst (a & b != 0) -------------------------------------------
-#define SIMDCV_EMU_TST(suffix, VT, ET, N)                                     \
-  inline simdcv::neon_emu_detail::VTraits<VT>::uvec vtst_##suffix(VT a, VT b) { \
-    return simdcv::neon_emu_detail::cmp(                                      \
-        a, b, [](ET x, ET y) { return (x & y) != 0; });                       \
-  }
 #define SIMDCV_EMU_TSTQ(suffix, VT, ET, N)                                    \
   inline simdcv::neon_emu_detail::VTraits<VT>::uvec vtstq_##suffix(VT a, VT b) { \
     return simdcv::neon_emu_detail::cmp(                                      \
         a, b, [](ET x, ET y) { return (x & y) != 0; });                       \
   }
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_TST)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_TSTQ)
-#undef SIMDCV_EMU_TST
 #undef SIMDCV_EMU_TSTQ
 
 // ---- logical: and, orr, eor, bic, orn, mvn -----------------------------------
-#define SIMDCV_EMU_LOGIC(suffix, VT, ET, N)                                   \
-  inline VT vand_##suffix(VT a, VT b) { return a & b; }                       \
-  inline VT vorr_##suffix(VT a, VT b) { return a | b; }                       \
-  inline VT veor_##suffix(VT a, VT b) { return a ^ b; }                       \
-  inline VT vbic_##suffix(VT a, VT b) { return a & ~b; }                      \
-  inline VT vorn_##suffix(VT a, VT b) { return a | ~b; }                      \
-  inline VT vmvn_##suffix(VT a) { return ~a; }
 #define SIMDCV_EMU_LOGICQ(suffix, VT, ET, N)                                  \
   inline VT vandq_##suffix(VT a, VT b) { return a & b; }                      \
   inline VT vorrq_##suffix(VT a, VT b) { return a | b; }                      \
@@ -107,37 +59,19 @@ SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_TSTQ)
   inline VT vornq_##suffix(VT a, VT b) { return a | ~b; }                     \
   inline VT vmvnq_##suffix(VT a) { return ~a; }
 
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_LOGIC)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_LOGICQ)
 // vmvn does not exist for 64-bit lanes in NEON; and/orr/eor do.
-#define SIMDCV_EMU_LOGIC64(suffix, VT, ET, N)                                 \
-  inline VT vand_##suffix(VT a, VT b) { return a & b; }                       \
-  inline VT vorr_##suffix(VT a, VT b) { return a | b; }                       \
-  inline VT veor_##suffix(VT a, VT b) { return a ^ b; }                       \
-  inline VT vbic_##suffix(VT a, VT b) { return a & ~b; }                      \
-  inline VT vorn_##suffix(VT a, VT b) { return a | ~b; }
 #define SIMDCV_EMU_LOGIC64Q(suffix, VT, ET, N)                                \
   inline VT vandq_##suffix(VT a, VT b) { return a & b; }                      \
   inline VT vorrq_##suffix(VT a, VT b) { return a | b; }                      \
   inline VT veorq_##suffix(VT a, VT b) { return a ^ b; }                      \
   inline VT vbicq_##suffix(VT a, VT b) { return a & ~b; }                     \
   inline VT vornq_##suffix(VT a, VT b) { return a | ~b; }
-SIMDCV_EMU_FOR_INT64_D(SIMDCV_EMU_LOGIC64)
 SIMDCV_EMU_FOR_INT64_Q(SIMDCV_EMU_LOGIC64Q)
-#undef SIMDCV_EMU_LOGIC
 #undef SIMDCV_EMU_LOGICQ
-#undef SIMDCV_EMU_LOGIC64
 #undef SIMDCV_EMU_LOGIC64Q
 
 // ---- bitwise select: r = (mask & a) | (~mask & b) -----------------------------
-#define SIMDCV_EMU_BSL(suffix, VT, ET, N)                                     \
-  inline VT vbsl_##suffix(typename simdcv::neon_emu_detail::VTraits<VT>::uvec m, \
-                          VT a, VT b) {                                       \
-    using D = simdcv::neon_emu_detail::VTraits<VT>::uvec;                     \
-    const D ua = simdcv::neon_emu_detail::bitcast<D>(a);                      \
-    const D ub = simdcv::neon_emu_detail::bitcast<D>(b);                      \
-    return simdcv::neon_emu_detail::bitcast<VT>((m & ua) | (~m & ub));        \
-  }
 #define SIMDCV_EMU_BSLQ(suffix, VT, ET, N)                                    \
   inline VT vbslq_##suffix(typename simdcv::neon_emu_detail::VTraits<VT>::uvec m, \
                            VT a, VT b) {                                      \
@@ -147,25 +81,14 @@ SIMDCV_EMU_FOR_INT64_Q(SIMDCV_EMU_LOGIC64Q)
     return simdcv::neon_emu_detail::bitcast<VT>((m & ua) | (~m & ub));        \
   }
 
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_BSL)
-SIMDCV_EMU_FOR_INT64_D(SIMDCV_EMU_BSL)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_BSL)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_BSLQ)
-SIMDCV_EMU_FOR_INT64_Q(SIMDCV_EMU_BSLQ)
 SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_BSLQ)
-#undef SIMDCV_EMU_BSL
 #undef SIMDCV_EMU_BSLQ
 
 // ---- bit counting ---------------------------------------------------------------
 inline uint8x16_t vcntq_u8(uint8x16_t a) {
   return simdcv::neon_emu_detail::map1(a, [](std::uint8_t x) {
     return static_cast<std::uint8_t>(__builtin_popcount(x));
-  });
-}
-inline int8x16_t vcntq_s8(int8x16_t a) {
-  return simdcv::neon_emu_detail::map1(a, [](std::int8_t x) {
-    return static_cast<std::int8_t>(
-        __builtin_popcount(static_cast<std::uint8_t>(x)));
   });
 }
 inline uint8x8_t vcnt_u8(uint8x8_t a) {
@@ -183,11 +106,6 @@ inline uint8x8_t vcnt_u8(uint8x8_t a) {
                                     : __builtin_clz(u) - (32 - (BITS)));      \
     });                                                                       \
   }
-SIMDCV_EMU_CLZ(s8, int8x8_t, std::int8_t, 8, 8)
-SIMDCV_EMU_CLZ(u8, uint8x8_t, std::uint8_t, 8, 8)
-SIMDCV_EMU_CLZ(s16, int16x4_t, std::int16_t, 4, 16)
-SIMDCV_EMU_CLZ(u16, uint16x4_t, std::uint16_t, 4, 16)
-SIMDCV_EMU_CLZ(s32, int32x2_t, std::int32_t, 2, 32)
 SIMDCV_EMU_CLZ(u32, uint32x2_t, std::uint32_t, 2, 32)
 #undef SIMDCV_EMU_CLZ
 
@@ -200,10 +118,7 @@ SIMDCV_EMU_CLZ(u32, uint32x2_t, std::uint32_t, 2, 32)
                                     : __builtin_clz(u) - (32 - (BITS)));      \
     });                                                                       \
   }
-SIMDCV_EMU_CLZQ(s8, int8x16_t, std::int8_t, 16, 8)
 SIMDCV_EMU_CLZQ(u8, uint8x16_t, std::uint8_t, 16, 8)
-SIMDCV_EMU_CLZQ(s16, int16x8_t, std::int16_t, 8, 16)
 SIMDCV_EMU_CLZQ(u16, uint16x8_t, std::uint16_t, 8, 16)
 SIMDCV_EMU_CLZQ(s32, int32x4_t, std::int32_t, 4, 32)
-SIMDCV_EMU_CLZQ(u32, uint32x4_t, std::uint32_t, 4, 32)
 #undef SIMDCV_EMU_CLZQ

@@ -12,23 +12,11 @@
 #define SIMDCV_EMU_LDQ_DUP(suffix, VT, ET, N)                                 \
   inline VT vld1q_dup_##suffix(const ET* p) { return vdupq_n_##suffix(*p); }
 SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_LD_DUP)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_LD_DUP)
-SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_LDQ_DUP)
 SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_LDQ_DUP)
 #undef SIMDCV_EMU_LD_DUP
 #undef SIMDCV_EMU_LDQ_DUP
 
 // ---- vld1_lane / vst1_lane: load/store a single lane ----------------------------
-#define SIMDCV_EMU_LD_LANE(suffix, VT, ET, N)                                 \
-  inline VT vld1_lane_##suffix(const ET* p, VT v, int lane) {                 \
-    assert(lane >= 0 && lane < (N));                                          \
-    v[lane] = *p;                                                             \
-    return v;                                                                 \
-  }                                                                           \
-  inline void vst1_lane_##suffix(ET* p, VT v, int lane) {                     \
-    assert(lane >= 0 && lane < (N));                                          \
-    *p = v[lane];                                                             \
-  }
 #define SIMDCV_EMU_LDQ_LANE(suffix, VT, ET, N)                                \
   inline VT vld1q_lane_##suffix(const ET* p, VT v, int lane) {                \
     assert(lane >= 0 && lane < (N));                                          \
@@ -39,11 +27,7 @@ SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_LDQ_DUP)
     assert(lane >= 0 && lane < (N));                                          \
     *p = v[lane];                                                             \
   }
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_LD_LANE)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_LD_LANE)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_LDQ_LANE)
-SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_LDQ_LANE)
-#undef SIMDCV_EMU_LD_LANE
 #undef SIMDCV_EMU_LDQ_LANE
 
 // ---- vcreate: build a D register from a 64-bit literal --------------------------
@@ -52,8 +36,6 @@ SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_LDQ_LANE)
     return simdcv::neon_emu_detail::bitcast<VT>(bits);                        \
   }
 SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_CREATE)
-SIMDCV_EMU_FOR_INT64_D(SIMDCV_EMU_CREATE)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_CREATE)
 #undef SIMDCV_EMU_CREATE
 
 // ---- vqneg: saturating negate (INT_MIN -> INT_MAX) ------------------------------
@@ -64,12 +46,9 @@ SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_CREATE)
       return simdcv::neon_emu_detail::sat<ET>(-static_cast<W>(x));            \
     });                                                                       \
   }
-SIMDCV_EMU_QNEG(vqneg, s8, int8x8_t, std::int8_t)
-SIMDCV_EMU_QNEG(vqneg, s16, int16x4_t, std::int16_t)
 SIMDCV_EMU_QNEG(vqneg, s32, int32x2_t, std::int32_t)
 SIMDCV_EMU_QNEG(vqnegq, s8, int8x16_t, std::int8_t)
 SIMDCV_EMU_QNEG(vqnegq, s16, int16x8_t, std::int16_t)
-SIMDCV_EMU_QNEG(vqnegq, s32, int32x4_t, std::int32_t)
 #undef SIMDCV_EMU_QNEG
 
 // ---- vqdmulh / vqrdmulh: saturating doubling multiply returning high half -------
@@ -87,14 +66,9 @@ SIMDCV_EMU_QNEG(vqnegq, s32, int32x4_t, std::int32_t)
       return simdcv::neon_emu_detail::sat<ET>(prod >> (BITS));                \
     });                                                                       \
   }
-SIMDCV_EMU_QDMULH(vqdmulh, s16, int16x4_t, std::int16_t, 16, false)
-SIMDCV_EMU_QDMULH(vqdmulh, s32, int32x2_t, std::int32_t, 32, false)
 SIMDCV_EMU_QDMULH(vqdmulhq, s16, int16x8_t, std::int16_t, 16, false)
 SIMDCV_EMU_QDMULH(vqdmulhq, s32, int32x4_t, std::int32_t, 32, false)
-SIMDCV_EMU_QDMULH(vqrdmulh, s16, int16x4_t, std::int16_t, 16, true)
-SIMDCV_EMU_QDMULH(vqrdmulh, s32, int32x2_t, std::int32_t, 32, true)
 SIMDCV_EMU_QDMULH(vqrdmulhq, s16, int16x8_t, std::int16_t, 16, true)
-SIMDCV_EMU_QDMULH(vqrdmulhq, s32, int32x4_t, std::int32_t, 32, true)
 #undef SIMDCV_EMU_QDMULH
 
 // ---- saturating doubling widening multiply: vqdmull ------------------------------
@@ -103,14 +77,6 @@ inline int32x4_t vqdmull_s16(int16x4_t a, int16x4_t b) {
   for (int i = 0; i < 4; ++i) {
     const std::int64_t p = 2ll * a[i] * b[i];
     r[i] = simdcv::neon_emu_detail::sat<std::int32_t>(p);
-  }
-  return r;
-}
-inline int64x2_t vqdmull_s32(int32x2_t a, int32x2_t b) {
-  int64x2_t r{};
-  for (int i = 0; i < 2; ++i) {
-    const __int128 p = static_cast<__int128>(2) * a[i] * b[i];
-    r[i] = simdcv::neon_emu_detail::sat<std::int64_t>(p);
   }
   return r;
 }
@@ -140,14 +106,9 @@ inline int64x2_t vqdmull_s32(int32x2_t a, int32x2_t b) {
     }                                                                         \
     return r;                                                                 \
   }
-#define SIMDCV_EMU_SLI_D(suffix, VT, ET, N) \
-  SIMDCV_EMU_SLI(vsli_n, suffix, VT, ET, N, true) \
-  SIMDCV_EMU_SLI(vsri_n, suffix, VT, ET, N, false)
 #define SIMDCV_EMU_SLI_Q(suffix, VT, ET, N) \
   SIMDCV_EMU_SLI(vsliq_n, suffix, VT, ET, N, true) \
   SIMDCV_EMU_SLI(vsriq_n, suffix, VT, ET, N, false)
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_SLI_D)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_SLI_Q)
 #undef SIMDCV_EMU_SLI
-#undef SIMDCV_EMU_SLI_D
 #undef SIMDCV_EMU_SLI_Q

@@ -5,14 +5,6 @@
 #include "simd/neon_emu_traits.hpp"
 
 // ---- vext: extract a vector from a pair at a lane offset ----------------------
-#define SIMDCV_EMU_EXT(suffix, VT, ET, N)                                     \
-  inline VT vext_##suffix(VT a, VT b, int n) {                                \
-    assert(n >= 0 && n < (N));                                                \
-    VT r{};                                                                   \
-    for (int i = 0; i < (N); ++i)                                             \
-      r[i] = (i + n < (N)) ? a[i + n] : b[i + n - (N)];                       \
-    return r;                                                                 \
-  }
 #define SIMDCV_EMU_EXTQ(suffix, VT, ET, N)                                    \
   inline VT vextq_##suffix(VT a, VT b, int n) {                               \
     assert(n >= 0 && n < (N));                                                \
@@ -21,11 +13,8 @@
       r[i] = (i + n < (N)) ? a[i + n] : b[i + n - (N)];                       \
     return r;                                                                 \
   }
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_EXT)
-SIMDCV_EMU_FOR_F32_D(SIMDCV_EMU_EXT)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_EXTQ)
 SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_EXTQ)
-#undef SIMDCV_EMU_EXT
 #undef SIMDCV_EMU_EXTQ
 
 // ---- reversals: vrev64 / vrev32 / vrev16 ---------------------------------------
@@ -41,31 +30,9 @@ SIMDCV_EMU_FOR_F32_Q(SIMDCV_EMU_EXTQ)
     return r;                                                                 \
   }
 
-SIMDCV_EMU_REV(vrev64, s8, int8x8_t, std::int8_t, 8, 64)
-SIMDCV_EMU_REV(vrev64, u8, uint8x8_t, std::uint8_t, 8, 64)
-SIMDCV_EMU_REV(vrev64, s16, int16x4_t, std::int16_t, 4, 64)
-SIMDCV_EMU_REV(vrev64, u16, uint16x4_t, std::uint16_t, 4, 64)
-SIMDCV_EMU_REV(vrev64, s32, int32x2_t, std::int32_t, 2, 64)
-SIMDCV_EMU_REV(vrev64, u32, uint32x2_t, std::uint32_t, 2, 64)
-SIMDCV_EMU_REV(vrev64, f32, float32x2_t, float, 2, 64)
-SIMDCV_EMU_REV(vrev64q, s8, int8x16_t, std::int8_t, 16, 64)
 SIMDCV_EMU_REV(vrev64q, u8, uint8x16_t, std::uint8_t, 16, 64)
 SIMDCV_EMU_REV(vrev64q, s16, int16x8_t, std::int16_t, 8, 64)
-SIMDCV_EMU_REV(vrev64q, u16, uint16x8_t, std::uint16_t, 8, 64)
-SIMDCV_EMU_REV(vrev64q, s32, int32x4_t, std::int32_t, 4, 64)
-SIMDCV_EMU_REV(vrev64q, u32, uint32x4_t, std::uint32_t, 4, 64)
-SIMDCV_EMU_REV(vrev64q, f32, float32x4_t, float, 4, 64)
-SIMDCV_EMU_REV(vrev32, s8, int8x8_t, std::int8_t, 8, 32)
-SIMDCV_EMU_REV(vrev32, u8, uint8x8_t, std::uint8_t, 8, 32)
-SIMDCV_EMU_REV(vrev32, s16, int16x4_t, std::int16_t, 4, 32)
-SIMDCV_EMU_REV(vrev32, u16, uint16x4_t, std::uint16_t, 4, 32)
-SIMDCV_EMU_REV(vrev32q, s8, int8x16_t, std::int8_t, 16, 32)
-SIMDCV_EMU_REV(vrev32q, u8, uint8x16_t, std::uint8_t, 16, 32)
-SIMDCV_EMU_REV(vrev32q, s16, int16x8_t, std::int16_t, 8, 32)
 SIMDCV_EMU_REV(vrev32q, u16, uint16x8_t, std::uint16_t, 8, 32)
-SIMDCV_EMU_REV(vrev16, s8, int8x8_t, std::int8_t, 8, 16)
-SIMDCV_EMU_REV(vrev16, u8, uint8x8_t, std::uint8_t, 8, 16)
-SIMDCV_EMU_REV(vrev16q, s8, int8x16_t, std::int8_t, 16, 16)
 SIMDCV_EMU_REV(vrev16q, u8, uint8x16_t, std::uint8_t, 16, 16)
 #undef SIMDCV_EMU_REV
 
@@ -102,13 +69,7 @@ SIMDCV_EMU_REV(vrev16q, u8, uint8x16_t, std::uint8_t, 16, 16)
     return r;                                                                 \
   }
 
-SIMDCV_EMU_ZIP(s8, int8x8_t, std::int8_t, 8, int8x8x2_t)
 SIMDCV_EMU_ZIP(u8, uint8x8_t, std::uint8_t, 8, uint8x8x2_t)
-SIMDCV_EMU_ZIP(s16, int16x4_t, std::int16_t, 4, int16x4x2_t)
-SIMDCV_EMU_ZIP(u16, uint16x4_t, std::uint16_t, 4, uint16x4x2_t)
-SIMDCV_EMU_ZIP(s32, int32x2_t, std::int32_t, 2, int32x2x2_t)
-SIMDCV_EMU_ZIP(u32, uint32x2_t, std::uint32_t, 2, uint32x2x2_t)
-SIMDCV_EMU_ZIP(f32, float32x2_t, float, 2, float32x2x2_t)
 
 #define SIMDCV_EMU_ZIPQ(suffix, VT, ET, N, X2)                                \
   inline X2 vzipq_##suffix(VT a, VT b) {                                      \
@@ -142,13 +103,8 @@ SIMDCV_EMU_ZIP(f32, float32x2_t, float, 2, float32x2x2_t)
     return r;                                                                 \
   }
 
-SIMDCV_EMU_ZIPQ(s8, int8x16_t, std::int8_t, 16, int8x16x2_t)
-SIMDCV_EMU_ZIPQ(u8, uint8x16_t, std::uint8_t, 16, uint8x16x2_t)
 SIMDCV_EMU_ZIPQ(s16, int16x8_t, std::int16_t, 8, int16x8x2_t)
-SIMDCV_EMU_ZIPQ(u16, uint16x8_t, std::uint16_t, 8, uint16x8x2_t)
 SIMDCV_EMU_ZIPQ(s32, int32x4_t, std::int32_t, 4, int32x4x2_t)
-SIMDCV_EMU_ZIPQ(u32, uint32x4_t, std::uint32_t, 4, uint32x4x2_t)
-SIMDCV_EMU_ZIPQ(f32, float32x4_t, float, 4, float32x4x2_t)
 #undef SIMDCV_EMU_ZIP
 #undef SIMDCV_EMU_ZIPQ
 
@@ -156,14 +112,6 @@ SIMDCV_EMU_ZIPQ(f32, float32x4_t, float, 4, float32x4x2_t)
 inline uint8x8_t vtbl1_u8(uint8x8_t table, uint8x8_t idx) {
   uint8x8_t r{};
   for (int i = 0; i < 8; ++i) r[i] = idx[i] < 8 ? table[idx[i]] : 0;
-  return r;
-}
-inline int8x8_t vtbl1_s8(int8x8_t table, int8x8_t idx) {
-  int8x8_t r{};
-  for (int i = 0; i < 8; ++i) {
-    const auto u = static_cast<std::uint8_t>(idx[i]);
-    r[i] = u < 8 ? table[u] : 0;
-  }
   return r;
 }
 inline uint8x8_t vtbl2_u8(uint8x8x2_t table, uint8x8_t idx) {
@@ -196,29 +144,12 @@ inline uint8x8_t vtbx1_u8(uint8x8_t acc, uint8x8_t table, uint8x8_t idx) {
     for (int i = 0; i < (NQ); ++i) r[i] = v[lane];                            \
     return r;                                                                 \
   }
-SIMDCV_EMU_DUP_LANE(s8, int8x8_t, int8x16_t, 8, 16)
-SIMDCV_EMU_DUP_LANE(u8, uint8x8_t, uint8x16_t, 8, 16)
 SIMDCV_EMU_DUP_LANE(s16, int16x4_t, int16x8_t, 4, 8)
-SIMDCV_EMU_DUP_LANE(u16, uint16x4_t, uint16x8_t, 4, 8)
-SIMDCV_EMU_DUP_LANE(s32, int32x2_t, int32x4_t, 2, 4)
-SIMDCV_EMU_DUP_LANE(u32, uint32x2_t, uint32x4_t, 2, 4)
-SIMDCV_EMU_DUP_LANE(f32, float32x2_t, float32x4_t, 2, 4)
 #undef SIMDCV_EMU_DUP_LANE
 
 // ---- interleaved structure loads / stores ---------------------------------------
 // vldK reads K-element records and splits them into K vectors (deinterleave);
 // vstK is the inverse. Provided for the types image kernels use.
-#define SIMDCV_EMU_LDST_INTERLEAVED(K, suffix, VT, ET, N, XK)                 \
-  inline XK vld##K##_##suffix(const ET* p) {                                  \
-    XK r{};                                                                   \
-    for (int i = 0; i < (N); ++i)                                             \
-      for (int k = 0; k < (K); ++k) r.val[k][i] = p[(K)*i + k];               \
-    return r;                                                                 \
-  }                                                                           \
-  inline void vst##K##_##suffix(ET* p, XK v) {                                \
-    for (int i = 0; i < (N); ++i)                                             \
-      for (int k = 0; k < (K); ++k) p[(K)*i + k] = v.val[k][i];               \
-  }
 #define SIMDCV_EMU_LDSTQ_INTERLEAVED(K, suffix, VT, ET, N, XK)                \
   inline XK vld##K##q_##suffix(const ET* p) {                                 \
     XK r{};                                                                   \
@@ -231,16 +162,7 @@ SIMDCV_EMU_DUP_LANE(f32, float32x2_t, float32x4_t, 2, 4)
       for (int k = 0; k < (K); ++k) p[(K)*i + k] = v.val[k][i];               \
   }
 
-SIMDCV_EMU_LDST_INTERLEAVED(2, u8, uint8x8_t, std::uint8_t, 8, uint8x8x2_t)
-SIMDCV_EMU_LDST_INTERLEAVED(3, u8, uint8x8_t, std::uint8_t, 8, uint8x8x3_t)
-SIMDCV_EMU_LDST_INTERLEAVED(4, u8, uint8x8_t, std::uint8_t, 8, uint8x8x4_t)
-SIMDCV_EMU_LDST_INTERLEAVED(2, f32, float32x2_t, float, 2, float32x2x2_t)
 SIMDCV_EMU_LDSTQ_INTERLEAVED(2, u8, uint8x16_t, std::uint8_t, 16, uint8x16x2_t)
 SIMDCV_EMU_LDSTQ_INTERLEAVED(3, u8, uint8x16_t, std::uint8_t, 16, uint8x16x3_t)
-SIMDCV_EMU_LDSTQ_INTERLEAVED(4, u8, uint8x16_t, std::uint8_t, 16, uint8x16x4_t)
-SIMDCV_EMU_LDSTQ_INTERLEAVED(2, s16, int16x8_t, std::int16_t, 8, int16x8x2_t)
-SIMDCV_EMU_LDSTQ_INTERLEAVED(2, f32, float32x4_t, float, 4, float32x4x2_t)
-SIMDCV_EMU_LDSTQ_INTERLEAVED(3, f32, float32x4_t, float, 4, float32x4x3_t)
 SIMDCV_EMU_LDSTQ_INTERLEAVED(4, f32, float32x4_t, float, 4, float32x4x4_t)
-#undef SIMDCV_EMU_LDST_INTERLEAVED
 #undef SIMDCV_EMU_LDSTQ_INTERLEAVED

@@ -18,35 +18,6 @@
 // NEON allows shift counts 1..bits for right shifts and 0..bits-1 for left;
 // we assert the union of those ranges. Right shift of signed lanes is
 // arithmetic, of unsigned lanes logical, as the element type dictates.
-#define SIMDCV_EMU_SHIFT_N(suffix, VT, ET, N)                                 \
-  inline VT vshl_n_##suffix(VT a, int n) {                                    \
-    assert(n >= 0 && n < static_cast<int>(8 * sizeof(ET)));                   \
-    return simdcv::neon_emu_detail::map1(                                     \
-        a, [n](ET x) { return static_cast<ET>(x << n); });                    \
-  }                                                                           \
-  inline VT vshr_n_##suffix(VT a, int n) {                                    \
-    assert(n >= 1 && n <= static_cast<int>(8 * sizeof(ET)));                  \
-    const int eff = n >= static_cast<int>(8 * sizeof(ET))                     \
-                        ? static_cast<int>(8 * sizeof(ET)) - 1                \
-                        : n;                                                  \
-    if (n >= static_cast<int>(8 * sizeof(ET)) && !std::is_signed_v<ET>)       \
-      return VT{};                                                            \
-    return simdcv::neon_emu_detail::map1(                                     \
-        a, [eff](ET x) { return static_cast<ET>(x >> eff); });                \
-  }                                                                           \
-  inline VT vrshr_n_##suffix(VT a, int n) {                                   \
-    assert(n >= 1 && n <= static_cast<int>(8 * sizeof(ET)));                  \
-    using W = simdcv::neon_emu_detail::Wider_t<ET>;                           \
-    return simdcv::neon_emu_detail::map1(a, [n](ET x) {                       \
-      return static_cast<ET>((static_cast<W>(x) + (W{1} << (n - 1))) >> n);   \
-    });                                                                       \
-  }                                                                           \
-  inline VT vsra_n_##suffix(VT acc, VT a, int n) {                            \
-    return acc + vshr_n_##suffix(a, n);                                       \
-  }                                                                           \
-  inline VT vrsra_n_##suffix(VT acc, VT a, int n) {                           \
-    return acc + vrshr_n_##suffix(a, n);                                      \
-  }
 #define SIMDCV_EMU_SHIFTQ_N(suffix, VT, ET, N)                                \
   inline VT vshlq_n_##suffix(VT a, int n) {                                   \
     assert(n >= 0 && n < static_cast<int>(8 * sizeof(ET)));                   \
@@ -77,39 +48,10 @@
     return acc + vrshrq_n_##suffix(a, n);                                     \
   }
 
-SIMDCV_EMU_FOR_INT_D(SIMDCV_EMU_SHIFT_N)
 SIMDCV_EMU_FOR_INT_Q(SIMDCV_EMU_SHIFTQ_N)
-#undef SIMDCV_EMU_SHIFT_N
 #undef SIMDCV_EMU_SHIFTQ_N
 
 // ---- shift by signed vector (vshl): negative counts shift right ---------------
-#define SIMDCV_EMU_VSHL(suffix, VT, ET, N, SVT)                               \
-  inline VT vshl_##suffix(VT a, SVT count) {                                  \
-    VT r{};                                                                   \
-    constexpr int bits = static_cast<int>(8 * sizeof(ET));                    \
-    for (int i = 0; i < (N); ++i) {                                           \
-      const int c = static_cast<int>(                                         \
-          static_cast<std::int8_t>(count[i] & 0xff));                         \
-      if (c >= bits) {                                                        \
-        r[i] = 0;                                                             \
-      } else if (c >= 0) {                                                    \
-        r[i] = static_cast<ET>(a[i] << c);                                    \
-      } else if (c > -bits) {                                                 \
-        r[i] = static_cast<ET>(a[i] >> -c);                                   \
-      } else {                                                                \
-        r[i] = static_cast<ET>(std::is_signed_v<ET> ? (a[i] >> (bits - 1)) : 0); \
-      }                                                                       \
-    }                                                                         \
-    return r;                                                                 \
-  }
-SIMDCV_EMU_VSHL(s8, int8x8_t, std::int8_t, 8, int8x8_t)
-SIMDCV_EMU_VSHL(u8, uint8x8_t, std::uint8_t, 8, int8x8_t)
-SIMDCV_EMU_VSHL(s16, int16x4_t, std::int16_t, 4, int16x4_t)
-SIMDCV_EMU_VSHL(u16, uint16x4_t, std::uint16_t, 4, int16x4_t)
-SIMDCV_EMU_VSHL(s32, int32x2_t, std::int32_t, 2, int32x2_t)
-SIMDCV_EMU_VSHL(u32, uint32x2_t, std::uint32_t, 2, int32x2_t)
-#undef SIMDCV_EMU_VSHL
-
 #define SIMDCV_EMU_VSHLQ(suffix, VT, ET, N, SVT)                              \
   inline VT vshlq_##suffix(VT a, SVT count) {                                 \
     VT r{};                                                                   \
@@ -129,12 +71,8 @@ SIMDCV_EMU_VSHL(u32, uint32x2_t, std::uint32_t, 2, int32x2_t)
     }                                                                         \
     return r;                                                                 \
   }
-SIMDCV_EMU_VSHLQ(s8, int8x16_t, std::int8_t, 16, int8x16_t)
-SIMDCV_EMU_VSHLQ(u8, uint8x16_t, std::uint8_t, 16, int8x16_t)
 SIMDCV_EMU_VSHLQ(s16, int16x8_t, std::int16_t, 8, int16x8_t)
 SIMDCV_EMU_VSHLQ(u16, uint16x8_t, std::uint16_t, 8, int16x8_t)
-SIMDCV_EMU_VSHLQ(s32, int32x4_t, std::int32_t, 4, int32x4_t)
-SIMDCV_EMU_VSHLQ(u32, uint32x4_t, std::uint32_t, 4, int32x4_t)
 #undef SIMDCV_EMU_VSHLQ
 
 // ---- widening shift left: vshll_n ---------------------------------------------
@@ -191,8 +129,6 @@ SIMDCV_EMU_FOR_NARROW(SIMDCV_EMU_MOVN)
     return r;                                                                 \
   }
 SIMDCV_EMU_QMOVUN(u8, uint8x8_t, s16, int16x8_t, std::uint8_t, std::int16_t, 8)
-SIMDCV_EMU_QMOVUN(u16, uint16x4_t, s32, int32x4_t, std::uint16_t, std::int32_t, 4)
-SIMDCV_EMU_QMOVUN(u32, uint32x2_t, s64, int64x2_t, std::uint32_t, std::int64_t, 2)
 #undef SIMDCV_EMU_QMOVUN
 
 // Saturating narrowing right shifts (used by fixed-point filter kernels).
@@ -220,14 +156,6 @@ inline uint8x8_t vqrshrun_n_s16(int16x8_t a, int n) {
   for (int i = 0; i < 8; ++i)
     r[i] = simdcv::neon_emu_detail::sat<std::uint8_t>(
         (a[i] + (std::int16_t{1} << (n - 1))) >> n);
-  return r;
-}
-inline uint16x4_t vqrshrun_n_s32(int32x4_t a, int n) {
-  assert(n >= 1 && n <= 16);
-  uint16x4_t r{};
-  for (int i = 0; i < 4; ++i)
-    r[i] = simdcv::neon_emu_detail::sat<std::uint16_t>(
-        (a[i] + (std::int32_t{1} << (n - 1))) >> n);
   return r;
 }
 
@@ -258,25 +186,9 @@ inline int32x4_t vcvtq_s32_f32(float32x4_t a) {
 #endif
 }
 
-inline int32x2_t vcvt_s32_f32(float32x2_t a) {
-  return simdcv::neon_emu_detail::mapTo<int32x2_t>(a, [](float x) -> std::int32_t {
-    if (x != x) return 0;
-    if (x >= 2147483648.0f) return 2147483647;
-    if (x <= -2147483648.0f) return std::numeric_limits<std::int32_t>::min();
-    return static_cast<std::int32_t>(x);
-  });
-}
-
 inline uint32x4_t vcvtq_u32_f32(float32x4_t a) {
   return simdcv::neon_emu_detail::mapTo<uint32x4_t>(a, [](float x) -> std::uint32_t {
     if (!(x > 0.0f)) return 0;  // negatives and NaN saturate to 0
-    if (x >= 4294967296.0f) return 4294967295u;
-    return static_cast<std::uint32_t>(x);
-  });
-}
-inline uint32x2_t vcvt_u32_f32(float32x2_t a) {
-  return simdcv::neon_emu_detail::mapTo<uint32x2_t>(a, [](float x) -> std::uint32_t {
-    if (!(x > 0.0f)) return 0;
     if (x >= 4294967296.0f) return 4294967295u;
     return static_cast<std::uint32_t>(x);
   });
@@ -291,16 +203,8 @@ inline float32x4_t vcvtq_f32_s32(int32x4_t a) {
       a, [](std::int32_t x) { return static_cast<float>(x); });
 #endif
 }
-inline float32x2_t vcvt_f32_s32(int32x2_t a) {
-  return simdcv::neon_emu_detail::mapTo<float32x2_t>(
-      a, [](std::int32_t x) { return static_cast<float>(x); });
-}
 inline float32x4_t vcvtq_f32_u32(uint32x4_t a) {
   return simdcv::neon_emu_detail::mapTo<float32x4_t>(
-      a, [](std::uint32_t x) { return static_cast<float>(x); });
-}
-inline float32x2_t vcvt_f32_u32(uint32x2_t a) {
-  return simdcv::neon_emu_detail::mapTo<float32x2_t>(
       a, [](std::uint32_t x) { return static_cast<float>(x); });
 }
 
@@ -329,11 +233,6 @@ inline float32x4_t vcvtq_n_f32_s32(int32x4_t a, int n) {
   assert(n >= 1 && n <= 32);
   const float scale = 1.0f / static_cast<float>(1ull << n);
   return vcvtq_f32_s32(a) * vdupq_n_f32(scale);
-}
-inline float32x4_t vcvtq_n_f32_u32(uint32x4_t a, int n) {
-  assert(n >= 1 && n <= 32);
-  const float scale = 1.0f / static_cast<float>(1ull << n);
-  return vcvtq_f32_u32(a) * vdupq_n_f32(scale);
 }
 inline int32x4_t vcvtq_n_s32_f32(float32x4_t a, int n) {
   assert(n >= 1 && n <= 32);

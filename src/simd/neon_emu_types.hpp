@@ -120,12 +120,7 @@ inline float32x4_t from_m128(__m128 v) { return bitcast<float32x4_t>(v); }
 
 SIMDCV_EMU_LDST(s8, int8x8_t, std::int8_t)
 SIMDCV_EMU_LDST(s16, int16x4_t, std::int16_t)
-SIMDCV_EMU_LDST(s32, int32x2_t, std::int32_t)
-SIMDCV_EMU_LDST(s64, int64x1_t, std::int64_t)
 SIMDCV_EMU_LDST(u8, uint8x8_t, std::uint8_t)
-SIMDCV_EMU_LDST(u16, uint16x4_t, std::uint16_t)
-SIMDCV_EMU_LDST(u32, uint32x2_t, std::uint32_t)
-SIMDCV_EMU_LDST(u64, uint64x1_t, std::uint64_t)
 SIMDCV_EMU_LDST(f32, float32x2_t, float32_t)
 SIMDCV_EMU_LDSTQ(s8, int8x16_t, std::int8_t)
 SIMDCV_EMU_LDSTQ(s16, int16x8_t, std::int16_t)
@@ -134,7 +129,6 @@ SIMDCV_EMU_LDSTQ(s64, int64x2_t, std::int64_t)
 SIMDCV_EMU_LDSTQ(u8, uint8x16_t, std::uint8_t)
 SIMDCV_EMU_LDSTQ(u16, uint16x8_t, std::uint16_t)
 SIMDCV_EMU_LDSTQ(u32, uint32x4_t, std::uint32_t)
-SIMDCV_EMU_LDSTQ(u64, uint64x2_t, std::uint64_t)
 SIMDCV_EMU_LDSTQ(f32, float32x4_t, float32_t)
 #undef SIMDCV_EMU_LDST
 #undef SIMDCV_EMU_LDSTQ
@@ -161,16 +155,13 @@ SIMDCV_EMU_LDSTQ(f32, float32x4_t, float32_t)
 SIMDCV_EMU_DUP(s8, int8x8_t, std::int8_t, 8)
 SIMDCV_EMU_DUP(s16, int16x4_t, std::int16_t, 4)
 SIMDCV_EMU_DUP(s32, int32x2_t, std::int32_t, 2)
-SIMDCV_EMU_DUP(s64, int64x1_t, std::int64_t, 1)
 SIMDCV_EMU_DUP(u8, uint8x8_t, std::uint8_t, 8)
 SIMDCV_EMU_DUP(u16, uint16x4_t, std::uint16_t, 4)
 SIMDCV_EMU_DUP(u32, uint32x2_t, std::uint32_t, 2)
-SIMDCV_EMU_DUP(u64, uint64x1_t, std::uint64_t, 1)
 SIMDCV_EMU_DUP(f32, float32x2_t, float32_t, 2)
 SIMDCV_EMU_DUPQ(s8, int8x16_t, std::int8_t, 16)
 SIMDCV_EMU_DUPQ(s16, int16x8_t, std::int16_t, 8)
 SIMDCV_EMU_DUPQ(s32, int32x4_t, std::int32_t, 4)
-SIMDCV_EMU_DUPQ(s64, int64x2_t, std::int64_t, 2)
 SIMDCV_EMU_DUPQ(u8, uint8x16_t, std::uint8_t, 16)
 SIMDCV_EMU_DUPQ(u16, uint16x8_t, std::uint16_t, 8)
 SIMDCV_EMU_DUPQ(u32, uint32x4_t, std::uint32_t, 4)
@@ -204,19 +195,14 @@ SIMDCV_EMU_DUPQ(f32, float32x4_t, float32_t, 4)
     return v;                                                             \
   }
 
-SIMDCV_EMU_LANE(s8, int8x8_t, std::int8_t, 8)
 SIMDCV_EMU_LANE(s16, int16x4_t, std::int16_t, 4)
 SIMDCV_EMU_LANE(s32, int32x2_t, std::int32_t, 2)
-SIMDCV_EMU_LANE(s64, int64x1_t, std::int64_t, 1)
 SIMDCV_EMU_LANE(u8, uint8x8_t, std::uint8_t, 8)
-SIMDCV_EMU_LANE(u16, uint16x4_t, std::uint16_t, 4)
 SIMDCV_EMU_LANE(u32, uint32x2_t, std::uint32_t, 2)
-SIMDCV_EMU_LANE(u64, uint64x1_t, std::uint64_t, 1)
 SIMDCV_EMU_LANE(f32, float32x2_t, float32_t, 2)
 SIMDCV_EMU_LANEQ(s8, int8x16_t, std::int8_t, 16)
 SIMDCV_EMU_LANEQ(s16, int16x8_t, std::int16_t, 8)
 SIMDCV_EMU_LANEQ(s32, int32x4_t, std::int32_t, 4)
-SIMDCV_EMU_LANEQ(s64, int64x2_t, std::int64_t, 2)
 SIMDCV_EMU_LANEQ(u8, uint8x16_t, std::uint8_t, 16)
 SIMDCV_EMU_LANEQ(u16, uint16x8_t, std::uint16_t, 8)
 SIMDCV_EMU_LANEQ(u32, uint32x4_t, std::uint32_t, 4)
@@ -248,15 +234,10 @@ SIMDCV_EMU_LANEQ(f32, float32x4_t, float32_t, 4)
     return r;                                                       \
   }
 
-SIMDCV_EMU_COMBINE(s8, int8x8_t, int8x16_t, 8)
 SIMDCV_EMU_COMBINE(s16, int16x4_t, int16x8_t, 4)
-SIMDCV_EMU_COMBINE(s32, int32x2_t, int32x4_t, 2)
-SIMDCV_EMU_COMBINE(s64, int64x1_t, int64x2_t, 1)
 SIMDCV_EMU_COMBINE(u8, uint8x8_t, uint8x16_t, 8)
 SIMDCV_EMU_COMBINE(u16, uint16x4_t, uint16x8_t, 4)
 SIMDCV_EMU_COMBINE(u32, uint32x2_t, uint32x4_t, 2)
-SIMDCV_EMU_COMBINE(u64, uint64x1_t, uint64x2_t, 1)
-SIMDCV_EMU_COMBINE(f32, float32x2_t, float32x4_t, 2)
 #undef SIMDCV_EMU_COMBINE
 
 // =============================================================================
@@ -295,23 +276,13 @@ SIMDCV_EMU_COMBINE(f32, float32x2_t, float32x4_t, 2)
   SIMDCV_EMU_REINTERP_ONE_Q(dsuf, DT, u64, uint64x2_t)    \
   SIMDCV_EMU_REINTERP_ONE_Q(dsuf, DT, f32, float32x4_t)
 
-SIMDCV_EMU_REINTERP_ROW(s8, int8x8_t)
-SIMDCV_EMU_REINTERP_ROW(s16, int16x4_t)
-SIMDCV_EMU_REINTERP_ROW(s32, int32x2_t)
-SIMDCV_EMU_REINTERP_ROW(s64, int64x1_t)
 SIMDCV_EMU_REINTERP_ROW(u8, uint8x8_t)
-SIMDCV_EMU_REINTERP_ROW(u16, uint16x4_t)
-SIMDCV_EMU_REINTERP_ROW(u32, uint32x2_t)
-SIMDCV_EMU_REINTERP_ROW(u64, uint64x1_t)
-SIMDCV_EMU_REINTERP_ROW(f32, float32x2_t)
 SIMDCV_EMU_REINTERP_ROW_Q(s8, int8x16_t)
 SIMDCV_EMU_REINTERP_ROW_Q(s16, int16x8_t)
 SIMDCV_EMU_REINTERP_ROW_Q(s32, int32x4_t)
-SIMDCV_EMU_REINTERP_ROW_Q(s64, int64x2_t)
 SIMDCV_EMU_REINTERP_ROW_Q(u8, uint8x16_t)
 SIMDCV_EMU_REINTERP_ROW_Q(u16, uint16x8_t)
 SIMDCV_EMU_REINTERP_ROW_Q(u32, uint32x4_t)
-SIMDCV_EMU_REINTERP_ROW_Q(u64, uint64x2_t)
 SIMDCV_EMU_REINTERP_ROW_Q(f32, float32x4_t)
 #undef SIMDCV_EMU_REINTERP_ONE
 #undef SIMDCV_EMU_REINTERP_ONE_Q

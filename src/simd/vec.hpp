@@ -3,17 +3,19 @@
 //
 // Each hot kernel family is written ONCE as a template over a VecTraits
 // backend (see the *_kernels.inl bodies next to each family) and
-// instantiated per backend in that backend's sole -m-flagged translation
-// unit. The traits expose a fixed op vocabulary (lane counts, load/store,
-// widen/narrow, saturating ops, order-correct packs) with identical
-// semantics at every width, so one body is bit-exact across backends by
-// construction.
+// instantiated per backend: each x86 width in its sole -m-flagged
+// translation unit, NEON next to the SSE2 instantiation's home. The traits
+// expose a fixed op vocabulary (lane counts, load/store, widen/narrow,
+// saturating ops, order-correct packs) with identical semantics at every
+// width, so one body is bit-exact across backends by construction.
 //
 // This header is ISA-free: it defines the tags, the primary template and
 // the byte tables the x86 traits share.
 // The per-backend specializations live in vec_sse2.hpp / vec_avx2.hpp /
-// vec_avx512.hpp and may ONLY be included from translation units compiled
-// with that backend's -m flags (the TU isolation rule — see DESIGN.md §15).
+// vec_avx512.hpp / vec_neon.hpp. The x86 ones may ONLY be included from
+// translation units compiled with that backend's -m flags (the TU isolation
+// rule — see DESIGN.md §15); vec_neon.hpp compiles anywhere (on x86 through
+// the intrinsic emulation).
 #pragma once
 
 namespace simdcv::simd {
@@ -26,6 +28,9 @@ struct Avx2 {};
 /// 512-bit x86 (F+BW+DQ+VL); TUs compiled -mavx512*, runtime-guarded
 /// including the XGETBV zmm-state check.
 struct Avx512 {};
+/// 128-bit ARM NEON (AArch64); on other hosts the intrinsic emulation runs
+/// the same trait code.
+struct Neon {};
 }  // namespace backend
 
 /// Per-backend SIMD capability traits. Specializations provide:
@@ -37,15 +42,17 @@ struct Avx512 {};
 ///   s32        cvtF32toS32Sat (NaN->0, +overflow->INT_MAX fixups baked in)
 ///              cvtS32toF32
 ///   widen      loadU8AsS32 loadS16AsS32 loadU8AsS16 (zero/sign extend)
-///   f64        vf64, f64_lanes (= bits/64), vf64x2 {lo, hi} = f32_lanes
-///              doubles in element order; setF64 addF64 mulF64 minF64
-///              maxF64; loadU8AsF64 loadS16AsF64 loadF32AsF64 (exact
-///              widens); cvtF64toS32Sat (round-half-even, NaN->0, clamped
-///              to the s32 rails before converting — saturate_cast<int32_t>
-///              of a double); cvtF64toF32 (static_cast<float> rounding)
+///   f64        (x86 only; NEON has none) vf64, f64_lanes (= bits/64),
+///              vf64x2 {lo, hi} = f32_lanes doubles in element order;
+///              setF64 addF64 mulF64 minF64 maxF64; loadU8AsF64
+///              loadS16AsF64 loadF32AsF64 (exact widens); cvtF64toS32Sat
+///              (round-half-even, NaN->0, clamped to the s32 rails before
+///              converting — saturate_cast<int32_t> of a double);
+///              cvtF64toF32 (static_cast<float> rounding)
 ///   s16/u16    loadS16 storeS16 setS16 zeroS16 addS16 subS16 (both
 ///              wrapping) addSatS16 subSatS16 mulLoS16 minS16 maxS16
-///              cmpGtS16 (signed) shrLogU16<imm>; maddPairS16(a, b,
+///              cmpGtS16 (signed) andS16 andNotS16 (typed selects)
+///              shrLogU16<imm>; maddPairS16(a, b,
 ///              wa, wb) -> vs32x2 {lo, hi} = a[i]*wa + b[i]*wb in element
 ///              order (pairwise multiply-add, PMADDWD on zipped pairs)
 ///   s32        addS32 shrS32<imm> (arithmetic)
@@ -64,8 +71,10 @@ struct Avx512 {};
 /// yields a vu8 mask, cmpGtS16 a vs16 mask, cmpGtF32 a vf32 mask) so select
 /// idioms written as and/andNot work identically on every backend,
 /// including AVX-512 where the trait converts the native k-mask back to a
-/// vector. vs16 and vu8 are the same integer register type on every x86
-/// backend, so the u8 bitwise ops (andU8, andNotU8) select s16 lanes too.
+/// vector. Selects are typed: s16 lanes go through andS16/andNotS16 and u8
+/// lanes through andU8/andNotU8. On x86 both are the same instruction on
+/// one register type, but NEON's int16x8_t is not its uint8x16_t, so a
+/// body that mixes them does not compile at Neon.
 template <class Backend>
 struct VecTraits;
 

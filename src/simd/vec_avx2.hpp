@@ -144,6 +144,9 @@ struct VecTraits<backend::Avx2> {
   static vs16 minS16(vs16 a, vs16 b) { return _mm256_min_epi16(a, b); }
   static vs16 maxS16(vs16 a, vs16 b) { return _mm256_max_epi16(a, b); }
   static vs16 cmpGtS16(vs16 a, vs16 b) { return _mm256_cmpgt_epi16(a, b); }
+  /// Typed s16 selects: mask & v and ~mask & v.
+  static vs16 andS16(vs16 mask, vs16 v) { return _mm256_and_si256(mask, v); }
+  static vs16 andNotS16(vs16 mask, vs16 v) { return _mm256_andnot_si256(mask, v); }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm256_srli_epi16(v, Imm); }
   /// Same contract as the SSE2 trait. vpunpck*wd interleaves within 128-bit

@@ -154,6 +154,9 @@ struct VecTraits<backend::Avx512> {
   static vs16 cmpGtS16(vs16 a, vs16 b) {
     return _mm512_movm_epi16(_mm512_cmpgt_epi16_mask(a, b));
   }
+  /// Typed s16 selects: mask & v and ~mask & v.
+  static vs16 andS16(vs16 mask, vs16 v) { return _mm512_and_si512(mask, v); }
+  static vs16 andNotS16(vs16 mask, vs16 v) { return _mm512_andnot_si512(mask, v); }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm512_srli_epi16(v, Imm); }
   /// Same contract as the SSE2 trait. The 64-bit quarters go

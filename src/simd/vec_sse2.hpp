@@ -162,6 +162,9 @@ struct VecTraits<backend::Sse2> {
   static vs16 maxS16(vs16 a, vs16 b) { return _mm_max_epi16(a, b); }
   /// Signed a > b as an all-ones/all-zeros s16-lane mask.
   static vs16 cmpGtS16(vs16 a, vs16 b) { return _mm_cmpgt_epi16(a, b); }
+  /// Typed s16 selects: mask & v and ~mask & v.
+  static vs16 andS16(vs16 mask, vs16 v) { return _mm_and_si128(mask, v); }
+  static vs16 andNotS16(vs16 mask, vs16 v) { return _mm_andnot_si128(mask, v); }
   template <int Imm>
   static vs16 shrLogU16(vs16 v) { return _mm_srli_epi16(v, Imm); }
   /// s16_lanes pairs (a[i], b[i]) times (wa, wb), summed into s32 lanes:

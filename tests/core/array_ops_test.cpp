@@ -13,8 +13,7 @@ namespace simdcv::core {
 namespace {
 
 std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Neon};
+  return caps::availablePaths();
 }
 
 Mat randomMat(Depth d, int rows, int cols, unsigned seed) {

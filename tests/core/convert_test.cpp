@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/saturate.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::core {
 namespace {
@@ -24,8 +25,7 @@ std::vector<float> randomFloats(std::size_t n, float lo, float hi,
 
 // All executable paths plus the novec baseline.
 std::vector<KernelPath> allPaths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Avx2, KernelPath::Neon};
+  return caps::availablePaths();
 }
 
 class Cvt32F16SPathTest
@@ -44,9 +44,7 @@ TEST_P(Cvt32F16SPathTest, MatchesScalarReference) {
 INSTANTIATE_TEST_SUITE_P(
     PathsAndSizes, Cvt32F16SPathTest,
     ::testing::Combine(
-        ::testing::Values(KernelPath::ScalarNoVec, KernelPath::Auto,
-                          KernelPath::Sse2, KernelPath::Avx2,
-                          KernelPath::Neon),
+        ::testing::ValuesIn(caps::availablePaths()),
         // Sizes straddle the 8-wide vector body and exercise odd tails.
         ::testing::Values<std::size_t>(0, 1, 7, 8, 9, 15, 16, 17, 64, 1000,
                                        4096 + 3)),
@@ -138,8 +136,7 @@ TEST_P(ConvertPairTest, HandPathsMatchAuto) {
   }
   Mat ref;
   convertTo(src, ref, dd, 1.0, 0.0, KernelPath::Auto);
-  for (KernelPath p : {KernelPath::Sse2, KernelPath::Avx2, KernelPath::Neon,
-                       KernelPath::ScalarNoVec}) {
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat got;
     convertTo(src, got, dd, 1.0, 0.0, p);

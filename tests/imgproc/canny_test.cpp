@@ -1,5 +1,6 @@
 // Canny: edge localization, thinness (NMS), hysteresis behaviour.
 #include "imgproc/canny.hpp"
+#include "simd/caps.hpp"
 
 #include <gtest/gtest.h>
 
@@ -107,7 +108,7 @@ TEST(Canny, PathsAgreeBitExact) {
       src.at<std::uint8_t>(r, c) = static_cast<std::uint8_t>(rng());
   Mat ref;
   Canny(src, ref, 80, 200, 3, KernelPath::Auto);
-  for (KernelPath p : {KernelPath::ScalarNoVec, KernelPath::Sse2, KernelPath::Neon}) {
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat got;
     Canny(src, got, 80, 200, 3, p);

@@ -17,13 +17,13 @@
 #include "imgproc/filter.hpp"
 #include "imgproc/kernels.hpp"
 #include "runtime/thread_pool.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
 
 std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Avx2, KernelPath::Neon};
+  return caps::availablePaths();
 }
 
 std::vector<BorderType> allBorders() {

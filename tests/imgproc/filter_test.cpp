@@ -17,8 +17,7 @@ namespace simdcv::imgproc {
 namespace {
 
 std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Avx2, KernelPath::Neon};
+  return caps::availablePaths();
 }
 
 Mat randomU8(int rows, int cols, unsigned seed) {

@@ -171,12 +171,13 @@ TEST(FixedPoint, WorkerWidthSweepByteEqualToNovec) {
 
 // ---- 3-tap shapes of the s16 passes ---------------------------------------
 
-// Every 3-tap shape the x86 s16 passes specialize ([-a,0,a] and [a,b,a] with
-// each coefficient class: 1, 2, any) and the near-misses that must take the
-// general body, on Sse2/Avx2/Avx512 against the scalar-novec arm at every
-// width 0..4*32+1, which crosses every vector multiple of every backend up
-// to its 4-vector block plus one. Inputs are random over the full u8 / s16
-// range, so the sums wrap: the shapes regroup modular sums, which is exact.
+// The two 3-tap shapes the s16 passes specialize (Sobel's [-1,0,1] and
+// [1,2,1]) and the kernels that must take the general body (other
+// antisymmetric and symmetric taps, and near-misses), on every path
+// against the scalar-novec arm at every width 0..4*32+1, which crosses
+// every vector multiple of every backend up to its 4-vector block plus one.
+// Inputs are random over the full u8 / s16 range, so the sums wrap: the
+// shapes regroup modular sums, which is exact.
 TEST(FixedPoint, TapShapesByteEqualToNovecAtEveryWidth) {
   constexpr int kMaxWidth = 4 * 32 + 1;
   const std::vector<std::vector<std::int16_t>> kernels = {
@@ -196,9 +197,7 @@ TEST(FixedPoint, TapShapesByteEqualToNovecAtEveryWidth) {
     for (auto& v : row) v = static_cast<std::int16_t>(rng());
   }
   const std::int16_t* rows[3] = {s16[0].data(), s16[1].data(), s16[2].data()};
-  const auto paths = caps::availablePaths();
-  for (KernelPath p : {KernelPath::Sse2, KernelPath::Avx2, KernelPath::Avx512}) {
-    if (std::find(paths.begin(), paths.end(), p) == paths.end()) continue;
+  for (KernelPath p : caps::availablePaths()) {
     for (const auto& k : kernels) {
       for (int width = 0; width <= kMaxWidth; ++width) {
         const auto n = static_cast<std::size_t>(width);

@@ -1,5 +1,6 @@
 // Morphology: erosion/dilation algebra, brute-force agreement, box filter.
 #include "imgproc/morphology.hpp"
+#include "simd/caps.hpp"
 
 #include <gtest/gtest.h>
 
@@ -9,8 +10,7 @@ namespace simdcv::imgproc {
 namespace {
 
 std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Neon};
+  return caps::availablePaths();
 }
 
 Mat randomU8(int rows, int cols, unsigned seed) {

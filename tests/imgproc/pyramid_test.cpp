@@ -1,5 +1,6 @@
 // pyrDown: geometry, smoothing behaviour, path agreement.
 #include "imgproc/pyramid.hpp"
+#include "simd/caps.hpp"
 
 #include <gtest/gtest.h>
 
@@ -57,7 +58,7 @@ TEST(Pyramid, PathsAgreeBitExact) {
   const Mat src = randomU8(33, 47, 6);
   Mat ref;
   pyrDown(src, ref, KernelPath::Auto);
-  for (KernelPath p : {KernelPath::ScalarNoVec, KernelPath::Sse2, KernelPath::Neon}) {
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat got;
     pyrDown(src, got, p);

@@ -6,6 +6,7 @@
 
 #include "imgproc/filter.hpp"
 #include "imgproc/kernels.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv::imgproc {
 namespace {
@@ -138,7 +139,7 @@ TEST(Sobel, PathsAgreeBitExact) {
   Mat ref;
   Sobel(src, ref, Depth::S16, 1, 0, 3, 1.0, BorderType::Reflect101,
         KernelPath::Auto);
-  for (KernelPath p : {KernelPath::ScalarNoVec, KernelPath::Sse2, KernelPath::Neon}) {
+  for (KernelPath p : caps::availablePaths()) {
     if (!pathAvailable(p)) continue;
     Mat got;
     Sobel(src, got, Depth::S16, 1, 0, 3, 1.0, BorderType::Reflect101, p);

@@ -14,8 +14,7 @@ namespace simdcv::imgproc {
 namespace {
 
 std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Avx2, KernelPath::Neon};
+  return caps::availablePaths();
 }
 
 Mat randomU8(int rows, int cols, unsigned seed) {
@@ -66,9 +65,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          ThresholdType::Trunc,
                                          ThresholdType::ToZero,
                                          ThresholdType::ToZeroInv),
-                       ::testing::Values(KernelPath::ScalarNoVec,
-                                         KernelPath::Auto, KernelPath::Sse2,
-                                         KernelPath::Avx2, KernelPath::Neon)),
+                       ::testing::ValuesIn(caps::availablePaths())),
     [](const auto& info) {
       std::string n = std::string(toString(std::get<0>(info.param))) + "_" +
                       toString(std::get<1>(info.param));

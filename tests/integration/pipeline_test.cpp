@@ -10,6 +10,7 @@
 #include "imgproc/filter.hpp"
 #include "imgproc/threshold.hpp"
 #include "io/image_io.hpp"
+#include "simd/caps.hpp"
 
 namespace simdcv {
 namespace {
@@ -18,8 +19,7 @@ using imgproc::BorderType;
 using imgproc::ThresholdType;
 
 std::vector<KernelPath> paths() {
-  return {KernelPath::ScalarNoVec, KernelPath::Auto, KernelPath::Sse2,
-          KernelPath::Neon};
+  return caps::availablePaths();
 }
 
 // The paper's full processing story: u8 image -> float -> filter ->

@@ -54,10 +54,14 @@ TEST(KernelPath, PreferredPathOverride) {
   EXPECT_EQ(resolvePath(KernelPath::Default), KernelPath::Neon);
   setPreferredPath(KernelPath::Default);  // restore
 #if defined(__x86_64__)
-  // Without an override, the widest selectable x86 backend.
+  // Without an override, the widest selectable x86 backend: handPaths()
+  // lists the widest first, and emulated NEON never counts.
   KernelPath widest = KernelPath::Auto;
-  for (KernelPath p : {KernelPath::Sse2, KernelPath::Avx2, KernelPath::Avx512})
-    if (caps::selectable(p)) widest = p;
+  for (KernelPath p : caps::handPaths())
+    if (p != KernelPath::Neon) {
+      widest = p;
+      break;
+    }
   EXPECT_EQ(preferredPath(), widest);
 #endif
 }
