@@ -9,9 +9,14 @@
 
 #include <cstdint>
 
+#include "core/mat.hpp"
 #include "simd/features.hpp"
 
 namespace simdcv::imgproc::detail {
+
+/// The erode/dilate argument contract (non-empty U8C1, odd positive ksize),
+/// which morphOpen/morphClose check before they run their graph.
+void requireMorphArgs(const Mat& src, Size ksize);
 
 /// Which lattice operation a morphology pass computes. Erode takes the
 /// window minimum, dilate the maximum; both passes of the separable rect

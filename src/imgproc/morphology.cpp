@@ -1,5 +1,6 @@
-// erode / dilate (and open / close on top): separable running min/max over a
-// rect structuring element, with the replicate border.
+// erode / dilate: separable running min/max over a rect structuring element,
+// with the replicate border. morphOpen / morphClose run them as a two-node
+// graph (graph/morph_open_close.cpp).
 //
 // morphRect runs the separable ring engine (ring_engine.hpp) that the
 // convolutions run. Row pass: min/max over a kw window of the padded row —
@@ -89,6 +90,14 @@ void morphHorizontalMinMax(const std::uint8_t* padded, std::uint8_t* out,
   }
 }
 
+void requireMorphArgs(const Mat& src, Size ksize) {
+  SIMDCV_REQUIRE(!src.empty(), "morphology: empty source");
+  SIMDCV_REQUIRE(src.type() == U8C1, "morphology: u8c1 only");
+  SIMDCV_REQUIRE(ksize.width >= 1 && (ksize.width & 1) && ksize.height >= 1 &&
+                     (ksize.height & 1),
+                 "morphology: ksize must be odd and positive");
+}
+
 }  // namespace detail
 
 namespace {
@@ -97,11 +106,7 @@ using detail::MinMax;
 
 void morphRect(const Mat& src, Mat& dst, Size ksize, MinMax mode,
                KernelPath path) {
-  SIMDCV_REQUIRE(!src.empty(), "morphology: empty source");
-  SIMDCV_REQUIRE(src.type() == U8C1, "morphology: u8c1 only");
-  SIMDCV_REQUIRE(ksize.width >= 1 && (ksize.width & 1) && ksize.height >= 1 &&
-                     (ksize.height & 1),
-                 "morphology: ksize must be odd and positive");
+  detail::requireMorphArgs(src, ksize);
   const KernelPath p = resolvePath(path);
   const int rows = src.rows(), width = src.cols();
   Mat out = dst.sharesStorageWith(src) ? Mat() : std::move(dst);
@@ -133,18 +138,6 @@ void erode(const Mat& src, Mat& dst, Size ksize, KernelPath path) {
 
 void dilate(const Mat& src, Mat& dst, Size ksize, KernelPath path) {
   morphRect(src, dst, ksize, MinMax::Max, path);
-}
-
-void morphOpen(const Mat& src, Mat& dst, Size ksize, KernelPath path) {
-  Mat tmp;
-  erode(src, tmp, ksize, path);
-  dilate(tmp, dst, ksize, path);
-}
-
-void morphClose(const Mat& src, Mat& dst, Size ksize, KernelPath path) {
-  Mat tmp;
-  dilate(src, tmp, ksize, path);
-  erode(tmp, dst, ksize, path);
 }
 
 void boxFilter(const Mat& src, Mat& dst, Size ksize, BorderType border,

@@ -20,7 +20,9 @@ void dilate(const Mat& src, Mat& dst, Size ksize = {3, 3},
             KernelPath path = KernelPath::Default);
 
 /// Morphological opening (erode then dilate) and closing (dilate then
-/// erode).
+/// erode), byte-equal to the two calls. Each runs a per-thread cached
+/// two-node graph (defined in graph/morph_open_close.cpp), so a warm call
+/// into a reused dst allocates nothing.
 void morphOpen(const Mat& src, Mat& dst, Size ksize = {3, 3},
                KernelPath path = KernelPath::Default);
 void morphClose(const Mat& src, Mat& dst, Size ksize = {3, 3},

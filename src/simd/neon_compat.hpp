@@ -5,8 +5,6 @@
 
 #if defined(__ARM_NEON) || defined(__ARM_NEON__)
 #include <arm_neon.h>
-#define SIMDCV_NEON_NATIVE 1
 #else
 #include "simd/neon_emu.hpp"
-#define SIMDCV_NEON_NATIVE 0
 #endif

@@ -115,6 +115,37 @@ TEST(MorphMetamorphic, OpenAndCloseAreIdempotent) {
   }
 }
 
+// morphOpen / morphClose (a cached two-node graph) are byte-equal to the
+// two direct calls they stand for, at odd widths (vector bodies plus scalar
+// tails) on every path, also when dst aliases src.
+TEST(MorphMetamorphic, OpenAndCloseEqualTheirTwoCalls) {
+  for (const int width : {1, 15, 17, 33, 67, 131}) {
+    const Mat src = randomU8(23, width, 400u + static_cast<unsigned>(width));
+    for (const Size& se : {Size{3, 3}, Size{9, 3}, Size{5, 7}}) {
+      for (KernelPath p : caps::availablePaths()) {
+        Mat tmp, want, got;
+        erode(src, tmp, se, p);
+        dilate(tmp, want, se, p);
+        morphOpen(src, got, se, p);
+        EXPECT_EQ(countMismatches(want, got), 0u)
+            << "open w=" << width << " se=" << se.width << "x" << se.height
+            << " " << toString(p);
+        dilate(src, tmp, se, p);
+        erode(tmp, want, se, p);
+        morphClose(src, got, se, p);
+        EXPECT_EQ(countMismatches(want, got), 0u)
+            << "close w=" << width << " se=" << se.width << "x" << se.height
+            << " " << toString(p);
+        Mat inPlace;
+        src.copyTo(inPlace);
+        morphClose(inPlace, inPlace, se, p);
+        EXPECT_EQ(countMismatches(want, inPlace), 0u)
+            << "close in place w=" << width << " " << toString(p);
+      }
+    }
+  }
+}
+
 // The separable engine exists because the rect SE factorises into a
 // horizontal run and a vertical run. Check the factorisation against the
 // 2-D brute-force oracle AND against composing the engine's own 1-D runs —

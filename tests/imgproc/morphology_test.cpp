@@ -127,6 +127,19 @@ TEST(Morphology, Validation) {
   EXPECT_THROW(erode(f, dst), Error);
 }
 
+// morphOpen/morphClose run a cached two-node graph, so a warm close into a
+// reused dst keeps dst's storage and needs no intermediate Mat.
+TEST(MorphOpenClose, WarmCloseAllocatesNoMat) {
+  const Mat src = randomU8(48, 67, 11);
+  for (KernelPath p : paths()) {
+    Mat dst;
+    morphClose(src, dst, {9, 3}, p);  // warm the graph cache and dst
+    const std::uint64_t matAllocs = matAllocationCount();
+    for (int i = 0; i < 5; ++i) morphClose(src, dst, {9, 3}, p);
+    EXPECT_EQ(matAllocationCount(), matAllocs) << toString(p);
+  }
+}
+
 TEST(BoxFilter, ConstantAndMeanProperties) {
   Mat flat = full(12, 12, U8C1, 80);
   Mat out;
